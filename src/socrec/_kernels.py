@@ -1,304 +1,233 @@
-"""Hot numeric loops, each shipped in two flavors: a numba-jitted version and
-a pure-numpy twin.
+"""Numeric operators of the trainer and the similarity builders, each with
+one numpy/scipy implementation.
 
-The jitted path is the default. Set the environment variable
-``SOCREC_DISABLE_NUMBA=1`` before import to force the numpy fallback (the
-fallback is also selected automatically when numba is not installed). Both
-paths compute the same quantities with the same per-edge / per-entry
-arithmetic; they may differ only by floating-point accumulation order.
+Data term. The residuals ``err = p_u . q_i - r`` of the training entries are
+the values of a sparse matrix ``E`` with the train pattern, so the data
+gradients are ``E @ Q`` (users) and ``Eᵀ @ P`` (items). Predictions gather
+factor rows ``GATHER_BLOCK`` entries at a time, so the gathered copies stay
+small however many entries there are.
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Social term. With ``W[u, f] = s`` for each directed trust edge ``(u, f)``
+of similarity ``s``, the penalty ``sum_e s_e ||p_u - p_f||^2`` equals
+``tr(Pᵀ L P)`` for the graph Laplacian ``L = D - (W + Wᵀ)``, where ``D`` holds
+the row sums of ``W + Wᵀ``. The gradient of ``(alpha/2) tr(Pᵀ L P)`` is
+``alpha L @ P``, so one product gives both the gradient and the penalty
+``(1/2) sum(P * alpha L @ P)``.
+
+Training epoch. ``factorization.train`` builds ``E`` (``residual_matrix``)
+and ``L`` once and passes them to the public names below. Each objective
+writes its residuals into ``E`` (``squared_error_sum(..., out=E.data)``) and,
+when another step follows, takes its penalty from ``alpha L @ P``
+(``social_gradient(..., laplacian=L)``); the next step's ``rating_gradients``
+and social pull reuse both, so a run of ``n`` epochs makes ``n + 1``
+residual passes and ``n + 1`` products with ``L``.
+
+Similarity. For a block of ``EDGE_BLOCK`` edges, the rated rows of the
+source users and of the destination users are gathered into block CSR
+matrices: ``D`` holds the ratings (or their deviations from the user's
+mean, for PCC) and ``B`` ones on the same pattern. Row sums of elementwise
+products give, per edge, the dot product over co-rated items
+(``D_src ∘ D_dst``), the two norms over the overlap (``D_src² ∘ B_dst`` and
+``B_src ∘ D_dst²``) and the overlap size (``B_src ∘ B_dst``).
+
+The public names below (``predict_pairs``, ``squared_error_sum``,
+``rating_gradients``, ``social_penalty``, ``social_gradient``,
+``pcc_edges``, ``vss_edges``) compose these operators from raw arrays; the
+optional keyword arguments hand them operands a caller already built.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("SOCREC_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
-
-
-NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
+# entries whose factor rows are gathered at once by a residual or prediction
+# pass; bounds the gathered copies to 2 * GATHER_BLOCK * k floats
+GATHER_BLOCK = 32768
+# trust edges whose two rating rows are gathered at once by the similarity
+# builders; a block holds about a dozen arrays with one element per gathered
+# rating, so this bounds their working memory
+EDGE_BLOCK = 2048
 
 
-# --------------------------------------------------------------------------
-# pure-numpy implementations
-# --------------------------------------------------------------------------
-
-def squared_error_sum_numpy(user_f, item_f, users, items, values):
-    """Sum of squared residuals (r - p_u . q_i) over the given entries."""
-    pred = np.einsum("ej,ej->e", user_f[users], item_f[items])
-    resid = values - pred
-    return float(resid @ resid)
+def _csr(*args, **kwargs):
+    """``scipy.sparse.csr_matrix``, imported on first use: the import about
+    doubles the package's start-up time, which ``socrec predict`` never needs."""
+    from scipy.sparse import csr_matrix
+    return csr_matrix(*args, **kwargs)
 
 
-def predict_pairs_numpy(user_f, item_f, users, items):
-    """Raw inner-product predictions for (user, item) index pairs."""
-    return np.einsum("ej,ej->e", user_f[users], item_f[items])
+def gather_dots(user_f, item_f, users, items, out):
+    """out[e] = user_f[users[e]] . item_f[items[e]]; returns out."""
+    for lo in range(0, users.shape[0], GATHER_BLOCK):
+        hi = lo + GATHER_BLOCK
+        np.einsum("ej,ej->e", user_f[users[lo:hi]], item_f[items[lo:hi]],
+                  out=out[lo:hi])
+    return out
 
 
-def rating_gradients_numpy(user_f, item_f, users, items, values):
-    """Data-term gradients: d_user[u] += err * q_i and d_item[i] += err * p_u."""
-    pred = np.einsum("ej,ej->e", user_f[users], item_f[items])
-    err = (pred - values)[:, None]
-    d_user = np.zeros_like(user_f)
-    d_item = np.zeros_like(item_f)
-    np.add.at(d_user, users, err * item_f[items])
-    np.add.at(d_item, items, err * user_f[users])
-    return d_user, d_item
+def residuals(user_f, item_f, users, items, values, out):
+    """out[e] = user_f[users[e]] . item_f[items[e]] - values[e]; returns out."""
+    gather_dots(user_f, item_f, users, items, out)
+    out -= values
+    return out
 
 
-def social_penalty_numpy(user_f, edge_src, edge_dst, edge_sim):
-    """Sum over edges of sim * ||p_src - p_dst||^2."""
-    diff = user_f[edge_src] - user_f[edge_dst]
-    return float(edge_sim @ np.einsum("ej,ej->e", diff, diff))
+def sum_squares(x) -> float:
+    """x . x for a 1-d array, summed by numpy rather than BLAS: a BLAS dot
+    wakes the BLAS thread pool, whose spinning threads then slow the
+    single-threaded gathers and sparse products of the next steps."""
+    return float(np.einsum("e,e->", x, x))
 
 
-def social_gradient_numpy(user_f, edge_src, edge_dst, edge_sim, alpha):
-    """Gradient of (alpha/2) * sum sim * ||p_src - p_dst||^2.
+def residual_matrix(user_ptr, items, num_items):
+    """A CSR matrix ``E`` over the rating pattern (``user_ptr``, ``items``)
+    whose values, in entry order, are for the caller to write in place into
+    ``E.data``. ``E.T`` shares those values, so rebinding ``E.data`` instead
+    would leave ``E.T`` stale."""
+    return _csr((np.empty(items.shape[0]), items, user_ptr),
+                shape=(user_ptr.shape[0] - 1, num_items))
 
-    Each directed edge contributes alpha*sim*(p_src - p_dst) to the source
-    column and the negated vector to the destination column, which covers
-    both the out-link and in-link terms of the full derivative.
+
+def data_gradients(resid, user_f, item_f):
+    """Data-term gradients (resid @ item_f, residᵀ @ user_f) of a sparse
+    residual matrix."""
+    return resid @ item_f, resid.T @ user_f
+
+
+def social_laplacian(num_users, edge_src, edge_dst, edge_sim):
+    """D - (W + Wᵀ) as CSR, where W[src, dst] = sim per edge.
+
+    Holding both (u, f) and (f, u) sums their weights into one entry.
     """
-    out = np.zeros_like(user_f)
-    pull = (alpha * edge_sim)[:, None] * (user_f[edge_src] - user_f[edge_dst])
-    np.add.at(out, edge_src, pull)
-    np.add.at(out, edge_dst, -pull)
-    return out
+    w = np.asarray(edge_sim, dtype=np.float64)
+    degree = (np.bincount(edge_src, w, minlength=num_users)
+              + np.bincount(edge_dst, w, minlength=num_users))
+    diag = np.arange(num_users)
+    rows = np.concatenate((edge_src, edge_dst, diag))
+    cols = np.concatenate((edge_dst, edge_src, diag))
+    vals = np.concatenate((-w, -w, degree))
+    return _csr((vals, (rows, cols)), shape=(num_users, num_users))
 
 
-def _overlap_indices(items_a, items_b):
-    _, idx_a, idx_b = np.intersect1d(
-        items_a, items_b, assume_unique=True, return_indices=True
-    )
-    return idx_a, idx_b
+def _gather_rows(user_ptr, users):
+    """Entry positions of the rating rows of ``users``, concatenated, with
+    their block CSR row pointer and the user owning each entry."""
+    starts = user_ptr[users]
+    lengths = user_ptr[users + 1] - starts
+    ptr = np.zeros(users.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    take = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lengths)
+    return take, ptr, np.repeat(users, lengths)
 
 
-def vss_edges_numpy(user_ptr, user_items, user_values, edge_src, edge_dst):
-    """Cosine similarity over co-rated items, one value per directed edge."""
+def _rowsum(a, b):
+    """Row sums of the elementwise product of two sparse matrices."""
+    return np.asarray(a.multiply(b).sum(axis=1)).ravel()
+
+
+def _overlap_cosine(user_ptr, user_items, row_values, edge_src, edge_dst, min_overlap):
+    """Per edge: cosine of the two users' rows over their co-rated items.
+
+    ``row_values(take, owners)`` gives the values of the entries at positions
+    ``take``, rated by users ``owners``. Edges with fewer than
+    ``min_overlap`` co-rated items, or a zero denominator, give 0.
+    """
     out = np.zeros(edge_src.shape[0])
-    for e in range(edge_src.shape[0]):
-        a, b = edge_src[e], edge_dst[e]
-        sa, ea = user_ptr[a], user_ptr[a + 1]
-        sb, eb = user_ptr[b], user_ptr[b + 1]
-        idx_a, idx_b = _overlap_indices(user_items[sa:ea], user_items[sb:eb])
-        if idx_a.size == 0:
-            continue
-        va = user_values[sa:ea][idx_a]
-        vb = user_values[sb:eb][idx_b]
-        denom = np.sqrt(va @ va) * np.sqrt(vb @ vb)
-        if denom > 0.0:
-            out[e] = min(max((va @ vb) / denom, 0.0), 1.0)
+    for lo in range(0, edge_src.shape[0], EDGE_BLOCK):
+        hi = lo + EDGE_BLOCK
+        sides = []
+        for ends in (edge_src[lo:hi], edge_dst[lo:hi]):
+            take, ptr, owners = _gather_rows(user_ptr, ends)
+            sides.append((user_items[take], ptr, row_values(take, owners)))
+        num_items = 1 + max((int(cols.max()) for cols, _, _ in sides if cols.size), default=0)
+        blocks = []
+        for cols, ptr, values in sides:
+            d = _csr((values, cols, ptr), shape=(ptr.size - 1, num_items))
+            # the other two share d's (possibly downcast) index arrays
+            blocks.append([d] + [_csr((data, d.indices, d.indptr), shape=d.shape)
+                                 for data in (values * values, np.ones(cols.size))])
+        (d_src, d2_src, b_src), (d_dst, d2_dst, b_dst) = blocks
+        dot = _rowsum(d_src, d_dst)
+        denom = np.sqrt(_rowsum(d2_src, b_dst)) * np.sqrt(_rowsum(b_src, d2_dst))
+        ok = denom > 0.0
+        if min_overlap > 1:
+            ok &= _rowsum(b_src, b_dst) >= min_overlap
+        np.divide(dot, denom, out=out[lo:hi], where=ok)
     return out
 
 
-def pcc_edges_numpy(user_ptr, user_items, user_values, user_means, edge_src, edge_dst):
-    """Pearson correlation over co-rated items, one value per directed edge.
+def vss_edges(user_ptr, user_items, user_values, edge_src, edge_dst):
+    """Cosine similarity over co-rated items, one value per directed edge,
+    clipped to [0, 1]. An empty overlap or a zero denominator gives 0."""
+    out = _overlap_cosine(user_ptr, user_items, lambda take, _: user_values[take],
+                          edge_src, edge_dst, min_overlap=1)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def pcc_edges(user_ptr, user_items, user_values, user_means, edge_src, edge_dst):
+    """Pearson correlation over co-rated items, one value per directed edge,
+    clipped to [-1, 1].
 
     Deviations are taken against each user's mean over *all* their rated
     items. Overlaps with fewer than two items, or a zero denominator, give 0.
     """
-    out = np.zeros(edge_src.shape[0])
-    for e in range(edge_src.shape[0]):
-        a, b = edge_src[e], edge_dst[e]
-        sa, ea = user_ptr[a], user_ptr[a + 1]
-        sb, eb = user_ptr[b], user_ptr[b + 1]
-        idx_a, idx_b = _overlap_indices(user_items[sa:ea], user_items[sb:eb])
-        if idx_a.size < 2:
-            continue
-        da = user_values[sa:ea][idx_a] - user_means[a]
-        db = user_values[sb:eb][idx_b] - user_means[b]
-        denom = np.sqrt(da @ da) * np.sqrt(db @ db)
-        if denom > 0.0:
-            out[e] = min(max((da @ db) / denom, -1.0), 1.0)
-    return out
+    out = _overlap_cosine(user_ptr, user_items,
+                          lambda take, owners: user_values[take] - user_means[owners],
+                          edge_src, edge_dst, min_overlap=2)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
-# --------------------------------------------------------------------------
-# loop implementations (compiled by numba when available)
-# --------------------------------------------------------------------------
-
-def _squared_error_sum_loops(user_f, item_f, users, items, values):
-    k = user_f.shape[1]
-    total = 0.0
-    for e in range(users.shape[0]):
-        u = users[e]
-        i = items[e]
-        pred = 0.0
-        for d in range(k):
-            pred += user_f[u, d] * item_f[i, d]
-        resid = values[e] - pred
-        total += resid * resid
-    return total
+def predict_pairs(user_f, item_f, users, items):
+    """Raw inner-product predictions for (user, item) index pairs."""
+    return gather_dots(user_f, item_f, users, items, np.empty(users.shape[0]))
 
 
-def _predict_pairs_loops(user_f, item_f, users, items):
-    k = user_f.shape[1]
-    out = np.empty(users.shape[0])
-    for e in range(users.shape[0]):
-        u = users[e]
-        i = items[e]
-        pred = 0.0
-        for d in range(k):
-            pred += user_f[u, d] * item_f[i, d]
-        out[e] = pred
-    return out
+def squared_error_sum(user_f, item_f, users, items, values, *, out=None):
+    """Sum of squared residuals (r - p_u . q_i) over the given entries.
+
+    With ``out`` (one float per entry), the residuals p_u . q_i - r are left
+    in it.
+    """
+    if out is None:
+        out = np.empty(users.shape[0])
+    return sum_squares(residuals(user_f, item_f, users, items, values, out))
 
 
-def _rating_gradients_loops(user_f, item_f, users, items, values):
-    k = user_f.shape[1]
-    d_user = np.zeros_like(user_f)
-    d_item = np.zeros_like(item_f)
-    for e in range(users.shape[0]):
-        u = users[e]
-        i = items[e]
-        pred = 0.0
-        for d in range(k):
-            pred += user_f[u, d] * item_f[i, d]
-        err = pred - values[e]
-        for d in range(k):
-            d_user[u, d] += err * item_f[i, d]
-            d_item[i, d] += err * user_f[u, d]
-    return d_user, d_item
+def rating_gradients(user_f, item_f, users, items, values, *, resid=None):
+    """Data-term gradients: d_user[u] += err * q_i and d_item[i] += err * p_u
+    per entry, with err = p_u . q_i - r. Repeated pairs each contribute.
+
+    ``resid`` is the residual matrix of these entries at these factors, when
+    the caller already holds it (see ``residual_matrix``); the residual pass
+    is then skipped.
+    """
+    if resid is None:
+        err = residuals(user_f, item_f, users, items, values, np.empty(users.shape[0]))
+        resid = _csr((err, (users, items)), shape=(user_f.shape[0], item_f.shape[0]))
+    return data_gradients(resid, user_f, item_f)
 
 
-def _social_penalty_loops(user_f, edge_src, edge_dst, edge_sim):
-    k = user_f.shape[1]
-    total = 0.0
-    for e in range(edge_src.shape[0]):
-        s = edge_src[e]
-        t = edge_dst[e]
-        dist = 0.0
-        for d in range(k):
-            diff = user_f[s, d] - user_f[t, d]
-            dist += diff * diff
-        total += edge_sim[e] * dist
-    return total
+def social_penalty(user_f, edge_src, edge_dst, edge_sim, *, laplacian=None):
+    """Sum over edges of sim * ||p_src - p_dst||^2, as tr(Pᵀ L P).
+
+    ``laplacian`` is the edges' ``social_laplacian``, when the caller
+    already built it.
+    """
+    if laplacian is None:
+        laplacian = social_laplacian(user_f.shape[0], edge_src, edge_dst, edge_sim)
+    return float(np.sum(user_f * (laplacian @ user_f)))
 
 
-def _social_gradient_loops(user_f, edge_src, edge_dst, edge_sim, alpha):
-    k = user_f.shape[1]
-    out = np.zeros_like(user_f)
-    for e in range(edge_src.shape[0]):
-        s = edge_src[e]
-        t = edge_dst[e]
-        w = alpha * edge_sim[e]
-        for d in range(k):
-            pull = w * (user_f[s, d] - user_f[t, d])
-            out[s, d] += pull
-            out[t, d] -= pull
-    return out
+def social_gradient(user_f, edge_src, edge_dst, edge_sim, alpha, *, laplacian=None):
+    """Gradient of (alpha/2) * sum sim * ||p_src - p_dst||^2, i.e. alpha L @ P.
 
-
-def _vss_edges_loops(user_ptr, user_items, user_values, edge_src, edge_dst):
-    out = np.zeros(edge_src.shape[0])
-    for e in range(edge_src.shape[0]):
-        a = edge_src[e]
-        b = edge_dst[e]
-        ia, ea = user_ptr[a], user_ptr[a + 1]
-        ib, eb = user_ptr[b], user_ptr[b + 1]
-        dot = 0.0
-        norm_a = 0.0
-        norm_b = 0.0
-        while ia < ea and ib < eb:
-            if user_items[ia] == user_items[ib]:
-                va = user_values[ia]
-                vb = user_values[ib]
-                dot += va * vb
-                norm_a += va * va
-                norm_b += vb * vb
-                ia += 1
-                ib += 1
-            elif user_items[ia] < user_items[ib]:
-                ia += 1
-            else:
-                ib += 1
-        denom = np.sqrt(norm_a) * np.sqrt(norm_b)
-        if denom > 0.0:
-            out[e] = min(max(dot / denom, 0.0), 1.0)
-    return out
-
-
-def _pcc_edges_loops(user_ptr, user_items, user_values, user_means, edge_src, edge_dst):
-    out = np.zeros(edge_src.shape[0])
-    for e in range(edge_src.shape[0]):
-        a = edge_src[e]
-        b = edge_dst[e]
-        ia, ea = user_ptr[a], user_ptr[a + 1]
-        ib, eb = user_ptr[b], user_ptr[b + 1]
-        mean_a = user_means[a]
-        mean_b = user_means[b]
-        dot = 0.0
-        norm_a = 0.0
-        norm_b = 0.0
-        overlap = 0
-        while ia < ea and ib < eb:
-            if user_items[ia] == user_items[ib]:
-                da = user_values[ia] - mean_a
-                db = user_values[ib] - mean_b
-                dot += da * db
-                norm_a += da * da
-                norm_b += db * db
-                overlap += 1
-                ia += 1
-                ib += 1
-            elif user_items[ia] < user_items[ib]:
-                ia += 1
-            else:
-                ib += 1
-        if overlap < 2:
-            continue
-        denom = np.sqrt(norm_a) * np.sqrt(norm_b)
-        if denom > 0.0:
-            out[e] = min(max(dot / denom, -1.0), 1.0)
-    return out
-
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True)
-    squared_error_sum_jit = _jit(_squared_error_sum_loops)
-    predict_pairs_jit = _jit(_predict_pairs_loops)
-    rating_gradients_jit = _jit(_rating_gradients_loops)
-    social_penalty_jit = _jit(_social_penalty_loops)
-    social_gradient_jit = _jit(_social_gradient_loops)
-    vss_edges_jit = _jit(_vss_edges_loops)
-    pcc_edges_jit = _jit(_pcc_edges_loops)
-
-    squared_error_sum = squared_error_sum_jit
-    predict_pairs = predict_pairs_jit
-    rating_gradients = rating_gradients_jit
-    social_penalty = social_penalty_jit
-    social_gradient = social_gradient_jit
-    vss_edges = vss_edges_jit
-    pcc_edges = pcc_edges_jit
-else:
-    squared_error_sum_jit = None
-    predict_pairs_jit = None
-    rating_gradients_jit = None
-    social_penalty_jit = None
-    social_gradient_jit = None
-    vss_edges_jit = None
-    pcc_edges_jit = None
-
-    squared_error_sum = squared_error_sum_numpy
-    predict_pairs = predict_pairs_numpy
-    rating_gradients = rating_gradients_numpy
-    social_penalty = social_penalty_numpy
-    social_gradient = social_gradient_numpy
-    vss_edges = vss_edges_numpy
-    pcc_edges = pcc_edges_numpy
+    Each directed edge pulls both of its endpoints, which covers the
+    out-link and in-link terms of the full derivative. ``laplacian`` is as
+    in ``social_penalty``.
+    """
+    if laplacian is None:
+        laplacian = social_laplacian(user_f.shape[0], edge_src, edge_dst, edge_sim)
+    return alpha * (laplacian @ user_f)
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend: the numpy/scipy implementation above."""
+    return "numpy"

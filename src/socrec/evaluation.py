@@ -314,37 +314,41 @@ def run_similarity_study(
     if kind not in ("vss", "pcc"):
         raise ValueError("similarity study supports 'vss' or 'pcc'")
     rng = np.random.default_rng(seed)
-    all_users = np.arange(graph.num_users, dtype=np.int64)
     degrees = graph.out_degrees()
-    user_means = ratings.user_means() if kind == "pcc" else None
 
-    def pair_sims(center, others):
-        src = np.full(others.size, center, dtype=np.int64)
-        if kind == "vss":
-            return _kernels.vss_edges(
-                ratings.user_ptr, ratings.items, ratings.values, src, others
-            )
-        raw = _kernels.pcc_edges(
-            ratings.user_ptr, ratings.items, ratings.values, user_means, src, others
-        )
-        return (raw + 1.0) / 2.0
-
-    kept, friend_means, random_means, skipped = [], [], [], []
+    # draw every peer set in user order, then score all pairs in one call;
+    # a peer is drawn as a rank among the non-excluded users, which picks
+    # the same user as drawing from the sorted eligible array itself
+    kept, skipped, others = [], [], []
     for u in np.nonzero(degrees > min_out_degree)[0]:
         friends = graph.out_neighbors(u)
-        excluded = np.concatenate((friends, [u]))
-        eligible = np.setdiff1d(all_users, excluded, assume_unique=False)
-        if eligible.size < friends.size:
+        excluded = np.unique(np.append(friends, u))
+        num_eligible = graph.num_users - excluded.size
+        if num_eligible < friends.size:
             skipped.append(int(u))
             continue
-        peers = rng.choice(eligible, size=friends.size, replace=False)
+        ranks = rng.choice(num_eligible, size=friends.size, replace=False)
+        # the rank-r eligible user is r plus the count of excluded users
+        # below it, and excluded[j] - j counts the eligible users below it
+        shift = np.searchsorted(excluded - np.arange(excluded.size), ranks, side="right")
         kept.append(int(u))
-        friend_means.append(float(pair_sims(u, friends).mean()))
-        random_means.append(float(pair_sims(u, peers).mean()))
+        others += [friends, ranks + shift]
     if skipped:
         logger.warning(
             "similarity study skipped %d users with too few eligible peers", len(skipped)
         )
+
+    sizes = np.array([o.size for o in others], dtype=np.int64)
+    src = np.repeat(np.repeat(np.asarray(kept, dtype=np.int64), 2), sizes)
+    dst = np.concatenate(others) if others else np.empty(0, dtype=np.int64)
+    if kind == "vss":
+        sims = _kernels.vss_edges(ratings.user_ptr, ratings.items, ratings.values, src, dst)
+    else:
+        sims = (_kernels.pcc_edges(ratings.user_ptr, ratings.items, ratings.values,
+                                   ratings.user_means(), src, dst) + 1.0) / 2.0
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    means = [float(sims[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    friend_means, random_means = means[0::2], means[1::2]
 
     friend_arr = np.asarray(friend_means)
     random_arr = np.asarray(random_means)

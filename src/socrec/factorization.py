@@ -10,6 +10,7 @@ Factors are stored row-per-user / row-per-item (shape (M, K) and (N, K));
 each row is one latent column vector of the factor matrices.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +44,11 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for label, value in (("lambda", self.lam), ("alpha", self.alpha),
+                             ("learning_rate", self.learning_rate),
+                             ("tolerance", self.tolerance), ("init_scale", self.init_scale)):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.lam < 0:
@@ -121,11 +127,38 @@ def _l2_penalty(model: FactorModel, lam: float) -> float:
     return 0.5 * lam * (float(np.sum(uf * uf)) + float(np.sum(it * it)))
 
 
-def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams) -> float:
+def _has_social_term(graph: TrustGraph | None, hp: Hyperparams) -> bool:
+    """Whether the social penalty contributes: alpha > 0 on a graph with edges."""
+    return graph is not None and hp.alpha != 0.0 and graph.num_edges > 0
+
+
+@dataclass
+class _EpochState:
+    """Operands ``train`` builds once and hands to every epoch's objective
+    and gradients.
+
+    ``resid`` is the residual matrix over the train pattern. Each objective
+    writes the residuals at the current factors into it, and the following
+    ``gradients_social`` reads them there instead of making its own pass.
+    ``laplacian`` is the trust graph's Laplacian, or None without a social
+    term. While ``keep_pull`` is set, the objective leaves the social
+    gradient alpha L @ P in ``pull`` for the next step and takes its penalty
+    from it; with no next step it takes the penalty alone.
+    """
+
+    resid: object
+    laplacian: object = None
+    keep_pull: bool = True
+    pull: np.ndarray | None = None
+
+
+def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams, *,
+                    state: _EpochState | None = None) -> float:
     """Half the squared rating error plus the L2 penalty on both factor sets."""
     sse = _kernels.squared_error_sum(
         model.user_factors, model.item_factors,
         train.users, train.items, train.values,
+        out=None if state is None else state.resid.data,
     )
     return 0.5 * sse + _l2_penalty(model, hp.lam)
 
@@ -136,15 +169,23 @@ def objective_social(
     graph: TrustGraph,
     sim: SimilarityTable,
     hp: Hyperparams,
+    *,
+    state: _EpochState | None = None,
 ) -> float:
     """Basic objective plus the similarity-weighted factor smoothness penalty
     over out-link edges."""
-    value = objective_basic(model, train, hp)
-    if hp.alpha != 0.0 and graph.num_edges > 0:
-        value += 0.5 * hp.alpha * _kernels.social_penalty(
-            model.user_factors, graph.edge_src, graph.edge_dst, sim.values
-        )
-    return value
+    value = objective_basic(model, train, hp, state=state)
+    if not _has_social_term(graph, hp):
+        return value
+    user_f = model.user_factors
+    edges = (graph.edge_src, graph.edge_dst, sim.values)
+    if state is None or not state.keep_pull:
+        laplacian = None if state is None else state.laplacian
+        return value + 0.5 * hp.alpha * _kernels.social_penalty(
+            user_f, *edges, laplacian=laplacian)
+    # the penalty of a quadratic form is half its gradient dotted with P
+    state.pull = _kernels.social_gradient(user_f, *edges, hp.alpha, laplacian=state.laplacian)
+    return value + 0.5 * float(np.sum(user_f * state.pull))
 
 
 def gradients_social(
@@ -153,6 +194,8 @@ def gradients_social(
     graph: TrustGraph,
     sim: SimilarityTable,
     hp: Hyperparams,
+    *,
+    state: _EpochState | None = None,
 ):
     """Analytic gradients of the social objective.
 
@@ -160,20 +203,20 @@ def gradients_social(
     (u, f) with similarity s contributes alpha*s*(p_u - p_f) to the source
     row and alpha*s*(p_f - p_u) to the destination row, i.e. the out-link
     and in-link terms of the derivative; the in-link term reads the
-    similarity stored on the existing edge.
+    similarity stored on the existing edge. With ``state``, the residuals
+    and the social pull are those the last objective left there.
     """
     d_user, d_item = _kernels.rating_gradients(
         model.user_factors, model.item_factors,
         train.users, train.items, train.values,
+        resid=None if state is None else state.resid,
     )
     if hp.lam != 0.0:
         d_user += hp.lam * model.user_factors
         d_item += hp.lam * model.item_factors
-    if graph is not None and hp.alpha != 0.0 and graph.num_edges > 0:
-        d_user += _kernels.social_gradient(
-            model.user_factors, graph.edge_src, graph.edge_dst,
-            sim.values, hp.alpha,
-        )
+    if _has_social_term(graph, hp):
+        d_user += state.pull if state is not None else _kernels.social_gradient(
+            model.user_factors, graph.edge_src, graph.edge_dst, sim.values, hp.alpha)
     return d_user, d_item
 
 
@@ -189,6 +232,10 @@ def train(
     basic one. Stops when the relative objective change drops below
     hp.tolerance or after hp.max_epochs epochs. Raises DivergenceError if
     factors or the objective leave the finite range.
+
+    The residuals and the social pull ``alpha L @ P`` computed for the
+    objective after an update are reused for the next update's gradient
+    (see ``_EpochState``), so every epoch makes one residual pass.
     """
     if (graph is None) != (sim is None):
         raise ValueError("graph and sim must be supplied together or not at all")
@@ -199,11 +246,16 @@ def train(
 
     model = init_model(ratings.num_users, ratings.num_items, hp)
     model.global_mean = ratings.global_mean()
+    state = _EpochState(
+        _kernels.residual_matrix(ratings.user_ptr, ratings.items, ratings.num_items))
+    if _has_social_term(graph, hp):
+        state.laplacian = _kernels.social_laplacian(
+            graph.num_users, graph.edge_src, graph.edge_dst, sim.values)
 
     def objective() -> float:
         if graph is None:
-            return objective_basic(model, ratings, hp)
-        return objective_social(model, ratings, graph, sim, hp)
+            return objective_basic(model, ratings, hp, state=state)
+        return objective_social(model, ratings, graph, sim, hp, state=state)
 
     report = TrainReport()
     previous = objective()
@@ -211,12 +263,13 @@ def train(
     # overflow to inf/nan is detected and raised as DivergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, hp.max_epochs + 1):
-            d_user, d_item = gradients_social(model, ratings, graph, sim, hp)
+            d_user, d_item = gradients_social(model, ratings, graph, sim, hp, state=state)
             model.user_factors -= eta * d_user
             model.item_factors -= eta * d_item
             if not (np.isfinite(model.user_factors).all()
                     and np.isfinite(model.item_factors).all()):
                 raise DivergenceError(epoch)
+            state.keep_pull = epoch < hp.max_epochs
             current = objective()
             if not np.isfinite(current):
                 raise DivergenceError(epoch)

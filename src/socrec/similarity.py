@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import SparseRatings, TrustGraph
+from .data import DataFileError, SparseRatings, TrustGraph
 
 KINDS = ("pcc", "vss", "constant", "random")
 
@@ -66,7 +66,7 @@ class SimilarityTable:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != graph.edge_src.shape:
             raise ValueError("one similarity value per edge required")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("similarity values must lie in [0, 1]")
         self.graph = graph
         self.values = values
@@ -89,7 +89,12 @@ class SimilarityTable:
 
 
 def load_similarity_table(path, graph: TrustGraph) -> SimilarityTable:
-    """Read a cached table and check it is keyed by exactly the graph's edges."""
+    """Read a cached table and check it is keyed by exactly the graph's edges.
+
+    Raises DataFileError, with the line number where one applies, on a
+    malformed line, a value outside [0, 1] (NaN included) or an edge set
+    that differs from the graph's.
+    """
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -98,17 +103,23 @@ def load_similarity_table(path, graph: TrustGraph) -> SimilarityTable:
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields")
-            entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
+                raise DataFileError(f"{path}:{lineno}: expected 3 fields")
+            try:
+                key, value = (int(parts[0]), int(parts[1])), float(parts[2])
+            except ValueError:
+                raise DataFileError(f"{path}:{lineno}: non-numeric field") from None
+            if not 0.0 <= value <= 1.0:
+                raise DataFileError(f"{path}:{lineno}: similarity {parts[2]} outside [0, 1]")
+            entries[key] = value
     if len(entries) != graph.num_edges:
-        raise ValueError(
-            f"cache holds {len(entries)} edges, graph has {graph.num_edges}"
+        raise DataFileError(
+            f"{path}: cache holds {len(entries)} edges, graph has {graph.num_edges}"
         )
     values = np.empty(graph.num_edges)
     for pos, (s, t) in enumerate(zip(graph.edge_src, graph.edge_dst)):
         key = (int(s), int(t))
         if key not in entries:
-            raise ValueError(f"cache is missing edge {key}")
+            raise DataFileError(f"{path}: cache is missing edge {key}")
         values[pos] = entries[key]
     return SimilarityTable(graph, values)
 

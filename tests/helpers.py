@@ -50,3 +50,13 @@ def sim_edge_triples(graph, sim):
 
 def entry_triples(ratings):
     return list(ratings.triples())
+
+
+def ratings_from_dicts(num_items, *user_dicts):
+    users, items, values = [], [], []
+    for u, d in enumerate(user_dicts):
+        for i, r in d.items():
+            users.append(u)
+            items.append(i)
+            values.append(float(r))
+    return SparseRatings(len(user_dicts), num_items, users, items, values)

@@ -80,3 +80,27 @@ def central_differences(objective, arrays, step=1e-6):
                 grad[r][c] = (f_plus - f_minus) / (2.0 * step)
         grads.append(grad)
     return grads
+
+
+def brute_rating_gradients(user_f, item_f, entries):
+    """Data-term gradients from a loop over (u, i, r) entries; each entry,
+    repeated or not, adds err * q_i to row u and err * p_u to row i."""
+    d_user = [[0.0] * len(row) for row in user_f]
+    d_item = [[0.0] * len(row) for row in item_f]
+    for u, i, r in entries:
+        err = sum(pu * qi for pu, qi in zip(user_f[u], item_f[i])) - r
+        for d in range(len(user_f[u])):
+            d_user[u][d] += err * item_f[i][d]
+            d_item[i][d] += err * user_f[u][d]
+    return d_user, d_item
+
+
+def brute_social_gradient(user_f, sim_edges, alpha):
+    """Gradient of (alpha/2) sum s ||p_u - p_f||^2 over (u, f, s) edges."""
+    grad = [[0.0] * len(row) for row in user_f]
+    for u, f, s in sim_edges:
+        for d in range(len(user_f[u])):
+            pull = alpha * s * (user_f[u][d] - user_f[f][d])
+            grad[u][d] += pull
+            grad[f][d] -= pull
+    return grad

@@ -214,6 +214,7 @@ class TestConfigFile:
         ("--cold-start-threshold", "1", "cold-start-threshold"),
         ("--min-out-degree", "0", "min-out-degree"),
         ("--alpha", "-0.5", "alpha"),
+        ("--lambda", "nan", "lambda"),
     ])
     def test_out_of_range_values_name_the_field(self, tmp_path, capsys,
                                                 flag, value, named):

@@ -52,6 +52,13 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             tiny_hp(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lam", "alpha", "learning_rate", "tolerance",
+                                       "init_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_hp(**{field: value})
+
 
 class TestInitModel:
     def test_same_seed_identical(self):

@@ -1,18 +1,28 @@
-"""The jitted kernels and their pure-numpy twins must agree numerically."""
+"""Each numeric operator in ``socrec._kernels`` against the independent
+oracles in ``tests/oracles.py``, and the kernel names the benchmark binds."""
 
-import os
-import subprocess
-import sys
+import inspect
 
 import numpy as np
 import pytest
 
-from socrec import _kernels
+from socrec import SimilarityTable, TrustGraph, _kernels, factorization, objective_social, train
 
-from helpers import random_graph, random_ratings, random_sim
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend not active"
+from helpers import (
+    entry_triples,
+    random_graph,
+    random_ratings,
+    random_sim,
+    ratings_from_dicts,
+    sim_edge_triples,
+)
+from oracles import (
+    brute_objective_basic,
+    brute_objective_social,
+    brute_pcc,
+    brute_rating_gradients,
+    brute_social_gradient,
+    brute_vss,
 )
 
 
@@ -27,97 +37,232 @@ def instance():
     return ratings, graph, sim, user_f, item_f
 
 
-@needs_numba
-class TestTwinAgreement:
-    def test_squared_error_sum(self, instance):
-        ratings, _, _, user_f, item_f = instance
-        args = (user_f, item_f, ratings.users, ratings.items, ratings.values)
-        assert _kernels.squared_error_sum_jit(*args) == pytest.approx(
-            _kernels.squared_error_sum_numpy(*args), rel=1e-12
-        )
-
+class TestDataOperators:
     def test_predict_pairs(self, instance):
         ratings, _, _, user_f, item_f = instance
-        args = (user_f, item_f, ratings.users, ratings.items)
-        np.testing.assert_allclose(
-            _kernels.predict_pairs_jit(*args),
-            _kernels.predict_pairs_numpy(*args),
-            rtol=1e-13,
-        )
+        got = _kernels.predict_pairs(user_f, item_f, ratings.users, ratings.items)
+        expected = [sum(a * b for a, b in zip(user_f[u], item_f[i]))
+                    for u, i in zip(ratings.users, ratings.items)]
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
-    def test_rating_gradients(self, instance):
+    def test_gather_blocks_give_the_unblocked_result(self, instance, monkeypatch):
+        ratings, _, _, user_f, item_f = instance
+        args = (user_f, item_f, ratings.users, ratings.items)
+        whole = _kernels.predict_pairs(*args)
+        monkeypatch.setattr(_kernels, "GATHER_BLOCK", 7)
+        np.testing.assert_array_equal(_kernels.predict_pairs(*args), whole)
+
+    def test_squared_error_sum(self, instance):
+        ratings, _, _, user_f, item_f = instance
+        expected = 2.0 * brute_objective_basic(
+            user_f.tolist(), item_f.tolist(), entry_triples(ratings), 0.0)
+        got = _kernels.squared_error_sum(
+            user_f, item_f, ratings.users, ratings.items, ratings.values)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_rating_gradients_with_repeated_users_and_items(self):
+        rng = np.random.default_rng(61)
+        # 60 entries over 5 users and 4 items: users, items and whole
+        # (user, item) pairs repeat, in no particular order
+        users = rng.integers(0, 5, 60)
+        items = rng.integers(0, 4, 60)
+        values = rng.uniform(1.0, 5.0, 60)
+        user_f = rng.uniform(0, 1, (6, 3))
+        item_f = rng.uniform(0, 1, (4, 3))
+        d_user, d_item = _kernels.rating_gradients(user_f, item_f, users, items, values)
+        exp_user, exp_item = brute_rating_gradients(
+            user_f.tolist(), item_f.tolist(),
+            [(int(u), int(i), float(r)) for u, i, r in zip(users, items, values)])
+        np.testing.assert_allclose(d_user, exp_user, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_item, exp_item, rtol=1e-12, atol=1e-12)
+        assert np.all(d_user[5] == 0.0)  # a user without entries gets no pull
+
+    def test_residual_matrix_carries_the_residuals_written_into_it(self, instance):
         ratings, _, _, user_f, item_f = instance
         args = (user_f, item_f, ratings.users, ratings.items, ratings.values)
-        du_j, di_j = _kernels.rating_gradients_jit(*args)
-        du_n, di_n = _kernels.rating_gradients_numpy(*args)
-        np.testing.assert_allclose(du_j, du_n, rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(di_j, di_n, rtol=1e-11, atol=1e-13)
+        resid = _kernels.residual_matrix(ratings.user_ptr, ratings.items, ratings.num_items)
+        sse = _kernels.squared_error_sum(*args, out=resid.data)
+        assert sse == _kernels.squared_error_sum(*args)
+        fused = _kernels.rating_gradients(*args, resid=resid)
+        for got, expected in zip(fused, _kernels.rating_gradients(*args)):
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
-    def test_social_penalty(self, instance):
+
+class TestSocialOperators:
+    def test_penalty_and_gradient_on_random_graph(self, instance):
+        _, graph, sim, user_f, item_f = instance
+        edges = sim_edge_triples(graph, sim)
+        penalty = _kernels.social_penalty(user_f, graph.edge_src, graph.edge_dst, sim.values)
+        # with lam = 0 and alpha = 2 the oracle objective is the bare penalty
+        expected = brute_objective_social(user_f.tolist(), item_f.tolist(), [], edges, 0.0, 2.0)
+        assert penalty == pytest.approx(expected, rel=1e-12)
+        grad = _kernels.social_gradient(user_f, graph.edge_src, graph.edge_dst, sim.values, 0.7)
+        np.testing.assert_allclose(
+            grad, brute_social_gradient(user_f.tolist(), edges, 0.7), rtol=1e-12, atol=1e-14)
+
+    def test_reciprocal_edges_with_different_similarities(self):
+        """(0, 1) and (1, 0) carry their own similarities; W + Wᵀ sums them."""
+        graph = TrustGraph.from_edges(4, [(0, 1), (1, 0), (1, 2), (3, 1)])
+        sim = SimilarityTable(graph, np.array([0.2, 0.9, 0.5, 0.4]))
+        edges = sim_edge_triples(graph, sim)
+        user_f = np.random.default_rng(62).uniform(0, 1, (4, 3))
+        src, dst = graph.edge_src, graph.edge_dst
+
+        lap = _kernels.social_laplacian(4, src, dst, sim.values).toarray()
+        assert lap[0, 1] == lap[1, 0] == pytest.approx(-(0.2 + 0.9), rel=1e-15)
+        np.testing.assert_array_equal(lap, lap.T)
+        np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-15)
+
+        penalty = _kernels.social_penalty(user_f, src, dst, sim.values)
+        expected = brute_objective_social(user_f.tolist(), [[0.0]], [], edges, 0.0, 2.0)
+        assert penalty == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(
+            _kernels.social_gradient(user_f, src, dst, sim.values, 1.5),
+            brute_social_gradient(user_f.tolist(), edges, 1.5), rtol=1e-12, atol=1e-14)
+
+    def test_prebuilt_laplacian_gives_the_same_values(self, instance):
         _, graph, sim, user_f, _ = instance
         args = (user_f, graph.edge_src, graph.edge_dst, sim.values)
-        assert _kernels.social_penalty_jit(*args) == pytest.approx(
-            _kernels.social_penalty_numpy(*args), rel=1e-12
-        )
-
-    def test_social_gradient(self, instance):
-        _, graph, sim, user_f, _ = instance
-        args = (user_f, graph.edge_src, graph.edge_dst, sim.values, 0.7)
-        np.testing.assert_allclose(
-            _kernels.social_gradient_jit(*args),
-            _kernels.social_gradient_numpy(*args),
-            rtol=1e-11, atol=1e-14,
-        )
-
-    def test_edge_similarities(self, instance):
-        ratings, graph, _, _, _ = instance
-        vss_args = (ratings.user_ptr, ratings.items, ratings.values,
-                    graph.edge_src, graph.edge_dst)
-        np.testing.assert_allclose(
-            _kernels.vss_edges_jit(*vss_args),
-            _kernels.vss_edges_numpy(*vss_args),
-            rtol=1e-12, atol=1e-15,
-        )
-        pcc_args = (ratings.user_ptr, ratings.items, ratings.values,
-                    ratings.user_means(), graph.edge_src, graph.edge_dst)
-        np.testing.assert_allclose(
-            _kernels.pcc_edges_jit(*pcc_args),
-            _kernels.pcc_edges_numpy(*pcc_args),
-            rtol=1e-12, atol=1e-15,
-        )
+        lap = _kernels.social_laplacian(user_f.shape[0], *args[1:])
+        assert _kernels.social_penalty(*args, laplacian=lap) == _kernels.social_penalty(*args)
+        np.testing.assert_array_equal(_kernels.social_gradient(*args, 0.7, laplacian=lap),
+                                      _kernels.social_gradient(*args, 0.7))
 
 
-class TestBackendSelection:
-    def test_env_flag_selects_numpy_fallback(self):
-        env = dict(os.environ, SOCREC_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from socrec import _kernels; print(_kernels.active_backend())"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+class TestEdgeSimilarities:
+    # user 0 overlaps user 1 on no item, user 2 on one, user 3 on two and
+    # user 4 on three; user 4 rates every item the same (zero variance)
+    USERS = (
+        {0: 4.0, 1: 5.0, 2: 3.0, 3: 1.0},
+        {4: 2.0, 5: 5.0},
+        {0: 2.0, 5: 4.0},
+        {0: 5.0, 1: 1.0, 6: 3.0},
+        {0: 3.0, 1: 3.0, 2: 3.0},
+    )
 
-    def test_fallback_training_matches_active_backend(self):
-        """End to end: a small training run gives the same trajectory on the
-        numpy fallback as on the active backend."""
-        script = (
-            "import numpy as np\n"
-            "from socrec import Hyperparams, train\n"
-            "from socrec.synthetic import clustered_dataset\n"
-            "from socrec.similarity import SimilarityKind, build_similarity_table\n"
-            "ratings, graph, _ = clustered_dataset(num_users=40, num_clusters=4, seed=77)\n"
-            "sim = build_similarity_table(ratings, graph, SimilarityKind.pcc())\n"
-            "hp = Hyperparams(k=3, lam=0.2, alpha=0.3, learning_rate=0.005,\n"
-            "                 max_epochs=40, tolerance=1e-15, init_scale=0.1, seed=5)\n"
-            "model, report = train(ratings, hp, graph, sim)\n"
-            "print(repr(report.objective_per_epoch[-1]))\n"
-            "print(repr(float(model.user_factors.sum())))\n"
-        )
-        results = {}
-        for backend, flag in (("active", "0"), ("numpy", "1")):
-            env = dict(os.environ, SOCREC_DISABLE_NUMBA=flag)
-            out = subprocess.run([sys.executable, "-c", script],
-                                 capture_output=True, text=True, env=env, check=True)
-            results[backend] = [float(x) for x in out.stdout.split()]
-        assert results["active"][0] == pytest.approx(results["numpy"][0], rel=1e-9)
-        assert results["active"][1] == pytest.approx(results["numpy"][1], rel=1e-9)
+    def edge_values(self, ratings, src, dst):
+        src, dst = np.asarray(src), np.asarray(dst)
+        args = (ratings.user_ptr, ratings.items, ratings.values)
+        pcc = _kernels.pcc_edges(*args, ratings.user_means(), src, dst)
+        vss = _kernels.vss_edges(*args, src, dst)
+        return pcc, vss
+
+    def test_overlap_sizes_and_zero_variance(self):
+        ratings = ratings_from_dicts(7, *self.USERS)
+        src, dst = [0, 0, 0, 0, 4, 3], [1, 2, 3, 4, 0, 2]
+        pcc, vss = self.edge_values(ratings, src, dst)
+        for e, (u, f) in enumerate(zip(src, dst)):
+            assert pcc[e] == pytest.approx(brute_pcc(self.USERS[u], self.USERS[f]), abs=1e-12)
+            assert vss[e] == pytest.approx(brute_vss(self.USERS[u], self.USERS[f]), abs=1e-12)
+        assert pcc[0] == vss[0] == 0.0  # no co-rated item
+        assert pcc[1] == 0.0 and vss[1] == 1.0  # one co-rated item
+        assert pcc[2] != 0.0  # two co-rated items are enough for PCC
+        assert pcc[3] == pcc[4] == 0.0  # zero-variance user, either direction
+        assert vss[3] > 0.0
+
+    def test_random_instance_over_several_edge_blocks(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        ratings = random_ratings(rng, 30, 12)
+        graph = random_graph(rng, 30, edge_prob=0.2)
+        rows = [dict(zip(*map(np.ndarray.tolist, ratings.items_of(u)))) for u in range(30)]
+        monkeypatch.setattr(_kernels, "EDGE_BLOCK", 5)
+        pcc, vss = self.edge_values(ratings, graph.edge_src, graph.edge_dst)
+        for e, (u, f) in enumerate(zip(graph.edge_src, graph.edge_dst)):
+            assert pcc[e] == pytest.approx(brute_pcc(rows[u], rows[f]), abs=1e-12)
+            assert vss[e] == pytest.approx(brute_vss(rows[u], rows[f]), abs=1e-12)
+
+
+class TestFusedEpoch:
+    HP = factorization.Hyperparams(k=4, lam=0.3, alpha=0.8, learning_rate=0.01,
+                                   max_epochs=25, tolerance=1e-15, seed=3)
+
+    def test_last_objective_is_objective_at_returned_factors(self, instance):
+        ratings, graph, sim, _, _ = instance
+        model, report = train(ratings, self.HP, graph, sim)
+        assert report.epochs_run == 25
+        assert report.objective_per_epoch[-1] == pytest.approx(
+            objective_social(model, ratings, graph, sim, self.HP), rel=1e-12)
+
+    def test_training_steps_match_freshly_computed_gradients(self, instance, monkeypatch):
+        """Each epoch's reused residuals and pull give the gradients and
+        objectives that gradients_social and objective_social compute from
+        scratch at the same factors."""
+        ratings, graph, sim, _, _ = instance
+        seen = {"gradients_social": 0, "objective_social": 0}
+
+        def checked(name, compare):
+            original = getattr(factorization, name)
+
+            def wrapper(model, *args, state):
+                got = original(model, *args, state=state)
+                compare(got, original(model, *args))
+                seen[name] += 1
+                return got
+            monkeypatch.setattr(factorization, name, wrapper)
+
+        def same_gradients(got, expected):
+            for g, e in zip(got, expected):
+                np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-14)
+
+        def same_objective(got, expected):
+            assert got == pytest.approx(expected, rel=1e-13)
+
+        checked("gradients_social", same_gradients)
+        checked("objective_social", same_objective)
+        train(ratings, self.HP, graph, sim)
+        assert seen == {"gradients_social": 25, "objective_social": 26}
+
+    @pytest.mark.parametrize("social", [True, False])
+    def test_epoch_calls_the_kernel_names(self, instance, monkeypatch, social):
+        """Training goes through the public kernel names, one residual pass per
+        objective: the per-layer benchmark traces exactly these calls."""
+        ratings, graph, sim, _, _ = instance
+        calls = dict.fromkeys(TestBenchmarkContract.KERNELS, 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(_kernels, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(_kernels, name, counted)
+        hp = factorization.Hyperparams(k=3, alpha=0.1, max_epochs=4, tolerance=1e-300)
+        train(ratings, hp, *((graph, sim) if social else ()))
+        assert calls == {"squared_error_sum": 5, "rating_gradients": 4,
+                         "social_gradient": 4 if social else 0,
+                         "social_penalty": 1 if social else 0,
+                         "predict_pairs": 0, "pcc_edges": 0, "vss_edges": 0}
+
+
+class TestBenchmarkContract:
+    """perfbench binds these names; they keep their positional parameters,
+    and any added parameter is keyword-only with a default."""
+
+    KERNELS = {
+        "squared_error_sum": ["user_f", "item_f", "users", "items", "values"],
+        "predict_pairs": ["user_f", "item_f", "users", "items"],
+        "rating_gradients": ["user_f", "item_f", "users", "items", "values"],
+        "social_penalty": ["user_f", "edge_src", "edge_dst", "edge_sim"],
+        "social_gradient": ["user_f", "edge_src", "edge_dst", "edge_sim", "alpha"],
+        "pcc_edges": ["user_ptr", "user_items", "user_values", "user_means",
+                      "edge_src", "edge_dst"],
+        "vss_edges": ["user_ptr", "user_items", "user_values", "edge_src", "edge_dst"],
+    }
+    OBJECTIVES = {
+        "objective_basic": ["model", "train", "hp"],
+        "objective_social": ["model", "train", "graph", "sim", "hp"],
+        "gradients_social": ["model", "train", "graph", "sim", "hp"],
+    }
+
+    @staticmethod
+    def params(fn):
+        params = inspect.signature(fn).parameters.values()
+        extra = [p for p in params if p.kind is not p.POSITIONAL_OR_KEYWORD]
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in extra)
+        return [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+
+    def test_kernel_names(self):
+        for name, params in self.KERNELS.items():
+            assert self.params(getattr(_kernels, name)) == params, name
+        assert _kernels.active_backend() == "numpy"
+
+    def test_objective_names(self):
+        for name, params in self.OBJECTIVES.items():
+            assert self.params(getattr(factorization, name)) == params, name

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from socrec import (
+    DataFileError,
     SimilarityKind,
     SimilarityTable,
-    SparseRatings,
     TrustGraph,
     build_similarity_table,
     load_similarity_table,
@@ -13,18 +15,8 @@ from socrec import (
     vss,
 )
 
-from helpers import random_graph, random_ratings
+from helpers import random_graph, random_ratings, ratings_from_dicts
 from oracles import brute_pcc, brute_vss
-
-
-def ratings_from_dicts(num_items, *user_dicts):
-    users, items, values = [], [], []
-    for u, d in enumerate(user_dicts):
-        for i, r in d.items():
-            users.append(u)
-            items.append(i)
-            values.append(float(r))
-    return SparseRatings(len(user_dicts), num_items, users, items, values)
 
 
 class TestMapToUnit:
@@ -215,3 +207,16 @@ class TestBuildSimilarityTable:
         other = TrustGraph.from_edges(3, [(0, 1), (2, 0)])
         with pytest.raises(ValueError):
             load_similarity_table(path, other)
+
+    def test_nan_value_rejected(self):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SimilarityTable(graph, np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("line", ["1 2", "1 x 0.5", "1 2 nan", "1 2 1.5"])
+    def test_bad_cache_line_is_data_error_with_line_number(self, tmp_path, line):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "sim.txt"
+        path.write_text(f"# cache\n0 1 0.5\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:3:")):
+            load_similarity_table(path, graph)
