@@ -37,6 +37,7 @@ from .evaluation import (
 )
 from .factorization import (
     DivergenceError,
+    FactorModel,
     Hyperparams,
     load_model,
     save_model,
@@ -266,18 +267,28 @@ def _write_ids_sidecar(path, ids: IdMap):
             fh.write(f"item\t{ids.item_id(idx)}\t{idx}\n")
 
 
-def _read_ids_sidecar(path):
-    users, items = {}, {}
+def _read_ids_sidecar(path, model: FactorModel):
+    """(user id -> row, item id -> row) maps; raises DataFileError naming a
+    line that is malformed or whose index is not a row of the model."""
+    maps = {"user": {}, "item": {}}
+    rows = {"user": model.num_users, "item": model.num_items}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataFileError(f"cannot read id sidecar: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
-        if len(parts) != 3 or parts[0] not in ("user", "item"):
+        if len(parts) != 3 or parts[0] not in maps:
             raise DataFileError(f"{path}:{lineno}: bad sidecar line")
-        (users if parts[0] == "user" else items)[parts[1]] = int(parts[2])
-    return users, items
+        try:
+            index = int(parts[2])
+        except ValueError:
+            raise DataFileError(f"{path}:{lineno}: non-integer index {parts[2]!r}") from None
+        if not 0 <= index < rows[parts[0]]:
+            raise DataFileError(f"{path}:{lineno}: {parts[0]} index {index} outside "
+                                f"the model's {rows[parts[0]]} rows")
+        maps[parts[0]][parts[1]] = index
+    return maps["user"], maps["item"]
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -311,7 +322,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    users, items = _read_ids_sidecar(_ids_sidecar_path(args.model))
+    users, items = _read_ids_sidecar(_ids_sidecar_path(args.model), model)
     u = users.get(args.user)
     i = items.get(args.item)
     if u is None or i is None:

@@ -1,15 +1,28 @@
 """Sparse ratings storage, trust-graph storage, file ingestion and splitting.
 
-File formats
-------------
-Ratings: UTF-8 text, one rating per line, ``<user_id> <item_id> <rating>``
-separated by spaces or tabs; lines starting with ``#`` are ignored.
-Trust: ``<truster_id> <trustee_id>`` per line, same comment rule.
+File formats: UTF-8 text, fields separated by spaces or tabs, blank lines and
+lines whose first field starts with ``#`` ignored. Ratings: ``<user_id>
+<item_id> <rating>`` per line. Trust: ``<truster_id> <trustee_id>`` per line.
+
+The loaders parse ``LINE_BLOCK`` lines at a time: they count each line's
+fields (so a fault names its line), split the data lines into token columns,
+map ids to first-seen indices and convert ratings with ``float``. One
+``np.unique`` over ``user * num_items + item`` (``src * num_users + dst``)
+drops repeats and self-loops and yields canonical order. ``SparseRatings``
+keeps (user, item) order with a per-user index (``user_ptr``), ``TrustGraph``
+(source, destination) order with an out-link index (``out_ptr``); neither has
+a per-item or in-link index, nor sorts input that is already in order.
 """
 
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
 
 import numpy as np
+
+# lines a loader parses, and rows save_ratings formats, at once; small enough
+# that each block's tokens (about 1 MB) reuse the memory the last one freed
+LINE_BLOCK = 8192
+_NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 class DataFileError(ValueError):
@@ -37,33 +50,19 @@ class IdMap:
     def num_items(self) -> int:
         return len(self._item_ids)
 
-    def add_user(self, user_id: str) -> int:
-        idx = self._user_index.get(user_id)
-        if idx is None:
-            idx = len(self._user_ids)
-            self._user_index[user_id] = idx
-            self._user_ids.append(user_id)
-        return idx
+    def add_users(self, user_ids) -> np.ndarray:
+        """Indices of a sequence of user ids, adding the unseen ones."""
+        return _add_ids(self._user_index, self._user_ids, user_ids)
 
-    def add_item(self, item_id: str) -> int:
-        idx = self._item_index.get(item_id)
-        if idx is None:
-            idx = len(self._item_ids)
-            self._item_index[item_id] = idx
-            self._item_ids.append(item_id)
-        return idx
+    def add_items(self, item_ids) -> np.ndarray:
+        """Indices of a sequence of item ids, adding the unseen ones."""
+        return _add_ids(self._item_index, self._item_ids, item_ids)
 
     def user_index(self, user_id: str) -> int:
         return self._user_index[user_id]
 
     def item_index(self, item_id: str) -> int:
         return self._item_index[item_id]
-
-    def has_user(self, user_id: str) -> bool:
-        return user_id in self._user_index
-
-    def has_item(self, item_id: str) -> bool:
-        return item_id in self._item_index
 
     def user_id(self, index: int) -> str:
         return self._user_ids[index]
@@ -72,18 +71,24 @@ class IdMap:
         return self._item_ids[index]
 
 
+def _add_ids(index, names, ids):
+    known = len(index)
+    setdefault = index.setdefault
+    out = np.array([setdefault(name, len(index)) for name in ids], dtype=np.int64)
+    # the ids added are the last entries of the insertion-ordered dict
+    names.extend(reversed(list(islice(reversed(index), len(index) - known))))
+    return out
+
+
 RATING_MIN = 1.0
 RATING_MAX = 5.0
 
 
 class SparseRatings:
-    """User-item rating matrix stored as sorted triples with row and column
-    indexes.
-
-    Entries are canonically ordered by (user, item). The per-user index
-    (``user_ptr``/``items``/``values``) and the per-item index
-    (``item_ptr``/``users_by_item``/``values_by_item``) are views over the
-    same set of entries. Immutable after construction.
+    """User-item rating matrix stored as triples in canonical (user, item)
+    order. ``user_ptr`` is the row pointer of the CSR matrix whose column
+    indices and data are ``items`` and ``values``. Immutable after
+    construction.
     """
 
     def __init__(self, num_users, num_items, users, items, values, validate=True):
@@ -93,10 +98,7 @@ class SparseRatings:
         if not (users.shape == items.shape == values.shape):
             raise ValueError("users, items and values must have equal length")
 
-        order = np.lexsort((items, users))
-        self.users = users[order]
-        self.items = items[order]
-        self.values = values[order]
+        self.users, self.items, self.values = _canonical(users, items, values)
         self.num_users = int(num_users)
         self.num_items = int(num_items)
 
@@ -105,12 +107,6 @@ class SparseRatings:
 
         self.user_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.user_ptr[1:])
-
-        col_order = np.lexsort((self.users, self.items))
-        self.users_by_item = self.users[col_order]
-        self.values_by_item = self.values[col_order]
-        self.item_ptr = np.zeros(self.num_items + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.items, minlength=self.num_items), out=self.item_ptr[1:])
 
         self._user_means = None
 
@@ -141,23 +137,17 @@ class SparseRatings:
         lo, hi = self.user_ptr[u], self.user_ptr[u + 1]
         return self.items[lo:hi], self.values[lo:hi]
 
-    def users_of(self, i):
-        """(user indices, ratings) of item i, sorted by user index."""
-        lo, hi = self.item_ptr[i], self.item_ptr[i + 1]
-        return self.users_by_item[lo:hi], self.values_by_item[lo:hi]
-
     def user_counts(self):
         return np.diff(self.user_ptr)
 
     def item_counts(self):
-        return np.diff(self.item_ptr)
+        return np.bincount(self.items, minlength=self.num_items)
 
     def user_means(self):
         """Per-user mean rating over all rated items (0.0 for empty users)."""
         if self._user_means is None:
             counts = self.user_counts()
-            sums = np.zeros(self.num_users)
-            np.add.at(sums, self.users, self.values)
+            sums = np.bincount(self.users, weights=self.values, minlength=self.num_users)
             self._user_means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         return self._user_means
 
@@ -182,7 +172,7 @@ class SparseRatings:
 
 
 class TrustGraph:
-    """Directed user-user trust graph with out-link and in-link adjacency.
+    """Directed user-user trust graph with out-link adjacency.
 
     Edges are unweighted, deduplicated, free of self-loops, and stored in
     lexicographic (source, destination) order; ``edge_src``/``edge_dst`` is
@@ -192,9 +182,7 @@ class TrustGraph:
     def __init__(self, num_users, edge_src, edge_dst, validate=True):
         edge_src = np.ascontiguousarray(edge_src, dtype=np.int64)
         edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
-        order = np.lexsort((edge_dst, edge_src))
-        self.edge_src = edge_src[order]
-        self.edge_dst = edge_dst[order]
+        self.edge_src, self.edge_dst = _canonical(edge_src, edge_dst)
         self.num_users = int(num_users)
 
         if validate:
@@ -203,24 +191,15 @@ class TrustGraph:
         self.out_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_src, minlength=self.num_users), out=self.out_ptr[1:])
 
-        in_order = np.lexsort((self.edge_src, self.edge_dst))
-        self.in_src = self.edge_src[in_order]
-        self.in_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_dst, minlength=self.num_users), out=self.in_ptr[1:])
-
     def _check_invariants(self):
-        if self.edge_src.size:
-            lo = min(self.edge_src.min(), self.edge_dst.min())
-            hi = max(self.edge_src.max(), self.edge_dst.max())
-            if lo < 0 or hi >= self.num_users:
-                raise ValueError("edge endpoint out of range")
-            if np.any(self.edge_src == self.edge_dst):
-                raise ValueError("self-loop edge")
-            same = (self.edge_src[1:] == self.edge_src[:-1]) & (
-                self.edge_dst[1:] == self.edge_dst[:-1]
-            )
-            if np.any(same):
-                raise ValueError("duplicate edge")
+        _check_endpoints(self.num_users, self.edge_src, self.edge_dst)
+        if np.any(self.edge_src == self.edge_dst):
+            raise ValueError("self-loop edge")
+        same = (self.edge_src[1:] == self.edge_src[:-1]) & (
+            self.edge_dst[1:] == self.edge_dst[:-1]
+        )
+        if np.any(same):
+            raise ValueError("duplicate edge")
 
     @classmethod
     def from_edges(cls, num_users, edges) -> "TrustGraph":
@@ -228,12 +207,10 @@ class TrustGraph:
 
         Self-loops are dropped and duplicate edges collapsed.
         """
-        unique = {(int(s), int(t)) for s, t in edges if int(s) != int(t)}
-        if unique:
-            src, dst = map(np.array, zip(*sorted(unique)))
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        return cls(num_users, src, dst, validate=True)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        _check_endpoints(num_users, pairs[:, 0], pairs[:, 1])
+        return cls(num_users, *_unique_edges(num_users, pairs[:, 0], pairs[:, 1]),
+                   validate=False)
 
     @property
     def num_edges(self) -> int:
@@ -242,10 +219,6 @@ class TrustGraph:
     def out_neighbors(self, u):
         """Users trusted by u, sorted ascending."""
         return self.edge_dst[self.out_ptr[u]:self.out_ptr[u + 1]]
-
-    def in_neighbors(self, u):
-        """Users trusting u, sorted ascending."""
-        return self.in_src[self.in_ptr[u]:self.in_ptr[u + 1]]
 
     def out_degrees(self):
         return np.diff(self.out_ptr)
@@ -257,6 +230,35 @@ class TrustGraph:
         if pos < hi and self.edge_dst[pos] == f:
             return int(pos)
         return -1
+
+
+def _canonical(major, minor, *rest):
+    """The arrays in lexicographic (major, minor) order, sorted only if not yet."""
+    step = np.diff(major)
+    if np.all((step > 0) | ((step == 0) & (np.diff(minor) >= 0))):
+        return (major, minor, *rest)
+    order = np.lexsort((minor, major))
+    return tuple(a[order] for a in (major, minor, *rest))
+
+
+def _check_endpoints(num_users, *ends):
+    if any(end.size and (end.min() < 0 or end.max() >= num_users) for end in ends):
+        raise ValueError("edge endpoint out of range")
+
+
+def _last_of_each_pair(major, minor, span):
+    """Distinct (major, minor) pairs in lexicographic order, and the position
+    of each one's last occurrence; every ``minor`` is below ``span``."""
+    keys = major * span + minor
+    unique, first_from_end = np.unique(keys[::-1], return_index=True)
+    return unique // span, unique % span, keys.size - 1 - first_from_end
+
+
+def _unique_edges(num_users, src, dst):
+    """Edges without self-loops or repeats, in (source, destination) order."""
+    keep = src != dst
+    src, dst, _ = _last_of_each_pair(src[keep], dst[keep], num_users)
+    return src, dst
 
 
 @dataclass
@@ -283,13 +285,46 @@ class DatasetSplit:
             yield int(u), int(i), float(r)
 
 
-def _data_lines(path):
+def _data_blocks(path, width):
+    """Yield (line numbers, tokens in line order) of the data lines of a
+    text file, ``LINE_BLOCK`` lines at a time. A data line without ``width``
+    fields raises DataFileError naming it, after the lines before it were
+    yielded, so that a fault the caller finds on an earlier line wins."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+        blocks = iter(lambda: list(islice(fh, LINE_BLOCK)), [])
+        for start, lines in zip(count(1, LINE_BLOCK), blocks):
+            fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+            data = fields > 0
+            data &= [not line.lstrip().startswith("#") for line in lines]
+            linenos, fields = start + np.flatnonzero(data), fields[data]
+            bad = np.flatnonzero(fields != width)
+            end = bad[0] if bad.size else fields.size
+            yield linenos[:end], "".join(list(compress(lines, data))[:end]).split()
+            if bad.size:
+                raise DataFileError(f"{path}:{linenos[end]}: expected {width} fields, "
+                                    f"got {fields[end]}")
+
+
+def _parse_ratings(path, linenos, tokens):
+    """A block's ratings; raises DataFileError naming the first bad one."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(float(token))
+            except ValueError:
+                break
+    values = np.array(values, dtype=np.float64)
+    outside = np.flatnonzero(~((values >= RATING_MIN) & (values <= RATING_MAX)))
+    if outside.size:
+        n = outside[0]
+        raise DataFileError(f"{path}:{linenos[n]}: rating {values[n]:g} outside [1, 5]")
+    if values.size < len(tokens):
+        n = values.size
+        raise DataFileError(f"{path}:{linenos[n]}: non-numeric rating {tokens[n]!r}")
+    return values
 
 
 def load_ratings(path) -> tuple[SparseRatings, IdMap]:
@@ -297,38 +332,20 @@ def load_ratings(path) -> tuple[SparseRatings, IdMap]:
 
     Duplicate (user, item) lines keep the last occurrence. Raises
     DataFileError with the offending line number on malformed lines and on
-    ratings outside [1, 5].
+    ratings outside [1, 5], and for a file with no ratings.
     """
     ids = IdMap()
-    ratings: dict[tuple[int, int], float] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise DataFileError(
-                f"{path}:{lineno}: expected 3 fields, got {len(parts)}"
-            )
-        try:
-            value = float(parts[2])
-        except ValueError:
-            raise DataFileError(
-                f"{path}:{lineno}: non-numeric rating {parts[2]!r}"
-            ) from None
-        if not (RATING_MIN <= value <= RATING_MAX):
-            raise DataFileError(
-                f"{path}:{lineno}: rating {value:g} outside [1, 5]"
-            )
-        u = ids.add_user(parts[0])
-        i = ids.add_item(parts[1])
-        ratings[(u, i)] = value
-
-    if ratings:
-        pairs = np.array(list(ratings.keys()), dtype=np.int64)
-        users, items = pairs[:, 0], pairs[:, 1]
-        values = np.fromiter(ratings.values(), dtype=np.float64, count=len(ratings))
-    else:
-        users = items = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-    matrix = SparseRatings(ids.num_users, ids.num_items, users, items, values,
+    users, items, values = [_NO_INDICES], [_NO_INDICES], [np.empty(0)]
+    for linenos, tokens in _data_blocks(path, 3):
+        values.append(_parse_ratings(path, linenos, tokens[2::3]))
+        users.append(ids.add_users(tokens[0::3]))
+        items.append(ids.add_items(tokens[1::3]))
+    values = np.concatenate(values)
+    if values.size == 0:
+        raise DataFileError(f"{path}: no ratings")
+    users, items, last = _last_of_each_pair(
+        np.concatenate(users), np.concatenate(items), ids.num_items)
+    matrix = SparseRatings(ids.num_users, ids.num_items, users, items, values[last],
                            validate=False)
     return matrix, ids
 
@@ -340,10 +357,15 @@ def save_ratings(ratings: SparseRatings, path, ids: IdMap | None = None):
     Ratings use 17 significant digits, enough for exact float64 round-trip.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i, r in zip(ratings.users, ratings.items, ratings.values):
-            uid = ids.user_id(u) if ids is not None else str(int(u))
-            iid = ids.item_id(i) if ids is not None else str(int(i))
-            fh.write(f"{uid}\t{iid}\t{r:.17g}\n")
+        for lo in range(0, ratings.num_entries, LINE_BLOCK):
+            block = slice(lo, lo + LINE_BLOCK)
+            users = ratings.users[block].tolist()
+            items = ratings.items[block].tolist()
+            if ids is not None:
+                users = [ids.user_id(u) for u in users]
+                items = [ids.item_id(i) for i in items]
+            rows = zip(users, items, ratings.values[block].tolist())
+            fh.write(("%s\t%s\t%.17g\n" * len(users)) % tuple(chain.from_iterable(rows)))
 
 
 def load_trust(path, ids: IdMap) -> TrustGraph:
@@ -353,18 +375,12 @@ def load_trust(path, ids: IdMap) -> TrustGraph:
     in the trust file are appended to the IdMap; align any previously loaded
     ratings with ``ratings.with_num_users(ids.num_users)`` afterwards.
     """
-    edges = set()
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataFileError(
-                f"{path}:{lineno}: expected 2 fields, got {len(parts)}"
-            )
-        s = ids.add_user(parts[0])
-        t = ids.add_user(parts[1])
-        if s != t:
-            edges.add((s, t))
-    return TrustGraph.from_edges(ids.num_users, edges)
+    ends = [_NO_INDICES]
+    for _, tokens in _data_blocks(path, 2):
+        ends.append(ids.add_users(tokens))
+    pairs = np.concatenate(ends).reshape(-1, 2)
+    return TrustGraph(ids.num_users, *_unique_edges(ids.num_users, pairs[:, 0], pairs[:, 1]),
+                      validate=False)
 
 
 def load_dataset(ratings_path, trust_path=None):
@@ -391,21 +407,17 @@ def split_ratings(ratings: SparseRatings, train_fraction: float, seed: int) -> D
     n_train = int(round(train_fraction * n))
     if n >= 2:
         n_train = min(max(n_train, 1), n - 1)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    train = SparseRatings(
-        ratings.num_users, ratings.num_items,
-        ratings.users[train_idx], ratings.items[train_idx], ratings.values[train_idx],
-        validate=False,
-    )
-    return DatasetSplit(
-        train=train,
-        test_users=ratings.users[test_idx],
-        test_items=ratings.items[test_idx],
-        test_values=ratings.values[test_idx],
-        seed=seed,
-        train_fraction=train_fraction,
-    )
+    return _partition(ratings, perm[n_train:], seed, train_fraction)
+
+
+def _partition(ratings: SparseRatings, held_out, seed, train_fraction) -> DatasetSplit:
+    test_mask = np.zeros(ratings.num_entries, dtype=bool)
+    test_mask[held_out] = True
+    train, test = np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
+    train_set = SparseRatings(ratings.num_users, ratings.num_items, ratings.users[train],
+                              ratings.items[train], ratings.values[train], validate=False)
+    return DatasetSplit(train_set, ratings.users[test], ratings.items[test],
+                        ratings.values[test], seed, train_fraction)
 
 
 def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> DatasetSplit:
@@ -419,23 +431,9 @@ def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> D
         raise ValueError(f"threshold must be >= 2, got {threshold}")
     rng = np.random.default_rng(seed)
     counts = ratings.user_counts()
-    test_mask = np.zeros(ratings.num_entries, dtype=bool)
-    for u in np.nonzero((counts >= 1) & (counts < threshold))[0]:
-        lo, hi = ratings.user_ptr[u], ratings.user_ptr[u + 1]
-        test_mask[int(rng.integers(lo, hi))] = True
-    train_idx = np.nonzero(~test_mask)[0]
-    test_idx = np.nonzero(test_mask)[0]
-    train = SparseRatings(
-        ratings.num_users, ratings.num_items,
-        ratings.users[train_idx], ratings.items[train_idx], ratings.values[train_idx],
-        validate=False,
-    )
-    total = max(ratings.num_entries, 1)
-    return DatasetSplit(
-        train=train,
-        test_users=ratings.users[test_idx],
-        test_items=ratings.items[test_idx],
-        test_values=ratings.values[test_idx],
-        seed=seed,
-        train_fraction=train_idx.size / total,
-    )
+    cold = np.flatnonzero((counts >= 1) & (counts < threshold))
+    # one draw per cold user, in user order: the stream of a scalar
+    # rng.integers(lo, hi) call per user
+    held_out = rng.integers(ratings.user_ptr[cold], ratings.user_ptr[cold + 1])
+    return _partition(ratings, held_out, seed,
+                      (ratings.num_entries - cold.size) / max(ratings.num_entries, 1))

@@ -292,10 +292,10 @@ def save_model(model: FactorModel, path):
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_HEADER} {model.k} {model.num_users} {model.num_items}\n")
-        for row in model.user_factors:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        for row in model.item_factors:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        for factors in (model.user_factors, model.item_factors):
+            rows, cols = factors.shape
+            row = " ".join(["%.17g"] * cols) + "\n"
+            fh.write((row * rows) % tuple(factors.ravel().tolist()))
         fh.write(f"{model.global_mean:.17g}\n")
 
 

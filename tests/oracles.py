@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately written with plain Python loops and the
-math module so it shares no code path with the package internals.
+math module so it shares no code path with the package internals; numpy
+serves only as the seeded generator the cold-start split draws from.
 """
 
 import math
+
+import numpy as np
 
 
 def brute_objective_basic(user_f, item_f, entries, lam):
@@ -104,3 +107,85 @@ def brute_social_gradient(user_f, sim_edges, alpha):
             grad[u][d] += pull
             grad[f][d] -= pull
     return grad
+
+
+class OracleDataError(Exception):
+    """A fault the reference loaders below find in a data file; its message
+    is the one the package's DataFileError must carry."""
+
+
+def _data_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line
+
+
+def line_load_ratings(path):
+    """The ratings loader one line at a time: (user ids, item ids, sorted
+    (user, item, rating) triples); the last of repeated pairs wins."""
+    users, items, ratings = {}, {}, {}
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise OracleDataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            value = float(parts[2])
+        except ValueError:
+            raise OracleDataError(f"{path}:{lineno}: non-numeric rating {parts[2]!r}") from None
+        if not (1.0 <= value <= 5.0):
+            raise OracleDataError(f"{path}:{lineno}: rating {value:g} outside [1, 5]")
+        u = users.setdefault(parts[0], len(users))
+        i = items.setdefault(parts[1], len(items))
+        ratings[(u, i)] = value
+    if not ratings:
+        raise OracleDataError(f"{path}: no ratings")
+    return list(users), list(items), sorted((u, i, r) for (u, i), r in ratings.items())
+
+
+def line_load_trust(path, users):
+    """The trust loader one line at a time: sorted distinct (truster,
+    trustee) pairs without self-loops. ``users`` (id -> index) gains the
+    ids it has not seen, in first-seen order."""
+    edges = set()
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise OracleDataError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        s = users.setdefault(parts[0], len(users))
+        t = users.setdefault(parts[1], len(users))
+        if s != t:
+            edges.add((s, t))
+    return sorted(edges)
+
+
+def line_save_ratings(path, triples, user_ids=None, item_ids=None):
+    """A ratings file written one (user, item, rating) line at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i, r in triples:
+            uid = user_ids[u] if user_ids is not None else str(u)
+            iid = item_ids[i] if item_ids is not None else str(i)
+            fh.write(f"{uid}\t{iid}\t{r:.17g}\n")
+
+
+def line_save_model(path, header, user_rows, item_rows, mean):
+    """A model file written one factor row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header} {len(user_rows[0])} {len(user_rows)} {len(item_rows)}\n")
+        for row in user_rows + item_rows:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"{mean:.17g}\n")
+
+
+def scalar_cold_start_positions(user_ptr, threshold, seed):
+    """Held-out entry positions of the cold-start split, drawn with one
+    scalar ``integers(lo, hi)`` call per user with 1 <= count < threshold."""
+    rng = np.random.default_rng(seed)
+    picks = []
+    for u in range(len(user_ptr) - 1):
+        lo, hi = user_ptr[u], user_ptr[u + 1]
+        if 1 <= hi - lo < threshold:
+            picks.append(int(rng.integers(lo, hi)))
+    return picks

@@ -1,11 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import socrec
 from socrec import load_model, toydata
-from socrec.cli import main, read_config_file
+from socrec.cli import _ids_sidecar_path, main, read_config_file
 
 
 TOY_RATINGS = str(toydata.ratings_path())
@@ -56,6 +59,14 @@ class TestTrainCommand:
                        "--ratings", str(tmp_path / "nope.tsv"))
         assert code == 2
 
+    def test_ratings_file_without_ratings_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# user item rating\n\n", encoding="utf-8")
+        code = run_cli("train", "--method", "mf", "--ratings", str(empty),
+                       "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "no ratings" in capsys.readouterr().err
+
     def test_divergent_learning_rate_exit_code(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
                        "--learning-rate", "50", "--max-epochs", "50",
@@ -98,6 +109,22 @@ class TestPredictCommand:
         model = load_model(model_path)
         expected = float(np.clip(model.global_mean, 1.0, 5.0))
         assert float(captured.out.strip()) == pytest.approx(expected, abs=5e-5)
+
+    @pytest.mark.parametrize("index,fault", [
+        ("-1", "outside"),
+        ("99999", "outside"),
+        ("zz", "non-integer"),
+    ])
+    def test_bad_sidecar_index_is_data_error(self, model_path, capsys, index, fault):
+        sidecar = _ids_sidecar_path(model_path)
+        lines = sidecar.read_text(encoding="utf-8").splitlines()
+        kind, uid, _ = lines[0].split("\t")
+        lines[0] = f"{kind}\t{uid}\t{index}"
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli("predict", "--model", str(model_path), "--user", uid, "--item", "m01")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar}:1:" in err and fault in err
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -227,7 +254,11 @@ class TestConfigFile:
 
 class TestInstalledEntryPoint:
     def test_console_script_help(self):
+        # the child imports the package these tests import, installed or not
+        src = str(Path(socrec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "socrec.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
         assert out.returncode == 0
         assert "train" in out.stdout and "experiment" in out.stdout

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import socrec.data as data_module
 from socrec import (
     DataFileError,
     SparseRatings,
@@ -14,6 +15,10 @@ from socrec import (
 )
 
 from helpers import random_ratings
+from oracles import (
+    line_save_ratings,
+    scalar_cold_start_positions,
+)
 
 
 def write(tmp_path, name, text):
@@ -57,6 +62,12 @@ class TestLoadRatings:
         with pytest.raises(DataFileError, match="outside"):
             load_ratings(path)
 
+    @pytest.mark.parametrize("text", ["", "# user item rating\n\n  # x\n", " \n\t\n"])
+    def test_no_ratings_is_data_error(self, tmp_path, text):
+        path = write(tmp_path, "r.tsv", text)
+        with pytest.raises(DataFileError, match="no ratings"):
+            load_ratings(path)
+
     def test_save_load_round_trip(self, tmp_path):
         """Entries survive save/load exactly, keyed by external ids."""
         rng = np.random.default_rng(3)
@@ -88,12 +99,9 @@ class TestSparseRatings:
             for u in range(10)
             for i, r in zip(*ratings.items_of(u))
         }
-        from_cols = {
-            (int(u), i, float(r))
-            for i in range(7)
-            for u, r in zip(*ratings.users_of(i))
-        }
-        assert from_rows == from_cols == set(ratings.triples())
+        assert from_rows == set(ratings.triples())
+        per_item = [sum(1 for _, i, _ in from_rows if i == item) for item in range(7)]
+        assert ratings.item_counts().tolist() == per_item
 
     def test_user_means(self):
         ratings = SparseRatings(2, 2, [0, 0, 1], [0, 1, 0], [2.0, 4.0, 5.0])
@@ -118,8 +126,7 @@ class TestLoadTrust:
         graph = load_trust(tpath, ids)
         assert list(graph.out_neighbors(0)) == [1]
         assert list(graph.out_neighbors(1)) == [0]
-        assert list(graph.in_neighbors(0)) == [1]
-        assert list(graph.in_neighbors(1)) == [0]
+        assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == [(0, 1), (1, 0)]
 
     def test_self_loop_dropped(self, tmp_path):
         rpath = write(tmp_path, "r.tsv", "a x 4\n")
@@ -145,6 +152,14 @@ class TestLoadTrust:
         assert ratings.items_of(1)[0].size == 0
         assert graph.num_edges == 1
 
+    @pytest.mark.parametrize("text", ["", "# truster trustee\n\n"])
+    def test_file_without_edges_gives_empty_graph(self, tmp_path, text):
+        rpath = write(tmp_path, "r.tsv", "a x 4\nb y 3\n")
+        tpath = write(tmp_path, "t.tsv", text)
+        ratings, graph, ids = load_dataset(rpath, tpath)
+        assert graph.num_edges == 0
+        assert graph.num_users == ratings.num_users == ids.num_users == 2
+
     def test_malformed_line(self, tmp_path):
         rpath = write(tmp_path, "r.tsv", "a x 4\n")
         tpath = write(tmp_path, "t.tsv", "a b c\n")
@@ -157,7 +172,7 @@ class TestLoadTrust:
         edges = {(int(a), int(b)) for a, b in rng.integers(0, 20, (60, 2)) if a != b}
         graph = TrustGraph.from_edges(20, edges)
         assert graph.out_degrees().sum() == graph.num_edges
-        assert np.diff(graph.in_ptr).sum() == graph.num_edges
+        assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == sorted(edges)
 
 
 class TestSplitRatings:
@@ -238,7 +253,46 @@ class TestColdStartSplit:
             expected = 1 if 1 <= counts[u] < threshold else 0
             assert test_per_user[u] == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_held_out_positions_match_scalar_draws(self, seed):
+        """Users with 1 to 30 ratings, so every threshold splits some users
+        off, single-rating users included."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 31, size=60)
+        counts[:3] = 1
+        users = np.repeat(np.arange(60), counts)
+        items = np.concatenate([np.sort(rng.choice(40, c, replace=False)) for c in counts])
+        ratings = SparseRatings(60, 40, users, items, rng.uniform(1, 5, users.size))
+        for threshold in range(2, 26):
+            split = cold_start_split(ratings, threshold, seed=seed)
+            held = scalar_cold_start_positions(ratings.user_ptr, threshold, seed)
+            np.testing.assert_array_equal(split.test_users, ratings.users[held])
+            np.testing.assert_array_equal(split.test_items, ratings.items[held])
+            assert split.train.num_entries == ratings.num_entries - len(held)
+
     def test_threshold_validation(self):
         ratings = SparseRatings(1, 1, [0], [0], [4.0])
         with pytest.raises(ValueError):
             cold_start_split(ratings, threshold=1)
+
+
+class TestSaveRatingsMatchesLineWriter:
+    @pytest.mark.parametrize("block", [1, 4, data_module.LINE_BLOCK])
+    def test_dense_indices(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        ratings = random_ratings(np.random.default_rng(4), 9, 6)
+        save_ratings(ratings, tmp_path / "fast.tsv")
+        line_save_ratings(tmp_path / "lines.tsv", ratings.triples())
+        assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "lines.tsv").read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 4, data_module.LINE_BLOCK])
+    def test_external_ids(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        path = write(tmp_path, "r.tsv",
+                     "ü x 4.25\nb %s 1\nü y 0.3e1\nc x 5\nb x 2.0000000000000004\n")
+        ratings, ids = load_ratings(path)
+        save_ratings(ratings, tmp_path / "fast.tsv", ids)
+        line_save_ratings(tmp_path / "lines.tsv", ratings.triples(),
+                          [ids.user_id(u) for u in range(ids.num_users)],
+                          [ids.item_id(i) for i in range(ids.num_items)])
+        assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "lines.tsv").read_bytes()

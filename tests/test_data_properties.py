@@ -1,0 +1,106 @@
+"""Differential tests: the block loaders of socrec.data against the
+line-at-a-time loaders of oracles.py, on arbitrary files."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import socrec.data as data_module
+from socrec import DataFileError, TrustGraph, load_ratings, load_trust
+
+from oracles import OracleDataError, line_load_ratings, line_load_trust
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+_IDS = st.sampled_from(["a", "b", "c", "1", "0", "é", "用户", "x#y"])
+_GOOD_VALUES = st.sampled_from(["1", "4", "5", "2.5", "1e0", "0_1", "4.", "3.75", "1_0e-1"])
+_VALUES = st.one_of(
+    _GOOD_VALUES, _GOOD_VALUES,
+    st.sampled_from(["nan", "inf", "6", "0", "-3", "four", "\u0663", "1__0", ""]),
+)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+_PAD = st.sampled_from(["", " ", "\t"])
+_SKIPPED = st.sampled_from(["", "   ", "\t", "# x", "  # x", "#", "#a b c", "\t#1 2 3"])
+_GARBAGE = st.one_of(
+    st.lists(_IDS, max_size=5).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def _line(fields):
+    return st.tuples(_PAD, st.tuples(*fields), _SEP, _PAD).map(
+        lambda p: p[0] + p[2].join(p[1]) + p[3])
+
+
+def _file(good_line, any_line):
+    """Files of data, comment and blank lines, with faults in about half of
+    them, joined by LF or CRLF."""
+    good = st.lists(st.one_of(*[good_line] * 4, _SKIPPED), max_size=20)
+    faulty = st.lists(st.one_of(*[any_line] * 6, _SKIPPED, _GARBAGE), max_size=20)
+    return st.tuples(st.one_of(good, faulty), st.sampled_from(["\n", "\r\n"]),
+                     st.booleans()).map(lambda p: p[1].join(p[0]) + (p[1] if p[2] else ""))
+
+
+_BLOCK_SIZES = [1, 2, 3, data_module.LINE_BLOCK]
+_PER_BLOCK = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DataFileError, OracleDataError) as exc:
+        return ("error", str(exc))
+
+
+class TestBlockLoadersMatchLineLoaders:
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @_PER_BLOCK
+    @given(text=_file(_line([_IDS, _IDS, _GOOD_VALUES]), _line([_IDS, _IDS, _VALUES])))
+    def test_ratings(self, tmp_path, monkeypatch, block, text):
+        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        path = tmp_path / "r.tsv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def blocks():
+            ratings, ids = load_ratings(path)
+            return ([ids.user_id(u) for u in range(ids.num_users)],
+                    [ids.item_id(i) for i in range(ids.num_items)],
+                    list(ratings.triples()))
+
+        assert _outcome(blocks) == _outcome(lambda: line_load_ratings(path))
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @_PER_BLOCK
+    @given(text=_file(_line([_IDS, _IDS]), _line([_IDS, _IDS])))
+    def test_trust(self, tmp_path, monkeypatch, block, text):
+        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        rpath = write(tmp_path, "r.tsv", "b x 4\nz y 3\n")
+        tpath = tmp_path / "t.tsv"
+        tpath.write_bytes(text.encode("utf-8"))
+        _, ids = load_ratings(rpath)
+        users = {"b": 0, "z": 1}
+
+        def blocks():
+            graph = load_trust(tpath, ids)
+            assert graph.num_users == ids.num_users
+            return list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+
+        assert _outcome(blocks) == _outcome(lambda: line_load_trust(tpath, users))
+        assert [ids.user_id(u) for u in range(ids.num_users)] == list(users)
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
+    def test_from_edges(self, edges):
+        graph = TrustGraph.from_edges(6, edges)
+        expected = sorted({(s, t) for s, t in edges if s != t})
+        assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == expected
+        assert graph.out_degrees().tolist() == [sum(s == u for s, _ in expected)
+                                                for u in range(6)]

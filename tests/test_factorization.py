@@ -28,7 +28,12 @@ from helpers import (
     random_sim,
     sim_edge_triples,
 )
-from oracles import brute_objective_basic, brute_objective_social, central_differences
+from oracles import (
+    brute_objective_basic,
+    brute_objective_social,
+    central_differences,
+    line_save_model,
+)
 
 
 def tiny_hp(**kw):
@@ -324,6 +329,17 @@ class TestModelFile:
         assert loaded.global_mean == model.global_mean
         np.testing.assert_array_equal(loaded.user_factors, model.user_factors)
         np.testing.assert_array_equal(loaded.item_factors, model.item_factors)
+
+    def test_bytes_match_line_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 6, 4, 3)
+        model.user_factors *= 10.0 ** rng.integers(-30, 30, model.user_factors.shape)
+        model.user_factors[0, :2] = [-0.0, 5e-324]
+        model.global_mean = 3.2502
+        save_model(model, tmp_path / "fast.txt")
+        line_save_model(tmp_path / "lines.txt", "SOCREC-MODEL v1", model.user_factors.tolist(),
+                        model.item_factors.tolist(), model.global_mean)
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "lines.txt").read_bytes()
 
     def test_header_format(self, tmp_path):
         model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2)
