@@ -26,15 +26,11 @@ def build_means(train: SparseRatings) -> MeanTable:
     """Arithmetic means over the train entries only."""
     if train.num_entries == 0:
         raise ValueError("cannot build means from an empty train set")
-    user_counts = train.user_counts()
     item_counts = train.item_counts()
-    user_sums = np.zeros(train.num_users)
-    item_sums = np.zeros(train.num_items)
-    np.add.at(user_sums, train.users, train.values)
-    np.add.at(item_sums, train.items, train.values)
+    item_sums = np.bincount(train.items, weights=train.values, minlength=train.num_items)
     return MeanTable(
-        user_means=user_sums / np.maximum(user_counts, 1),
-        user_counts=user_counts,
+        user_means=train.user_means(),
+        user_counts=train.user_counts(),
         item_means=item_sums / np.maximum(item_counts, 1),
         item_counts=item_counts,
         global_mean=train.global_mean(),
@@ -44,18 +40,14 @@ def build_means(train: SparseRatings) -> MeanTable:
 def predict_user_mean(table: MeanTable, u, i):
     """User's train mean if present, else the global mean.
 
-    Accepts scalar indices or index arrays; the item index is unused but
-    kept so every predictor shares one call shape.
+    Takes index arrays or scalar indices (which give a 0-d array); the item
+    index is unused but kept so every predictor shares one call shape.
     """
-    if np.ndim(u) == 0:
-        return float(table.user_means[u]) if table.user_counts[u] > 0 else table.global_mean
     u = np.asarray(u, dtype=np.int64)
     return np.where(table.user_counts[u] > 0, table.user_means[u], table.global_mean)
 
 
 def predict_item_mean(table: MeanTable, u, i):
     """Item's train mean if present, else the global mean."""
-    if np.ndim(i) == 0:
-        return float(table.item_means[i]) if table.item_counts[i] > 0 else table.global_mean
     i = np.asarray(i, dtype=np.int64)
     return np.where(table.item_counts[i] > 0, table.item_means[i], table.global_mean)

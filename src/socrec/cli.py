@@ -151,12 +151,11 @@ def read_config_file(path) -> dict:
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip().replace("-", "_")
-        lookup = "lambda" if key == "lambda" else key
-        if lookup not in _OPTIONS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        convert, _ = _OPTIONS[lookup]
+        convert, _ = _OPTIONS[key]
         try:
-            values[lookup] = convert(value.strip())
+            values[key] = convert(value.strip())
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key}: {value.strip()!r}"

@@ -14,7 +14,6 @@ from functools import partial
 
 import numpy as np
 
-from . import _kernels
 from .baselines import build_means, predict_item_mean, predict_user_mean
 from .data import (
     RATING_MAX,
@@ -26,7 +25,7 @@ from .data import (
     split_ratings,
 )
 from .factorization import Hyperparams, train
-from .similarity import SimilarityKind, build_similarity_table
+from .similarity import SimilarityKind, build_similarity_table, pair_similarities
 
 logger = logging.getLogger(__name__)
 
@@ -80,67 +79,7 @@ class SimilarityStudyResult:
     skipped_users: list
 
 
-def mae_rmse(pairs) -> MetricPair:
-    """Metrics from raw (truth, prediction) pairs, no clamping applied."""
-    arr = np.asarray(list(pairs), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot compute metrics on an empty list")
-    resid = arr[:, 0] - arr[:, 1]
-    return MetricPair(
-        mae=float(np.mean(np.abs(resid))),
-        rmse=float(np.sqrt(np.mean(resid * resid))),
-    )
-
-
-def _test_arrays(test):
-    if isinstance(test, DatasetSplit):
-        return test.test_users, test.test_items, test.test_values
-    if isinstance(test, tuple) and len(test) == 3 and np.ndim(test[0]) == 1:
-        users, items, values = test
-        return (
-            np.asarray(users, dtype=np.int64),
-            np.asarray(items, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
-        )
-    rows = np.asarray(list(test), dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError("test must be (u, i, r) triples or a DatasetSplit")
-    return rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
-
-
-def _predict_batch(predictor, users, items):
-    fn = predictor.predict if hasattr(predictor, "predict") else predictor
-    try:
-        out = np.asarray(fn(users, items), dtype=np.float64)
-        if out.shape != users.shape:
-            raise ValueError
-    except (TypeError, ValueError, IndexError):
-        out = np.fromiter(
-            (float(fn(int(u), int(i))) for u, i in zip(users, items)),
-            dtype=np.float64,
-            count=users.size,
-        )
-    return out
-
-
-def evaluate(predictor, test, train: SparseRatings) -> MetricPair:
-    """Clamped test-set metrics for any predictor.
-
-    The predictor is an object with ``predict(u, i)`` or a plain callable;
-    vectorized index arrays are used when supported. Predictions on users
-    or items with no train ratings fall back to the global train mean (the
-    same rule for every method), and all predictions are clamped to the
-    rating range before residuals are taken.
-    """
-    users, items, truths = _test_arrays(test)
-    if users.size == 0:
-        raise ValueError("cannot evaluate on an empty test set")
-    preds = _predict_batch(predictor, users, items)
-    seen_user = train.user_counts() > 0
-    seen_item = train.item_counts() > 0
-    covered = seen_user[users] & seen_item[items]
-    preds = np.where(covered, preds, train.global_mean())
-    preds = np.clip(preds, RATING_MIN, RATING_MAX)
+def _metrics(truths, preds) -> MetricPair:
     resid = truths - preds
     return MetricPair(
         mae=float(np.mean(np.abs(resid))),
@@ -148,27 +87,73 @@ def evaluate(predictor, test, train: SparseRatings) -> MetricPair:
     )
 
 
-def _fit_and_score(split, graph, sim_kind, hp, methods):
-    """Train/evaluate the requested methods on one split. Returns
+def mae_rmse(pairs) -> MetricPair:
+    """Metrics from raw (truth, prediction) pairs, no clamping applied."""
+    arr = np.asarray(list(pairs), dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("cannot compute metrics on an empty list")
+    return _metrics(arr[:, 0], arr[:, 1])
+
+
+def evaluate(predictor, split: DatasetSplit, train: SparseRatings) -> MetricPair:
+    """Clamped metrics over the test side of a DatasetSplit.
+
+    The predictor is a vectorized callable ``f(users, items)``, or an
+    object with such a ``predict`` method; it is called once with the test
+    index arrays and must return one prediction per test entry, else
+    ValueError. Predictions on users or items with no train ratings fall
+    back to the global train mean (the same rule for every method), and all
+    predictions are clamped to the rating range before residuals are taken.
+    """
+    users, items = split.test_users, split.test_items
+    if users.size == 0:
+        raise ValueError("cannot evaluate on an empty test set")
+    preds = np.asarray(getattr(predictor, "predict", predictor)(users, items),
+                       dtype=np.float64)
+    if preds.shape != users.shape:
+        raise ValueError(f"predictor returned shape {preds.shape}, expected {users.shape}")
+    seen_user = train.user_counts() > 0
+    seen_item = train.item_counts() > 0
+    covered = seen_user[users] & seen_item[items]
+    preds = np.where(covered, preds, train.global_mean())
+    return _metrics(split.test_values, np.clip(preds, RATING_MIN, RATING_MAX))
+
+
+def _fit_and_score(split, graph, sim_kind, hp):
+    """Train and evaluate every method of METHODS on one split. Returns
     {method: MetricPair}."""
-    scores = {}
+    if graph is None:
+        raise ValueError("social_mf requires a trust graph")
     train_set = split.train
-    if "user_mean" in methods or "item_mean" in methods:
-        means = build_means(train_set)
-        if "user_mean" in methods:
-            scores["user_mean"] = evaluate(partial(predict_user_mean, means), split, train_set)
-        if "item_mean" in methods:
-            scores["item_mean"] = evaluate(partial(predict_item_mean, means), split, train_set)
-    if "basic_mf" in methods:
-        model, _ = train(train_set, hp)
-        scores["basic_mf"] = evaluate(model, split, train_set)
-    if "social_mf" in methods:
-        if graph is None:
-            raise ValueError("social_mf requires a trust graph")
-        sim = build_similarity_table(train_set, graph, sim_kind)
-        model, _ = train(train_set, hp, graph, sim)
-        scores["social_mf"] = evaluate(model, split, train_set)
-    return scores
+    means = build_means(train_set)
+    basic, _ = train(train_set, hp)
+    social, _ = train(train_set, hp, graph, build_similarity_table(train_set, graph, sim_kind))
+    return {
+        "user_mean": evaluate(partial(predict_user_mean, means), split, train_set),
+        "item_mean": evaluate(partial(predict_item_mean, means), split, train_set),
+        "basic_mf": evaluate(basic, split, train_set),
+        "social_mf": evaluate(social, split, train_set),
+    }
+
+
+def _score_seeds(make_split, seeds, graph, sim_kind, hp, train_fraction, label):
+    """One ExperimentResult per method over the splits ``make_split(seed)``."""
+    per_method = {m: [] for m in METHODS}
+    for seed in seeds:
+        cell = _fit_and_score(make_split(seed), graph, sim_kind, hp.with_seed(seed))
+        for method, pair in cell.items():
+            per_method[method].append(pair)
+        logger.info("%s seed=%s done", label, seed)
+    return [
+        ExperimentResult(
+            method=method,
+            train_fraction=train_fraction,
+            seeds=tuple(seeds),
+            per_seed=per_method[method],
+            hyperparams=asdict(hp),
+        )
+        for method in METHODS
+    ]
 
 
 def run_comparison(
@@ -189,21 +174,8 @@ def run_comparison(
         raise ValueError("need at least one fraction and one seed")
     results = []
     for fraction in fractions:
-        per_method = {m: [] for m in METHODS}
-        for seed in seeds:
-            split = split_ratings(ratings, fraction, seed)
-            cell = _fit_and_score(split, graph, sim_kind, hp.with_seed(seed), METHODS)
-            for method, pair in cell.items():
-                per_method[method].append(pair)
-            logger.info("comparison fraction=%s seed=%s done", fraction, seed)
-        for method in METHODS:
-            results.append(ExperimentResult(
-                method=method,
-                train_fraction=fraction,
-                seeds=tuple(seeds),
-                per_seed=per_method[method],
-                hyperparams=asdict(hp),
-            ))
+        results += _score_seeds(partial(split_ratings, ratings, fraction), seeds, graph,
+                                sim_kind, hp, fraction, f"comparison fraction={fraction}")
     return results
 
 
@@ -276,23 +248,8 @@ def run_cold_start(
     if not np.any((counts >= 1) & (counts < threshold)):
         logger.warning("no cold-start users below threshold %d; nothing to do", threshold)
         return []
-    per_method = {m: [] for m in METHODS}
-    for seed in seeds:
-        split = cold_start_split(ratings, threshold, seed)
-        cell = _fit_and_score(split, graph, sim_kind, hp.with_seed(seed), METHODS)
-        for method, pair in cell.items():
-            per_method[method].append(pair)
-        logger.info("cold-start seed=%s done", seed)
-    return [
-        ExperimentResult(
-            method=method,
-            train_fraction=float("nan"),
-            seeds=tuple(seeds),
-            per_seed=per_method[method],
-            hyperparams=asdict(hp),
-        )
-        for method in METHODS
-    ]
+    return _score_seeds(partial(cold_start_split, ratings, threshold), seeds, graph,
+                        sim_kind, hp, float("nan"), "cold-start")
 
 
 def run_similarity_study(
@@ -341,11 +298,7 @@ def run_similarity_study(
     sizes = np.array([o.size for o in others], dtype=np.int64)
     src = np.repeat(np.repeat(np.asarray(kept, dtype=np.int64), 2), sizes)
     dst = np.concatenate(others) if others else np.empty(0, dtype=np.int64)
-    if kind == "vss":
-        sims = _kernels.vss_edges(ratings.user_ptr, ratings.items, ratings.values, src, dst)
-    else:
-        sims = (_kernels.pcc_edges(ratings.user_ptr, ratings.items, ratings.values,
-                                   ratings.user_means(), src, dst) + 1.0) / 2.0
+    sims = pair_similarities(ratings, kind, src, dst)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     means = [float(sims[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
     friend_means, random_means = means[0::2], means[1::2]

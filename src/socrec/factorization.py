@@ -300,7 +300,8 @@ def save_model(model: FactorModel, path):
 
 
 def load_model(path) -> FactorModel:
-    """Parse a saved model; raises DataFileError on any format violation."""
+    """Parse a saved model; raises DataFileError on any format violation or
+    non-finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -325,6 +326,9 @@ def load_model(path) -> FactorModel:
                 out[r] = [float(p) for p in parts]
             except ValueError:
                 raise DataFileError(f"{path}:{offset + r}: non-numeric factor") from None
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise DataFileError(f"{path}:{offset + bad[0]}: non-finite factor")
         return out
 
     user_f = parse_rows(lines[1:1 + m], m, 2)
@@ -333,4 +337,6 @@ def load_model(path) -> FactorModel:
         mean = float(lines[1 + m + n])
     except ValueError:
         raise DataFileError(f"{path}:{2 + m + n}: non-numeric global mean") from None
+    if not np.isfinite(mean):
+        raise DataFileError(f"{path}:{2 + m + n}: non-finite global mean")
     return FactorModel(user_f, item_f, k, mean)

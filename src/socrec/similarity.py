@@ -124,8 +124,8 @@ def load_similarity_table(path, graph: TrustGraph) -> SimilarityTable:
     return SimilarityTable(graph, values)
 
 
-def map_to_unit(x: float) -> float:
-    """Affine map from [-1, 1] onto [0, 1]."""
+def map_to_unit(x):
+    """Affine map from [-1, 1] onto [0, 1], elementwise on arrays."""
     return (x + 1.0) / 2.0
 
 
@@ -152,11 +152,17 @@ def vss(ratings: SparseRatings, u: int, f: int) -> float:
 
     Returns 0 on empty overlap or a zero denominator.
     """
-    src, dst = _single_edge(u, f)
-    out = _kernels.vss_edges(
-        ratings.user_ptr, ratings.items, ratings.values, src, dst,
-    )
-    return float(out[0])
+    return float(pair_similarities(ratings, "vss", *_single_edge(u, f))[0])
+
+
+def pair_similarities(ratings: SparseRatings, tag: str, src, dst) -> np.ndarray:
+    """Similarity in [0, 1] of each user pair (src[e], dst[e]): VSS for
+    ``tag == "vss"``, else PCC mapped onto [0, 1]."""
+    if tag == "vss":
+        return _kernels.vss_edges(ratings.user_ptr, ratings.items, ratings.values, src, dst)
+    return map_to_unit(_kernels.pcc_edges(
+        ratings.user_ptr, ratings.items, ratings.values, ratings.user_means(), src, dst,
+    ))
 
 
 def build_similarity_table(
@@ -176,15 +182,6 @@ def build_similarity_table(
     elif kind.tag == "random":
         rng = np.random.default_rng(kind.seed)
         values = rng.uniform(0.0, 1.0, graph.num_edges)
-    elif kind.tag == "vss":
-        values = _kernels.vss_edges(
-            ratings.user_ptr, ratings.items, ratings.values,
-            graph.edge_src, graph.edge_dst,
-        )
     else:
-        raw = _kernels.pcc_edges(
-            ratings.user_ptr, ratings.items, ratings.values, ratings.user_means(),
-            graph.edge_src, graph.edge_dst,
-        )
-        values = (raw + 1.0) / 2.0
+        values = pair_similarities(ratings, kind.tag, graph.edge_src, graph.edge_dst)
     return SimilarityTable(graph, values)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from socrec import FactorModel, SimilarityTable, SparseRatings, TrustGraph
+from socrec import DatasetSplit, FactorModel, SimilarityTable, SparseRatings, TrustGraph
 
 
 def random_ratings(rng, num_users, num_items, per_user=None):
@@ -60,3 +60,11 @@ def ratings_from_dicts(num_items, *user_dicts):
             items.append(i)
             values.append(float(r))
     return SparseRatings(len(user_dicts), num_items, users, items, values)
+
+
+def split_of(train, triples):
+    """DatasetSplit over ``train`` whose test side holds the given
+    (user, item, rating) triples, in order."""
+    test = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+    return DatasetSplit(train, test[:, 0].astype(np.int64), test[:, 1].astype(np.int64),
+                        test[:, 2], 0, float("nan"))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from socrec import (
+    DatasetSplit,
     Hyperparams,
     SimilarityKind,
     SparseRatings,
@@ -57,7 +58,7 @@ SEEDS = (1, 2, 3, 4, 5)
 
 def trim_to_two_train_ratings(ratings, seed):
     """Cold-start variant: keep 2 seeded-random train ratings per user and
-    hold the rest out for testing."""
+    hold the rest out for testing, as a DatasetSplit."""
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for u in range(ratings.num_users):
@@ -72,8 +73,8 @@ def trim_to_two_train_ratings(ratings, seed):
         ratings.users[train_idx], ratings.items[train_idx],
         ratings.values[train_idx], validate=False,
     )
-    test = (ratings.users[test_idx], ratings.items[test_idx], ratings.values[test_idx])
-    return train_set, test
+    return DatasetSplit(train_set, ratings.users[test_idx], ratings.items[test_idx],
+                        ratings.values[test_idx], seed, float("nan"))
 
 
 def test_criterion_1_gradient_oracle():
@@ -187,14 +188,15 @@ def _planted_best_of_grid(split_fn):
     social_maes = {a: [] for a in ALPHA_GRID}
     for seed in SEEDS:
         ratings, graph, _ = clustered_dataset(**PLANTED)
-        train_set, test = split_fn(ratings, seed)
+        split = split_fn(ratings, seed)
+        train_set = split.train
         sim = build_similarity_table(train_set, graph, SimilarityKind.pcc())
         model, _ = train(train_set, PLANTED_HP.with_seed(seed))
-        basic_maes.append(evaluate(model, test, train_set).mae)
+        basic_maes.append(evaluate(model, split, train_set).mae)
         for alpha in ALPHA_GRID:
             hp = replace(PLANTED_HP, alpha=alpha, seed=seed)
             model, _ = train(train_set, hp, graph, sim)
-            social_maes[alpha].append(evaluate(model, test, train_set).mae)
+            social_maes[alpha].append(evaluate(model, split, train_set).mae)
     basic = float(np.mean(basic_maes))
     per_alpha = {a: float(np.mean(v)) for a, v in social_maes.items()}
     best_alpha = min(per_alpha, key=per_alpha.get)
@@ -207,8 +209,7 @@ def test_criterion_5_social_benefit_on_planted_data():
     started = time.perf_counter()
 
     def full_split(ratings, seed):
-        split = split_ratings(ratings, 0.8, seed)
-        return split.train, split
+        return split_ratings(ratings, 0.8, seed)
 
     basic_full, social_full, alpha_full = _planted_best_of_grid(full_split)
     basic_cold, social_cold, alpha_cold = _planted_best_of_grid(trim_to_two_train_ratings)

@@ -126,6 +126,21 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert f"{sidecar}:1:" in err and fault in err
 
+    @pytest.mark.parametrize("target,value", [("factor", "nan"), ("mean", "inf")])
+    def test_non_finite_model_is_data_error(self, model_path, capsys, target, value):
+        lines = model_path.read_text(encoding="utf-8").splitlines()
+        lineno = 2 if target == "factor" else len(lines)
+        fields = lines[lineno - 1].split()
+        fields[0] = value
+        lines[lineno - 1] = " ".join(fields)
+        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for user in ("u01", "nobody"):
+            code = run_cli("predict", "--model", str(model_path), "--user", user,
+                           "--item", "m01")
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"{model_path}:{lineno}: non-finite" in captured.err
+
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a model\n", encoding="utf-8")

@@ -1,15 +1,28 @@
-"""Differential tests: the block loaders of socrec.data against the
-line-at-a-time loaders of oracles.py, on arbitrary files."""
+"""Property tests on arbitrary inputs: the block loaders of socrec.data
+against the line-at-a-time loaders of oracles.py, and exact save/load
+round trips of models and similarity caches."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import socrec.data as data_module
-from socrec import DataFileError, TrustGraph, load_ratings, load_trust
+from socrec import (
+    DataFileError,
+    FactorModel,
+    SimilarityTable,
+    TrustGraph,
+    load_model,
+    load_ratings,
+    load_similarity_table,
+    load_trust,
+    save_model,
+)
 
 from oracles import OracleDataError, line_load_ratings, line_load_trust
 
@@ -104,3 +117,58 @@ class TestBlockLoadersMatchLineLoaders:
         assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == expected
         assert graph.out_degrees().tolist() == [sum(s == u for s, _ in expected)
                                                 for u in range(6)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# finite float64 values, with signed zeros, subnormals and the extremes
+# drawn more often than uniform sampling would draw them
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+_FINITE = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 - 2 ** -53]),
+                  st.floats(0.0, 1.0))
+_ROUND_TRIP = settings(max_examples=100, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _models(draw):
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    return FactorModel(draw(arrays(np.float64, (m, k), elements=_FINITE)),
+                       draw(arrays(np.float64, (n, k), elements=_FINITE)),
+                       k, draw(_FINITE))
+
+
+@st.composite
+def _similarity_tables(draw):
+    num_users = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_users - 1))
+    graph = TrustGraph.from_edges(num_users, draw(st.lists(pairs, max_size=20)))
+    return SimilarityTable(graph, draw(arrays(np.float64, graph.num_edges, elements=_UNIT)))
+
+
+class TestRoundTrips:
+    @_ROUND_TRIP
+    @given(model=_models())
+    def test_model(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.k, loaded.num_users, loaded.num_items) == (
+            model.k, model.num_users, model.num_items)
+        assert _bits(loaded.user_factors) == _bits(model.user_factors)
+        assert _bits(loaded.item_factors) == _bits(model.item_factors)
+        assert _bits(loaded.global_mean) == _bits(model.global_mean)
+
+    @_ROUND_TRIP
+    @given(table=_similarity_tables())
+    def test_similarity_table(self, tmp_path, table):
+        path = tmp_path / "sim.txt"
+        table.save(path)
+        loaded = load_similarity_table(path, table.graph)
+        assert loaded.graph is table.graph
+        assert _bits(loaded.values) == _bits(table.values)

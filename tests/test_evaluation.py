@@ -21,7 +21,7 @@ from socrec import (
 from socrec.evaluation import comparison_summary, paired_t_pvalue
 from socrec.synthetic import clustered_dataset, shuffled_graph
 
-from helpers import random_graph, random_ratings
+from helpers import random_graph, random_ratings, split_of
 
 
 def planted_hp(**kw):
@@ -62,23 +62,26 @@ class TestMaeRmse:
 class TestEvaluate:
     def test_perfect_model(self):
         train = SparseRatings(2, 2, [0, 1], [0, 1], [4.0, 2.0])
-        pair = evaluate(lambda u, i: np.where(np.asarray(u) == 0, 4.0, 2.0),
-                        [(0, 0, 4.0), (1, 1, 2.0)], train)
+        pair = evaluate(lambda u, i: np.where(u == 0, 4.0, 2.0),
+                        split_of(train, [(0, 0, 4.0), (1, 1, 2.0)]), train)
         assert pair.mae == 0.0 and pair.rmse == 0.0
 
     def test_high_prediction_clamped(self):
         train = SparseRatings(1, 1, [0], [0], [5.0])
-        pair = evaluate(lambda u, i: 7.2, [(0, 0, 5.0)], train)
+        pair = evaluate(lambda u, i: np.full(u.shape, 7.2), split_of(train, [(0, 0, 5.0)]),
+                        train)
         assert pair.mae == 0.0
 
     def test_low_prediction_clamped(self):
         train = SparseRatings(1, 1, [0], [0], [1.0])
-        pair = evaluate(lambda u, i: -3.0, [(0, 0, 1.0)], train)
+        pair = evaluate(lambda u, i: np.full(u.shape, -3.0), split_of(train, [(0, 0, 1.0)]),
+                        train)
         assert pair.mae == 0.0
 
     def test_unseen_user_falls_back_to_global_mean(self):
         train = SparseRatings(2, 1, [0], [0], [4.0])
-        pair = evaluate(lambda u, i: 1.0, [(1, 0, 4.0)], train)
+        pair = evaluate(lambda u, i: np.full(u.shape, 1.0), split_of(train, [(1, 0, 4.0)]),
+                        train)
         assert pair.mae == 0.0  # global mean 4.0 despite predictor saying 1.0
 
     def test_permutation_invariant(self):
@@ -87,15 +90,35 @@ class TestEvaluate:
         test = [(int(rng.integers(0, 10)), int(rng.integers(0, 6)),
                  float(rng.uniform(1, 5))) for _ in range(40)]
         predictor = lambda u, i: 3.0 + 0.1 * u - 0.05 * i
-        direct = evaluate(predictor, test, train)
-        shuffled = evaluate(predictor, test[::-1], train)
+        direct = evaluate(predictor, split_of(train, test), train)
+        shuffled = evaluate(predictor, split_of(train, test[::-1]), train)
         assert direct.mae == pytest.approx(shuffled.mae, rel=1e-12)
         assert direct.rmse == pytest.approx(shuffled.rmse, rel=1e-12)
 
     def test_empty_test_rejected(self):
         train = SparseRatings(1, 1, [0], [0], [3.0])
         with pytest.raises(ValueError):
-            evaluate(lambda u, i: 3.0, [], train)
+            evaluate(lambda u, i: np.full(u.shape, 3.0), split_of(train, []), train)
+
+    @pytest.mark.parametrize("predictor", [
+        lambda u, i: np.full((u.size, 1), 3.0),
+        lambda u, i: 3.0,
+        lambda u, i: np.full(u.size + 1, 3.0),
+    ], ids=["column", "scalar", "one-too-many"])
+    def test_wrong_prediction_shape_rejected(self, predictor):
+        train = SparseRatings(2, 2, [0, 1], [0, 1], [4.0, 2.0])
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(predictor, split_of(train, [(0, 0, 4.0), (1, 1, 2.0)]), train)
+
+    def test_metrics_match_mae_rmse_of_clamped_predictions(self):
+        rng = np.random.default_rng(42)
+        train = random_ratings(rng, 10, 6, per_user=6)  # every user and item seen
+        test = [(int(rng.integers(0, 10)), int(rng.integers(0, 6)),
+                 float(rng.uniform(1, 5))) for _ in range(40)]
+        preds = rng.uniform(-1.0, 7.0, len(test))
+        pair = evaluate(lambda u, i: preds, split_of(train, test), train)
+        clamped = np.clip(preds, 1.0, 5.0)
+        assert pair == mae_rmse([(r, p) for (_, _, r), p in zip(test, clamped)])
 
 
 class TestPairedT:

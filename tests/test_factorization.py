@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,22 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         path.write_text("SOCREC-MODEL v1 2 2\n", encoding="utf-8")
         with pytest.raises(DataFileError):
+            load_model(path)
+
+    @pytest.mark.parametrize("line,value,where", [
+        (2, "nan", "factor"), (3, "-inf", "factor"), (5, "inf", "factor"),
+        (6, "nan", "global mean"), (6, "-inf", "global mean"),
+    ])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, line, value, where):
+        model = FactorModel(np.ones((2, 2)), np.ones((2, 2)), k=2, global_mean=3.0)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        fields = lines[line - 1].split()
+        fields[-1] = value
+        lines[line - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:{line}: non-finite {where}")):
             load_model(path)
 
     def test_truncated_body_rejected(self, tmp_path):
