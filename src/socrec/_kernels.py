@@ -3,9 +3,11 @@ one numpy/scipy implementation.
 
 Data term. The residuals ``err = p_u . q_i - r`` of the training entries are
 the values of a sparse matrix ``E`` with the train pattern, so the data
-gradients are ``E @ Q`` (users) and ``Eᵀ @ P`` (items). Predictions gather
-factor rows ``GATHER_BLOCK`` entries at a time, so the gathered copies stay
-small however many entries there are.
+gradients are ``E @ Q`` (users) and ``Eᵀ @ P`` (items). Residual and
+prediction passes gather factor rows with ``np.take`` in blocks of at most
+``GATHER_FLOATS`` floats per operand, so each block copy is small enough for
+the allocator to serve from memory the previous block freed, whatever the
+number of entries and whatever ran earlier in the process.
 
 Social term. With ``W[u, f] = s`` for each directed trust edge ``(u, f)``
 of similarity ``s``, the penalty ``sum_e s_e ||p_u - p_f||^2`` equals
@@ -15,7 +17,9 @@ the row sums of ``W + Wᵀ``. The gradient of ``(alpha/2) tr(Pᵀ L P)`` is
 ``(1/2) sum(P * alpha L @ P)``.
 
 Training epoch. ``factorization.train`` builds ``E`` (``residual_matrix``)
-and ``L`` once and passes them to the public names below. Each objective
+once per call and takes ``L`` from the similarity table, which builds it once
+(``SimilarityTable.laplacian``); it passes both to the public names below and
+updates the factors in place. Each objective
 writes its residuals into ``E`` (``squared_error_sum(..., out=E.data)``) and,
 when another step follows, takes its penalty from ``alpha L @ P``
 (``social_gradient(..., laplacian=L)``); the next step's ``rating_gradients``
@@ -38,9 +42,12 @@ optional keyword arguments hand them operands a caller already built.
 
 import numpy as np
 
-# entries whose factor rows are gathered at once by a residual or prediction
-# pass; bounds the gathered copies to 2 * GATHER_BLOCK * k floats
-GATHER_BLOCK = 32768
+# factor-row floats a residual or prediction pass gathers at once per
+# operand (rows per block: GATHER_FLOATS // k, at least one). A copy of at
+# most 125 KiB stays under glibc's default 128 KiB mmap threshold, so it is
+# served from the heap the previous block freed instead of fresh pages
+# faulted in per block; smaller blocks pay more per-block call overhead
+GATHER_FLOATS = 16000
 # trust edges whose two rating rows are gathered at once by the similarity
 # builders; a block holds about a dozen arrays with one element per gathered
 # rating, so this bounds their working memory
@@ -55,11 +62,16 @@ def _csr(*args, **kwargs):
 
 
 def gather_dots(user_f, item_f, users, items, out):
-    """out[e] = user_f[users[e]] . item_f[items[e]]; returns out."""
-    for lo in range(0, users.shape[0], GATHER_BLOCK):
-        hi = lo + GATHER_BLOCK
-        np.einsum("ej,ej->e", user_f[users[lo:hi]], item_f[items[lo:hi]],
-                  out=out[lo:hi])
+    """out[e] = user_f[users[e]] . item_f[items[e]]; returns out.
+
+    An index outside the factor rows raises IndexError (``np.take``'s
+    default ``mode="raise"``).
+    """
+    step = max(1, GATHER_FLOATS // user_f.shape[1])
+    for lo in range(0, users.shape[0], step):
+        hi = lo + step
+        np.einsum("ej,ej->e", np.take(user_f, users[lo:hi], axis=0),
+                  np.take(item_f, items[lo:hi], axis=0), out=out[lo:hi])
     return out
 
 
@@ -225,7 +237,9 @@ def social_gradient(user_f, edge_src, edge_dst, edge_sim, alpha, *, laplacian=No
     """
     if laplacian is None:
         laplacian = social_laplacian(user_f.shape[0], edge_src, edge_dst, edge_sim)
-    return alpha * (laplacian @ user_f)
+    pull = laplacian @ user_f
+    pull *= alpha
+    return pull
 
 
 def active_backend() -> str:

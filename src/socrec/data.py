@@ -80,6 +80,11 @@ def _add_ids(index, names, ids):
     return out
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 RATING_MIN = 1.0
 RATING_MAX = 5.0
 
@@ -88,7 +93,8 @@ class SparseRatings:
     """User-item rating matrix stored as triples in canonical (user, item)
     order. ``user_ptr`` is the row pointer of the CSR matrix whose column
     indices and data are ``items`` and ``values``. Immutable after
-    construction.
+    construction, so the per-user means, the per-item counts and the global
+    mean are computed on first use and kept, the arrays read-only.
     """
 
     def __init__(self, num_users, num_items, users, items, values, validate=True):
@@ -109,6 +115,8 @@ class SparseRatings:
         np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.user_ptr[1:])
 
         self._user_means = None
+        self._item_counts = None
+        self._global_mean = None
 
     def _check_invariants(self):
         if self.users.size:
@@ -141,20 +149,27 @@ class SparseRatings:
         return np.diff(self.user_ptr)
 
     def item_counts(self):
-        return np.bincount(self.items, minlength=self.num_items)
+        """Ratings per item (read-only)."""
+        if self._item_counts is None:
+            self._item_counts = _read_only(np.bincount(self.items, minlength=self.num_items))
+        return self._item_counts
 
     def user_means(self):
-        """Per-user mean rating over all rated items (0.0 for empty users)."""
+        """Per-user mean rating over all rated items (0.0 for empty users;
+        read-only)."""
         if self._user_means is None:
             counts = self.user_counts()
             sums = np.bincount(self.users, weights=self.values, minlength=self.num_users)
-            self._user_means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+            self._user_means = _read_only(
+                np.where(counts > 0, sums / np.maximum(counts, 1), 0.0))
         return self._user_means
 
     def global_mean(self) -> float:
-        if self.values.size == 0:
-            raise ValueError("empty ratings have no global mean")
-        return float(self.values.mean())
+        if self._global_mean is None:
+            if self.values.size == 0:
+                raise ValueError("empty ratings have no global mean")
+            self._global_mean = float(self.values.mean())
+        return self._global_mean
 
     def with_num_users(self, num_users: int) -> "SparseRatings":
         """Same entries over a wider user index space (extra users rate nothing)."""

@@ -120,11 +120,20 @@ def predict(model: FactorModel, u, i):
     )
 
 
-def _l2_penalty(model: FactorModel, lam: float) -> float:
+def _scratch(model: FactorModel, state):
+    """Arrays shaped like the user and item factors for products that are
+    summed or added at once: the state's, reused every epoch, or new ones."""
+    if state is None:
+        return np.empty_like(model.user_factors), np.empty_like(model.item_factors)
+    return state.user_scratch, state.item_scratch
+
+
+def _l2_penalty(model: FactorModel, lam: float, scratch) -> float:
     if lam == 0.0:
         return 0.0
     uf, it = model.user_factors, model.item_factors
-    return 0.5 * lam * (float(np.sum(uf * uf)) + float(np.sum(it * it)))
+    return 0.5 * lam * (float(np.sum(np.multiply(uf, uf, out=scratch[0])))
+                        + float(np.sum(np.multiply(it, it, out=scratch[1]))))
 
 
 def _has_social_term(graph: TrustGraph | None, hp: Hyperparams) -> bool:
@@ -140,14 +149,16 @@ class _EpochState:
     ``resid`` is the residual matrix over the train pattern. Each objective
     writes the residuals at the current factors into it, and the following
     ``gradients_social`` reads them there instead of making its own pass.
-    ``laplacian`` is the trust graph's Laplacian, or None without a social
-    term. While ``keep_pull`` is set, the objective leaves the social
-    gradient alpha L @ P in ``pull`` for the next step and takes its penalty
-    from it; with no next step it takes the penalty alone.
+    While ``keep_pull`` is set, the objective leaves the social gradient
+    alpha L @ P in ``pull`` for the next step and takes its penalty from it;
+    with no next step it takes the penalty alone. ``user_scratch`` and
+    ``item_scratch`` hold the elementwise products of the L2 and social
+    terms, so an epoch allocates no full-size temporary for them.
     """
 
     resid: object
-    laplacian: object = None
+    user_scratch: np.ndarray
+    item_scratch: np.ndarray
     keep_pull: bool = True
     pull: np.ndarray | None = None
 
@@ -160,7 +171,7 @@ def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams, *
         train.users, train.items, train.values,
         out=None if state is None else state.resid.data,
     )
-    return 0.5 * sse + _l2_penalty(model, hp.lam)
+    return 0.5 * sse + _l2_penalty(model, hp.lam, _scratch(model, state))
 
 
 def objective_social(
@@ -180,12 +191,11 @@ def objective_social(
     user_f = model.user_factors
     edges = (graph.edge_src, graph.edge_dst, sim.values)
     if state is None or not state.keep_pull:
-        laplacian = None if state is None else state.laplacian
         return value + 0.5 * hp.alpha * _kernels.social_penalty(
-            user_f, *edges, laplacian=laplacian)
+            user_f, *edges, laplacian=sim.laplacian())
     # the penalty of a quadratic form is half its gradient dotted with P
-    state.pull = _kernels.social_gradient(user_f, *edges, hp.alpha, laplacian=state.laplacian)
-    return value + 0.5 * float(np.sum(user_f * state.pull))
+    state.pull = _kernels.social_gradient(user_f, *edges, hp.alpha, laplacian=sim.laplacian())
+    return value + 0.5 * float(np.sum(np.multiply(user_f, state.pull, out=state.user_scratch)))
 
 
 def gradients_social(
@@ -212,11 +222,14 @@ def gradients_social(
         resid=None if state is None else state.resid,
     )
     if hp.lam != 0.0:
-        d_user += hp.lam * model.user_factors
-        d_item += hp.lam * model.item_factors
+        # lam * factors is rounded before it is added, as in d + lam * f
+        for d, f, scaled in zip((d_user, d_item), (model.user_factors, model.item_factors),
+                                _scratch(model, state)):
+            d += np.multiply(f, hp.lam, out=scaled)
     if _has_social_term(graph, hp):
         d_user += state.pull if state is not None else _kernels.social_gradient(
-            model.user_factors, graph.edge_src, graph.edge_dst, sim.values, hp.alpha)
+            model.user_factors, graph.edge_src, graph.edge_dst, sim.values, hp.alpha,
+            laplacian=sim.laplacian())
     return d_user, d_item
 
 
@@ -235,22 +248,25 @@ def train(
 
     The residuals and the social pull ``alpha L @ P`` computed for the
     objective after an update are reused for the next update's gradient
-    (see ``_EpochState``), so every epoch makes one residual pass.
+    (see ``_EpochState``), so every epoch makes one residual pass. ``L`` is
+    ``sim.laplacian()``, built once per table, so trainings that share a
+    table share it. The update scales the gradients and subtracts them in
+    place.
     """
     if (graph is None) != (sim is None):
         raise ValueError("graph and sim must be supplied together or not at all")
     if graph is not None and graph.num_users != ratings.num_users:
         raise ValueError("graph and ratings must share the user index space")
+    if graph is not None and not sim.keyed_by(graph):
+        raise ValueError("sim must hold one value per edge of graph")
     if ratings.num_entries == 0:
         raise ValueError("cannot train on an empty ratings set")
 
     model = init_model(ratings.num_users, ratings.num_items, hp)
     model.global_mean = ratings.global_mean()
     state = _EpochState(
-        _kernels.residual_matrix(ratings.user_ptr, ratings.items, ratings.num_items))
-    if _has_social_term(graph, hp):
-        state.laplacian = _kernels.social_laplacian(
-            graph.num_users, graph.edge_src, graph.edge_dst, sim.values)
+        _kernels.residual_matrix(ratings.user_ptr, ratings.items, ratings.num_items),
+        *_scratch(model, None))
 
     def objective() -> float:
         if graph is None:
@@ -264,8 +280,10 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, hp.max_epochs + 1):
             d_user, d_item = gradients_social(model, ratings, graph, sim, hp, state=state)
-            model.user_factors -= eta * d_user
-            model.item_factors -= eta * d_item
+            d_user *= eta
+            d_item *= eta
+            model.user_factors -= d_user
+            model.item_factors -= d_item
             if not (np.isfinite(model.user_factors).all()
                     and np.isfinite(model.item_factors).all()):
                 raise DivergenceError(epoch)

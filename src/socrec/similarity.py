@@ -59,7 +59,8 @@ class SimilarityTable:
     """One similarity value in [0, 1] per directed trust edge.
 
     Values are stored in the graph's canonical edge order, so the table is
-    keyed exactly by the graph's edge set. Immutable after construction.
+    keyed exactly by the graph's edge set. Immutable after construction,
+    which lets it build its social Laplacian once (``laplacian``).
     """
 
     def __init__(self, graph: TrustGraph, values):
@@ -70,9 +71,31 @@ class SimilarityTable:
             raise ValueError("similarity values must lie in [0, 1]")
         self.graph = graph
         self.values = values
+        self._laplacian = None
 
     def __len__(self) -> int:
         return self.values.size
+
+    def keyed_by(self, graph: TrustGraph) -> bool:
+        """Whether the table's values belong to the edges of ``graph``: its
+        own graph, or one with the same users and edges."""
+        own = self.graph
+        return own is graph or (own.num_users == graph.num_users
+                                and np.array_equal(own.edge_src, graph.edge_src)
+                                and np.array_equal(own.edge_dst, graph.edge_dst))
+
+    def laplacian(self):
+        """The social Laplacian ``D - (W + Wᵀ)`` of the similarity-weighted
+        edges (``_kernels.social_laplacian``), as a CSR matrix built on the
+        first call and returned by every later one; its arrays are
+        read-only."""
+        if self._laplacian is None:
+            g = self.graph
+            lap = _kernels.social_laplacian(g.num_users, g.edge_src, g.edge_dst, self.values)
+            for a in (lap.data, lap.indices, lap.indptr):
+                a.flags.writeable = False
+            self._laplacian = lap
+        return self._laplacian
 
     def value(self, u: int, f: int) -> float:
         """Similarity stored on edge (u, f); KeyError if the edge is absent."""

@@ -107,6 +107,14 @@ class TestSparseRatings:
         ratings = SparseRatings(2, 2, [0, 0, 1], [0, 1, 0], [2.0, 4.0, 5.0])
         np.testing.assert_allclose(ratings.user_means(), [3.0, 5.0])
 
+    def test_derived_statistics_are_cached_read_only(self):
+        ratings = SparseRatings(2, 3, [0, 0, 1], [0, 1, 0], [2.0, 4.0, 5.0])
+        for stat in (ratings.user_means, ratings.item_counts):
+            assert stat() is stat()
+            assert not stat().flags.writeable
+        assert ratings.item_counts().tolist() == [2, 1, 0]
+        assert ratings.global_mean() == ratings.global_mean() == 11.0 / 3.0
+
 
 class TestIdMap:
     def test_bijective_both_directions(self, tmp_path):

@@ -228,6 +228,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(train_set, tiny_hp(), graph=graph, sim=None)
 
+    def test_sim_of_another_graph_rejected(self):
+        rng = np.random.default_rng(5)
+        train_set = random_ratings(rng, 4, 4)
+        graph = TrustGraph.from_edges(4, [(0, 1), (1, 2)])
+        other = TrustGraph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="edge"):
+            train(train_set, tiny_hp(alpha=0.5), graph, SimilarityTable(other, np.ones(2)))
+        twin = TrustGraph.from_edges(4, [(0, 1), (1, 2)])
+        train(train_set, tiny_hp(alpha=0.5), graph, SimilarityTable(twin, np.ones(2)))
+
     def test_rank_one_recovery(self):
         """Reconstructs a noiseless rank-1 matrix to train RMSE below 0.01."""
         ratings, _, _ = low_rank_ratings(10, 10, rank=1, seed=3)

@@ -1,6 +1,7 @@
 """Each numeric operator in ``socrec._kernels`` against the independent
 oracles in ``tests/oracles.py``, and the kernel names the benchmark binds."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -47,10 +48,31 @@ class TestDataOperators:
 
     def test_gather_blocks_give_the_unblocked_result(self, instance, monkeypatch):
         ratings, _, _, user_f, item_f = instance
+        assert user_f.shape[1] == 6 and ratings.num_entries % 7 != 0
         args = (user_f, item_f, ratings.users, ratings.items)
         whole = _kernels.predict_pairs(*args)
-        monkeypatch.setattr(_kernels, "GATHER_BLOCK", 7)
-        np.testing.assert_array_equal(_kernels.predict_pairs(*args), whole)
+        sse = _kernels.squared_error_sum(*args, ratings.values)
+        # seven rows per block, the last one partial; then a budget below k,
+        # which gathers one row per block
+        for floats in (6 * 7, 5):
+            monkeypatch.setattr(_kernels, "GATHER_FLOATS", floats)
+            np.testing.assert_array_equal(_kernels.predict_pairs(*args), whole)
+            assert _kernels.squared_error_sum(*args, ratings.values) == sse
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_out_of_range_index_raises(self, instance, side):
+        """Gathers check their indices: a row past the factors is an error,
+        never a clipped or wrapped row."""
+        ratings, _, _, user_f, item_f = instance
+        users, items = ratings.users.copy(), ratings.items.copy()
+        if side == "user":
+            users[-1] = user_f.shape[0]
+        else:
+            items[-1] = item_f.shape[0]
+        with pytest.raises(IndexError):
+            _kernels.predict_pairs(user_f, item_f, users, items)
+        with pytest.raises(IndexError):
+            _kernels.squared_error_sum(user_f, item_f, users, items, ratings.values)
 
     def test_squared_error_sum(self, instance):
         ratings, _, _, user_f, item_f = instance
@@ -229,6 +251,55 @@ class TestFusedEpoch:
                          "social_gradient": 4 if social else 0,
                          "social_penalty": 1 if social else 0,
                          "predict_pairs": 0, "pcc_edges": 0, "vss_edges": 0}
+
+
+class TestCachedLaplacian:
+    HP = factorization.Hyperparams(k=4, lam=0.3, alpha=0.8, learning_rate=0.01,
+                                   max_epochs=8, tolerance=1e-15, seed=3)
+
+    @staticmethod
+    def fresh(sim):
+        return SimilarityTable(sim.graph, sim.values.copy())
+
+    def test_one_read_only_matrix_equal_to_a_fresh_build(self, instance):
+        _, graph, sim, _, _ = instance
+        sim = self.fresh(sim)
+        lap = sim.laplacian()
+        assert sim.laplacian() is lap
+        built = _kernels.social_laplacian(graph.num_users, graph.edge_src, graph.edge_dst,
+                                          sim.values)
+        for got, expected in ((lap.data, built.data), (lap.indices, built.indices),
+                              (lap.indptr, built.indptr)):
+            np.testing.assert_array_equal(got, expected)
+            assert not got.flags.writeable
+
+    def test_trainings_sharing_a_table_match_fresh_tables(self, instance, monkeypatch):
+        ratings, graph, sim, _, _ = instance
+        shared = self.fresh(sim)
+        before = shared.laplacian().data.copy()
+        builds = []
+        build = _kernels.social_laplacian
+        monkeypatch.setattr(_kernels, "social_laplacian",
+                            lambda *args: builds.append(1) or build(*args))
+        for seed in (3, 4):
+            hp = self.HP.with_seed(seed)
+            got, got_report = train(ratings, hp, graph, shared)
+            expected, expected_report = train(ratings, hp, graph, self.fresh(sim))
+            assert got_report.objective_per_epoch == expected_report.objective_per_epoch
+            np.testing.assert_array_equal(got.user_factors, expected.user_factors)
+            np.testing.assert_array_equal(got.item_factors, expected.item_factors)
+        np.testing.assert_array_equal(shared.laplacian().data, before)
+        assert len(builds) == 2  # one per fresh table; the shared one built before
+
+    def test_alpha_zero_on_a_table_with_a_laplacian_is_basic(self, instance):
+        ratings, graph, sim, _, _ = instance
+        sim.laplacian()
+        hp = dataclasses.replace(self.HP, alpha=0.0)
+        social, social_report = train(ratings, hp, graph, sim)
+        basic, basic_report = train(ratings, hp)
+        assert social_report.objective_per_epoch == basic_report.objective_per_epoch
+        np.testing.assert_array_equal(social.user_factors, basic.user_factors)
+        np.testing.assert_array_equal(social.item_factors, basic.item_factors)
 
 
 class TestBenchmarkContract:

@@ -1,9 +1,13 @@
 """Checks on the test suite's own structure."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ORACLES = Path(__file__).with_name("oracles.py")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _imported_modules(tree):
@@ -24,3 +28,14 @@ def test_oracles_import_no_package_code():
     offending = [m for m in modules
                  if m.startswith(".") or m == "socrec" or m.startswith("socrec.")]
     assert offending == []
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse is imported on first use by the kernels, so starting the
+    CLI (``socrec predict`` included) does not pay for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = "import sys, socrec, socrec.cli; print('scipy.sparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
