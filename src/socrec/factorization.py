@@ -152,8 +152,9 @@ class _EpochState:
     While ``keep_pull`` is set, the objective leaves the social gradient
     alpha L @ P in ``pull`` for the next step and takes its penalty from it;
     with no next step it takes the penalty alone. ``user_scratch`` and
-    ``item_scratch`` hold the elementwise products of the L2 and social
-    terms, so an epoch allocates no full-size temporary for them.
+    ``item_scratch`` take the elementwise products of the L2 and social
+    penalties and the ``lam * factors`` of the gradients, so an epoch
+    allocates no full-size temporary for them.
     """
 
     resid: object
