@@ -26,13 +26,12 @@ when another step follows, takes its penalty from ``alpha L @ P``
 and social pull reuse both, so a run of ``n`` epochs makes ``n + 1``
 residual passes and ``n + 1`` products with ``L``.
 
-Similarity. For a block of ``EDGE_BLOCK`` edges, the rated rows of the
-source users and of the destination users are gathered into block CSR
-matrices: ``D`` holds the ratings (or their deviations from the user's
-mean, for PCC) and ``B`` ones on the same pattern. Row sums of elementwise
-products give, per edge, the dot product over co-rated items
-(``D_src ∘ D_dst``), the two norms over the overlap (``D_src² ∘ B_dst`` and
-``B_src ∘ D_dst²``) and the overlap size (``B_src ∘ B_dst``).
+Similarity. For a block of ``EDGE_BLOCK`` edges, the rated entries of both
+ends of each edge are gathered and keyed ``local_edge * span + item``; rows
+are stored in item order, so one stable sort merges the two ascending key
+arrays, and a key present on both sides is a co-rated item. ``np.bincount``
+over the co-rated pairs, adding in ascending item order, gives per edge the
+dot product, the two norms over the overlap and the overlap size.
 
 The public names below (``predict_pairs``, ``squared_error_sum``,
 ``rating_gradients``, ``social_penalty``, ``social_gradient``,
@@ -120,19 +119,13 @@ def social_laplacian(num_users, edge_src, edge_dst, edge_sim):
 
 
 def _gather_rows(user_ptr, users):
-    """Entry positions of the rating rows of ``users``, concatenated, with
-    their block CSR row pointer and the user owning each entry."""
+    """Entry positions of the rating rows of ``users``, concatenated, and
+    for each entry the position in ``users`` of the row it came from."""
     starts = user_ptr[users]
     lengths = user_ptr[users + 1] - starts
-    ptr = np.zeros(users.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    take = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lengths)
-    return take, ptr, np.repeat(users, lengths)
-
-
-def _rowsum(a, b):
-    """Row sums of the elementwise product of two sparse matrices."""
-    return np.asarray(a.multiply(b).sum(axis=1)).ravel()
+    # an entry's position is its row's start plus its offset in the row
+    take = np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+    return take, np.repeat(np.arange(users.size), lengths)
 
 
 def _overlap_cosine(user_ptr, user_items, row_values, edge_src, edge_dst, min_overlap):
@@ -144,25 +137,29 @@ def _overlap_cosine(user_ptr, user_items, row_values, edge_src, edge_dst, min_ov
     """
     out = np.zeros(edge_src.shape[0])
     for lo in range(0, edge_src.shape[0], EDGE_BLOCK):
-        hi = lo + EDGE_BLOCK
-        sides = []
-        for ends in (edge_src[lo:hi], edge_dst[lo:hi]):
-            take, ptr, owners = _gather_rows(user_ptr, ends)
-            sides.append((user_items[take], ptr, row_values(take, owners)))
-        num_items = 1 + max((int(cols.max()) for cols, _, _ in sides if cols.size), default=0)
-        blocks = []
-        for cols, ptr, values in sides:
-            d = _csr((values, cols, ptr), shape=(ptr.size - 1, num_items))
-            # the other two share d's (possibly downcast) index arrays
-            blocks.append([d] + [_csr((data, d.indices, d.indptr), shape=d.shape)
-                                 for data in (values * values, np.ones(cols.size))])
-        (d_src, d2_src, b_src), (d_dst, d2_dst, b_dst) = blocks
-        dot = _rowsum(d_src, d_dst)
-        denom = np.sqrt(_rowsum(d2_src, b_dst)) * np.sqrt(_rowsum(b_src, d2_dst))
+        src, dst = edge_src[lo:lo + EDGE_BLOCK], edge_dst[lo:lo + EDGE_BLOCK]
+        (src_take, src_edge), (dst_take, dst_edge) = (_gather_rows(user_ptr, src),
+                                                      _gather_rows(user_ptr, dst))
+        if not (src_take.size and dst_take.size):
+            continue
+        src_items, dst_items = user_items[src_take], user_items[dst_take]
+        span = 1 + max(src_items.max(), dst_items.max())
+        # rows are stored in item order, so both (edge, item) key arrays
+        # ascend, the stable sort of the two merges them, and a co-rated
+        # item shows up as two adjacent equal keys
+        src_keys, dst_keys = src_edge * span + src_items, dst_edge * span + dst_items
+        merged = np.sort(np.concatenate((src_keys, dst_keys)), kind="stable")
+        shared = merged[1:][merged[1:] == merged[:-1]]
+        at_src = np.searchsorted(src_keys, shared)
+        edge = src_edge[at_src]
+        a = row_values(src_take[at_src], src[edge])
+        b = row_values(dst_take[np.searchsorted(dst_keys, shared)], dst[edge])
+        denom = (np.sqrt(np.bincount(edge, a * a, src.size))
+                 * np.sqrt(np.bincount(edge, b * b, src.size)))
         ok = denom > 0.0
         if min_overlap > 1:
-            ok &= _rowsum(b_src, b_dst) >= min_overlap
-        np.divide(dot, denom, out=out[lo:hi], where=ok)
+            ok &= np.bincount(edge, minlength=src.size) >= min_overlap
+        np.divide(np.bincount(edge, a * b, src.size), denom, out=out[lo:lo + src.size], where=ok)
     return out
 
 

@@ -21,6 +21,7 @@ from .data import (
     DataFileError,
     IdMap,
     load_dataset,
+    reading,
 )
 from .evaluation import (
     DEFAULT_ALPHAS,
@@ -248,10 +249,7 @@ def _load(cfg: RunConfig, need_trust: bool):
         raise ConfigError("--ratings is required")
     if need_trust and not cfg.trust:
         raise ConfigError("--trust is required for this command")
-    try:
-        return load_dataset(cfg.ratings, cfg.trust)
-    except FileNotFoundError as exc:
-        raise DataFileError(str(exc)) from None
+    return load_dataset(cfg.ratings, cfg.trust)
 
 
 def _ids_sidecar_path(model_path) -> Path:
@@ -268,13 +266,12 @@ def _write_ids_sidecar(path, ids: IdMap):
 
 def _read_ids_sidecar(path, model: FactorModel):
     """(user id -> row, item id -> row) maps; raises DataFileError naming a
-    line that is malformed or whose index is not a row of the model."""
+    line that is malformed, repeats an id or whose index is not a row of the
+    model, and when the file cannot be read."""
     maps = {"user": {}, "item": {}}
     rows = {"user": model.num_users, "item": model.num_items}
-    try:
+    with reading(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFileError(f"cannot read id sidecar: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] not in maps:
@@ -286,6 +283,8 @@ def _read_ids_sidecar(path, model: FactorModel):
         if not 0 <= index < rows[parts[0]]:
             raise DataFileError(f"{path}:{lineno}: {parts[0]} index {index} outside "
                                 f"the model's {rows[parts[0]]} rows")
+        if parts[1] in maps[parts[0]]:
+            raise DataFileError(f"{path}:{lineno}: {parts[0]} id {parts[1]!r} listed twice")
         maps[parts[0]][parts[1]] = index
     return maps["user"], maps["item"]
 

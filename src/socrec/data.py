@@ -14,6 +14,7 @@ keeps (user, item) order with a per-user index (``user_ptr``), ``TrustGraph``
 a per-item or in-link index, nor sorts input that is already in order.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
 
@@ -26,7 +27,19 @@ _NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 class DataFileError(ValueError):
-    """Malformed or out-of-domain content in a data file."""
+    """Malformed or out-of-domain content in a data file, or a data file
+    that cannot be read."""
+
+
+@contextmanager
+def reading(path):
+    """Context for reading the data file ``path``: failing to open or decode
+    it (missing, a directory, not UTF-8) raises DataFileError naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataFileError(f"cannot read {path}: {reason}") from None
 
 
 class IdMap:
@@ -305,7 +318,7 @@ def _data_blocks(path, width):
     text file, ``LINE_BLOCK`` lines at a time. A data line without ``width``
     fields raises DataFileError naming it, after the lines before it were
     yielded, so that a fault the caller finds on an earlier line wins."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         blocks = iter(lambda: list(islice(fh, LINE_BLOCK)), [])
         for start, lines in zip(count(1, LINE_BLOCK), blocks):
             fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))

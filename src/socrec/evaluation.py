@@ -299,12 +299,11 @@ def run_similarity_study(
     src = np.repeat(np.repeat(np.asarray(kept, dtype=np.int64), 2), sizes)
     dst = np.concatenate(others) if others else np.empty(0, dtype=np.int64)
     sims = pair_similarities(ratings, kind, src, dst)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    means = [float(sims[lo:hi].mean()) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    friend_means, random_means = means[0::2], means[1::2]
-
-    friend_arr = np.asarray(friend_means)
-    random_arr = np.asarray(random_means)
+    # one sum per peer set, each from its start to the next set's; every
+    # set holds at least one user, so no segment is empty
+    starts = np.cumsum(sizes) - sizes
+    means = np.add.reduceat(sims, starts) / sizes if sizes.size else np.empty(0)
+    friend_arr, random_arr = means[0::2], means[1::2]
     fraction = float(np.mean(friend_arr > random_arr)) if friend_arr.size else 0.0
     return SimilarityStudyResult(
         user_indices=np.asarray(kept, dtype=np.int64),

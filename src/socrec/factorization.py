@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .data import DataFileError, SparseRatings, TrustGraph
+from .data import DataFileError, SparseRatings, TrustGraph, reading
 from .similarity import SimilarityTable
 
 
@@ -320,8 +320,8 @@ def save_model(model: FactorModel, path):
 
 def load_model(path) -> FactorModel:
     """Parse a saved model; raises DataFileError on any format violation or
-    non-finite value."""
-    with open(path, "r", encoding="utf-8") as fh:
+    non-finite value, and when the file cannot be read."""
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFileError(f"{path}: empty model file")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import DataFileError, SparseRatings, TrustGraph
+from .data import DataFileError, SparseRatings, TrustGraph, reading
 
 KINDS = ("pcc", "vss", "constant", "random")
 
@@ -116,10 +116,10 @@ def load_similarity_table(path, graph: TrustGraph) -> SimilarityTable:
 
     Raises DataFileError, with the line number where one applies, on a
     malformed line, a value outside [0, 1] (NaN included) or an edge set
-    that differs from the graph's.
+    that differs from the graph's, and when the file cannot be read.
     """
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -19,6 +19,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def make_unreadable(path, fault):
+    """Turn ``path`` into a file that is not UTF-8, or into a directory."""
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"u01 m01 \xff\xfe\n")
+
+
 def csv_body(path):
     """CSV content with the timestamp comment line stripped."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -146,6 +154,54 @@ class TestPredictCommand:
         bad.write_text("not a model\n", encoding="utf-8")
         code = run_cli("predict", "--model", str(bad), "--user", "a", "--item", "b")
         assert code == 2
+
+    def test_repeated_sidecar_id_is_data_error(self, model_path, capsys):
+        sidecar = _ids_sidecar_path(model_path)
+        lines = sidecar.read_text(encoding="utf-8").splitlines()
+        kind, uid, _ = lines[0].split("\t")
+        lines.append(f"{kind}\t{uid}\t1")
+        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli("predict", "--model", str(model_path), "--user", uid, "--item", "m01")
+        assert code == 2
+        assert f"{sidecar}:{len(lines)}: user id {uid!r} listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+class TestUnreadableInputs:
+    """An input data file that cannot be opened or decoded is a data error
+    (exit 2) naming the file, whichever kind of file it is."""
+
+    def check(self, capsys, path, *argv):
+        assert run_cli(*argv) == 2
+        assert f"socrec: data error: cannot read {path}: " in capsys.readouterr().err
+
+    def test_ratings(self, tmp_path, capsys, fault):
+        path = tmp_path / "ratings.tsv"
+        make_unreadable(path, fault)
+        self.check(capsys, path, "train", "--method", "mf", "--ratings", str(path),
+                   "--out", str(tmp_path / "m.txt"))
+
+    def test_trust(self, tmp_path, capsys, fault):
+        path = tmp_path / "trust.tsv"
+        make_unreadable(path, fault)
+        self.check(capsys, path, "train", "--method", "social", "--ratings", TOY_RATINGS,
+                   "--trust", str(path), "--out", str(tmp_path / "m.txt"))
+
+    def test_model(self, tmp_path, capsys, fault):
+        path = tmp_path / "model.txt"
+        make_unreadable(path, fault)
+        self.check(capsys, path, "predict", "--model", str(path), "--user", "u01",
+                   "--item", "m01")
+
+    def test_id_sidecar(self, tmp_path, capsys, fault):
+        model = tmp_path / "model.txt"
+        assert run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                       "--max-epochs", "5", "--out", str(model)) == 0
+        sidecar = _ids_sidecar_path(model)
+        sidecar.unlink()
+        make_unreadable(sidecar, fault)
+        self.check(capsys, sidecar, "predict", "--model", str(model), "--user", "u01",
+                   "--item", "m01")
 
 
 class TestExperimentCommand:

@@ -19,6 +19,7 @@ from socrec import (
     split_ratings,
 )
 from socrec.evaluation import comparison_summary, paired_t_pvalue
+from socrec.similarity import pair_similarities
 from socrec.synthetic import clustered_dataset, shuffled_graph
 
 from helpers import random_graph, random_ratings, split_of
@@ -267,6 +268,16 @@ class TestRunSimilarityStudy:
         b = run_similarity_study(ratings, graph, min_out_degree=5, seed=9)
         np.testing.assert_array_equal(a.friend_sim_means, b.friend_sim_means)
         np.testing.assert_array_equal(a.random_sim_means, b.random_sim_means)
+
+    @pytest.mark.parametrize("kind", ["vss", "pcc"])
+    def test_friend_means_match_a_per_user_loop(self, kind):
+        ratings, graph, _ = clustered_dataset(num_users=80, num_clusters=8, seed=53)
+        study = run_similarity_study(ratings, graph, min_out_degree=5, seed=9, kind=kind)
+        assert study.user_indices.size > 0
+        for u, got in zip(study.user_indices, study.friend_sim_means):
+            friends = graph.out_neighbors(u)
+            sims = pair_similarities(ratings, kind, np.full(friends.size, u), friends)
+            assert got == pytest.approx(np.mean(sims), abs=1e-15)
 
     def test_constructed_perfect_homophily(self):
         """Friends share every rating, strangers none: fraction is 1."""

@@ -6,6 +6,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from socrec import SimilarityTable, TrustGraph, _kernels, factorization, objective_social, train
 
@@ -25,6 +27,28 @@ from oracles import (
     brute_social_gradient,
     brute_vss,
 )
+
+
+_RATING = st.one_of(st.integers(1, 5).map(float), st.floats(1.0, 5.0))
+
+
+@st.composite
+def similarity_instances(draw):
+    """(number of items, rating rows, edges, edge block size) for the edge
+    similarity kernels. User 0 rates nothing, user 1 only the two lowest
+    items and user 2 only the two highest, so edge (1, 2) has a destination
+    row entirely above the source's last item. The first block of edges
+    starts at user 0 and the second ends at it, so one side of each gathers
+    no entries; the drawn users may rate nothing too."""
+    num_items = draw(st.integers(4, 8))
+    rows = [{}, {0: draw(_RATING), 1: draw(_RATING)},
+            {num_items - 2: draw(_RATING), num_items - 1: draw(_RATING)}]
+    rows += draw(st.lists(st.dictionaries(st.integers(0, num_items - 1), _RATING), max_size=8))
+    block = draw(st.integers(1, 5))
+    user = st.integers(0, len(rows) - 1)
+    edges = ([(0, draw(user)) for _ in range(block)] + [(draw(user), 0) for _ in range(block)]
+             + [(1, 2), (2, 1)] + draw(st.lists(st.tuples(user, user), max_size=30)))
+    return num_items, rows, edges, block
 
 
 @pytest.fixture(scope="module")
@@ -182,14 +206,16 @@ class TestEdgeSimilarities:
         assert pcc[3] == pcc[4] == 0.0  # zero-variance user, either direction
         assert vss[3] > 0.0
 
-    def test_random_instance_over_several_edge_blocks(self, monkeypatch):
-        rng = np.random.default_rng(63)
-        ratings = random_ratings(rng, 30, 12)
-        graph = random_graph(rng, 30, edge_prob=0.2)
-        rows = [dict(zip(*map(np.ndarray.tolist, ratings.items_of(u)))) for u in range(30)]
-        monkeypatch.setattr(_kernels, "EDGE_BLOCK", 5)
-        pcc, vss = self.edge_values(ratings, graph.edge_src, graph.edge_dst)
-        for e, (u, f) in enumerate(zip(graph.edge_src, graph.edge_dst)):
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(similarity_instances())
+    def test_random_instance_over_several_edge_blocks(self, monkeypatch, instance):
+        num_items, rows, edges, block = instance
+        monkeypatch.setattr(_kernels, "EDGE_BLOCK", block)
+        ratings = ratings_from_dicts(num_items, *rows)
+        src, dst = zip(*edges)
+        pcc, vss = self.edge_values(ratings, src, dst)
+        for e, (u, f) in enumerate(edges):
             assert pcc[e] == pytest.approx(brute_pcc(rows[u], rows[f]), abs=1e-12)
             assert vss[e] == pytest.approx(brute_vss(rows[u], rows[f]), abs=1e-12)
 

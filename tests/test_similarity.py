@@ -213,6 +213,17 @@ class TestBuildSimilarityTable:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SimilarityTable(graph, np.array([0.5, np.nan]))
 
+    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
+    def test_unreadable_cache_is_data_error(self, tmp_path, fault):
+        graph = TrustGraph.from_edges(3, [(0, 1)])
+        path = tmp_path / "sim.txt"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"0 1 \xff\n")
+        with pytest.raises(DataFileError, match=re.escape(f"cannot read {path}: ")):
+            load_similarity_table(path, graph)
+
     @pytest.mark.parametrize("line", ["1 2", "1 x 0.5", "1 2 nan", "1 2 1.5"])
     def test_bad_cache_line_is_data_error_with_line_number(self, tmp_path, line):
         graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])

@@ -30,12 +30,30 @@ def test_oracles_import_no_package_code():
     assert offending == []
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
-    """scipy.sparse is imported on first use by the kernels, so starting the
-    CLI (``socrec predict`` included) does not pay for it."""
+# builds both edge similarity tables and runs the similarity study on the
+# bundled toy data
+SIMILARITY_PROBE = """
+from socrec import (SimilarityKind, build_similarity_table, load_dataset,
+                    run_similarity_study, toydata)
+ratings, graph, _ = load_dataset(toydata.ratings_path(), toydata.trust_path())
+for kind in (SimilarityKind.pcc(), SimilarityKind.vss()):
+    build_similarity_table(ratings, graph, kind)
+run_similarity_study(ratings, graph, min_out_degree=1)
+"""
+
+
+def _probe_loads_scipy_sparse(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = "import sys, socrec, socrec.cli; print('scipy.sparse' in sys.modules)"
+    probe = f"{code}\nimport sys; print('scipy.sparse' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse is imported on first use by the training kernels, so
+    starting the CLI (``socrec predict`` included) does not pay for it, and
+    neither do the edge similarities nor the similarity study."""
+    assert not _probe_loads_scipy_sparse("import socrec, socrec.cli")
+    assert not _probe_loads_scipy_sparse(SIMILARITY_PROBE)
