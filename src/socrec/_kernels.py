@@ -16,15 +16,17 @@ the row sums of ``W + Wᵀ``. The gradient of ``(alpha/2) tr(Pᵀ L P)`` is
 ``alpha L @ P``, so one product gives both the gradient and the penalty
 ``(1/2) sum(P * alpha L @ P)``.
 
-Training epoch. ``factorization.train`` builds ``E`` (``residual_matrix``)
-once per call and takes ``L`` from the similarity table, which builds it once
-(``SimilarityTable.laplacian``); it passes both to the public names below and
-updates the factors in place. Each objective
-writes its residuals into ``E`` (``squared_error_sum(..., out=E.data)``) and,
-when another step follows, takes its penalty from ``alpha L @ P``
-(``social_gradient(..., laplacian=L)``); the next step's ``rating_gradients``
-and social pull reuse both, so a run of ``n`` epochs makes ``n + 1``
-residual passes and ``n + 1`` products with ``L``.
+Training epoch. ``factorization.train`` builds one epoch object per call.
+It holds ``E`` (``residual_matrix``), its transpose ``Eᵀ``, which shares
+``E.data``, and ``L`` from the similarity table, which builds it once
+(``SimilarityTable.laplacian``). The object passes them to the public names
+below and updates the factors in place. Its ``terms`` writes the residuals
+into ``E`` (``squared_error_sum(..., out=E.data)``) and, when another step
+follows, takes the social penalty from ``alpha L @ P``
+(``social_gradient(..., laplacian=L)``). Its ``step`` reuses both:
+``rating_gradients(..., resid=E, resid_t=Eᵀ)`` and that pull. A run of ``n``
+epochs thus makes ``n + 1`` residual passes and ``n + 1`` products with
+``L``.
 
 Similarity. For a block of ``EDGE_BLOCK`` edges, the rated entries of both
 ends of each edge are gathered and keyed ``local_edge * span + item``; rows
@@ -97,10 +99,10 @@ def residual_matrix(user_ptr, items, num_items):
                 shape=(user_ptr.shape[0] - 1, num_items))
 
 
-def data_gradients(resid, user_f, item_f):
+def data_gradients(resid, user_f, item_f, resid_t=None):
     """Data-term gradients (resid @ item_f, residᵀ @ user_f) of a sparse
-    residual matrix."""
-    return resid @ item_f, resid.T @ user_f
+    residual matrix; ``resid_t`` is ``resid.T`` when the caller keeps it."""
+    return resid @ item_f, (resid.T if resid_t is None else resid_t) @ user_f
 
 
 def social_laplacian(num_users, edge_src, edge_dst, edge_sim):
@@ -200,18 +202,19 @@ def squared_error_sum(user_f, item_f, users, items, values, *, out=None):
     return sum_squares(residuals(user_f, item_f, users, items, values, out))
 
 
-def rating_gradients(user_f, item_f, users, items, values, *, resid=None):
+def rating_gradients(user_f, item_f, users, items, values, *, resid=None, resid_t=None):
     """Data-term gradients: d_user[u] += err * q_i and d_item[i] += err * p_u
     per entry, with err = p_u . q_i - r. Repeated pairs each contribute.
 
     ``resid`` is the residual matrix of these entries at these factors, when
     the caller already holds it (see ``residual_matrix``); the residual pass
-    is then skipped.
+    is then skipped. ``resid_t`` is ``resid.T``, when the caller keeps that
+    too; it must share ``resid.data``.
     """
     if resid is None:
         err = residuals(user_f, item_f, users, items, values, np.empty(users.shape[0]))
         resid = _csr((err, (users, items)), shape=(user_f.shape[0], item_f.shape[0]))
-    return data_gradients(resid, user_f, item_f)
+    return data_gradients(resid, user_f, item_f, resid_t)
 
 
 def social_penalty(user_f, edge_src, edge_dst, edge_sim, *, laplacian=None):

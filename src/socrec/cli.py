@@ -142,8 +142,9 @@ def read_config_file(path) -> dict:
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -290,6 +291,9 @@ def _read_ids_sidecar(path, model: FactorModel):
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    out = Path(cfg.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {out}: not a file in an existing directory")
     method = args.method
     ratings, graph, ids = _load(cfg, need_trust=(method == "social"))
     hp = cfg.hyperparams
@@ -300,7 +304,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     else:
         model, report = train(ratings, hp)
 
-    out = Path(cfg.out)
     save_model(model, out)
     _write_ids_sidecar(_ids_sidecar_path(out), ids)
     report_path = Path(str(out) + ".report.json")
@@ -462,9 +465,6 @@ def main(argv=None) -> int:
         print(f"socrec: error: {exc}", file=sys.stderr)
         return 1
     except DataFileError as exc:
-        print(f"socrec: data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"socrec: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

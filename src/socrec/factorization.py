@@ -120,118 +120,118 @@ def predict(model: FactorModel, u, i):
     )
 
 
-def _scratch(model: FactorModel, state):
-    """Arrays shaped like the user and item factors for products that are
-    summed or added at once: the state's, reused every epoch, or new ones."""
-    if state is None:
-        return np.empty_like(model.user_factors), np.empty_like(model.item_factors)
-    return state.user_scratch, state.item_scratch
-
-
-def _l2_penalty(model: FactorModel, lam: float, scratch) -> float:
-    if lam == 0.0:
-        return 0.0
-    uf, it = model.user_factors, model.item_factors
-    return 0.5 * lam * (float(np.sum(np.multiply(uf, uf, out=scratch[0])))
-                        + float(np.sum(np.multiply(it, it, out=scratch[1]))))
-
-
 def _has_social_term(graph: TrustGraph | None, hp: Hyperparams) -> bool:
     """Whether the social penalty contributes: alpha > 0 on a graph with edges."""
     return graph is not None and hp.alpha != 0.0 and graph.num_edges > 0
 
 
-@dataclass
-class _EpochState:
-    """Operands ``train`` builds once and hands to every epoch's objective
-    and gradients.
+class _Epoch:
+    """The operands of one training, built once, and the passes of its
+    epochs over them: ``terms`` and ``step``.
 
-    ``resid`` is the residual matrix over the train pattern. Each objective
-    writes the residuals at the current factors into it, and the following
-    ``gradients_social`` reads them there instead of making its own pass.
-    While ``keep_pull`` is set, the objective leaves the social gradient
-    alpha L @ P in ``pull`` for the next step and takes its penalty from it;
-    with no next step it takes the penalty alone. ``user_scratch`` and
-    ``item_scratch`` take the elementwise products of the L2 and social
-    penalties and the ``lam * factors`` of the gradients, so an epoch
-    allocates no full-size temporary for them.
+    It holds the train entries, their residual matrix ``E``
+    (``residual_matrix``) with ``Eᵀ``, which shares ``E.data``, the social
+    Laplacian ``L`` (``sim.laplacian()``) when the social term contributes,
+    two scratch arrays shaped like the user and item factors, and ``lam`` and
+    ``alpha``. ``terms`` writes the residuals at the current factors into
+    ``E.data`` and, with ``keep_pull``, leaves the social pull ``alpha L @ P``
+    in ``pull``; the following ``gradients`` read both there instead of
+    recomputing them. The scratch arrays take the elementwise products of
+    the L2 and social penalties and the ``lam * factors`` of the gradients,
+    so an epoch allocates no full-size temporary for them.
     """
 
-    resid: object
-    user_scratch: np.ndarray
-    item_scratch: np.ndarray
-    keep_pull: bool = True
-    pull: np.ndarray | None = None
+    def __init__(self, model: FactorModel, train: SparseRatings, hp: Hyperparams,
+                 graph: TrustGraph | None = None, sim: SimilarityTable | None = None):
+        self.model = model
+        self.entries = (train.users, train.items, train.values)
+        self.resid = _kernels.residual_matrix(train.user_ptr, train.items, train.num_items)
+        self.resid_t = self.resid.T
+        social = _has_social_term(graph, hp)
+        self.edges = (graph.edge_src, graph.edge_dst, sim.values) if social else None
+        self.laplacian = sim.laplacian() if social else None
+        self.scratch = (np.empty_like(model.user_factors), np.empty_like(model.item_factors))
+        self.lam, self.alpha = hp.lam, hp.alpha
+        self.pull = None
+
+    def terms(self, keep_pull: bool = True) -> tuple[float, float, float]:
+        """The data, L2 and social terms of the objective at the current
+        factors; the objective is ``(data + l2) + social``.
+
+        With ``keep_pull`` the social term is half the pull dotted with
+        ``P`` (the penalty of a quadratic form), and the pull stays for the
+        next ``gradients``; without, it is ``social_penalty`` alone.
+        """
+        user_f, item_f = self.model.user_factors, self.model.item_factors
+        data = 0.5 * _kernels.squared_error_sum(user_f, item_f, *self.entries,
+                                                out=self.resid.data)
+        l2 = 0.0
+        if self.lam != 0.0:
+            user_sq, item_sq = self.scratch
+            l2 = 0.5 * self.lam * (float(np.sum(np.multiply(user_f, user_f, out=user_sq)))
+                                   + float(np.sum(np.multiply(item_f, item_f, out=item_sq))))
+        if self.laplacian is None:
+            return data, l2, 0.0
+        if not keep_pull:
+            return data, l2, 0.5 * self.alpha * _kernels.social_penalty(
+                user_f, *self.edges, laplacian=self.laplacian)
+        self.pull = _kernels.social_gradient(user_f, *self.edges, self.alpha,
+                                             laplacian=self.laplacian)
+        return data, l2, 0.5 * float(np.sum(np.multiply(user_f, self.pull, out=self.scratch[0])))
+
+    def gradients(self):
+        """(d_user, d_item) at the factors of the last ``terms``, from the
+        residuals and the pull it left."""
+        user_f, item_f = self.model.user_factors, self.model.item_factors
+        d_user, d_item = _kernels.rating_gradients(user_f, item_f, *self.entries,
+                                                   resid=self.resid, resid_t=self.resid_t)
+        if self.lam != 0.0:
+            # lam * factors is rounded before it is added, as in d + lam * f
+            for d, f, scaled in zip((d_user, d_item), (user_f, item_f), self.scratch):
+                d += np.multiply(f, self.lam, out=scaled)
+        if self.laplacian is not None:
+            d_user += self.pull
+        return d_user, d_item
+
+    def step(self, eta: float):
+        """One descent update of the factors in place, after ``terms`` with
+        ``keep_pull`` at the current factors: scales the gradients by
+        ``eta`` and subtracts them."""
+        d_user, d_item = self.gradients()
+        d_user *= eta
+        d_item *= eta
+        self.model.user_factors -= d_user
+        self.model.item_factors -= d_item
 
 
-def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams, *,
-                    state: _EpochState | None = None) -> float:
+def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams) -> float:
     """Half the squared rating error plus the L2 penalty on both factor sets."""
-    sse = _kernels.squared_error_sum(
-        model.user_factors, model.item_factors,
-        train.users, train.items, train.values,
-        out=None if state is None else state.resid.data,
-    )
-    return 0.5 * sse + _l2_penalty(model, hp.lam, _scratch(model, state))
+    data, l2, _ = _Epoch(model, train, hp).terms(keep_pull=False)
+    return data + l2
 
 
-def objective_social(
-    model: FactorModel,
-    train: SparseRatings,
-    graph: TrustGraph,
-    sim: SimilarityTable,
-    hp: Hyperparams,
-    *,
-    state: _EpochState | None = None,
-) -> float:
+def objective_social(model: FactorModel, train: SparseRatings, graph: TrustGraph,
+                     sim: SimilarityTable, hp: Hyperparams) -> float:
     """Basic objective plus the similarity-weighted factor smoothness penalty
     over out-link edges."""
-    value = objective_basic(model, train, hp, state=state)
-    if not _has_social_term(graph, hp):
-        return value
-    user_f = model.user_factors
-    edges = (graph.edge_src, graph.edge_dst, sim.values)
-    if state is None or not state.keep_pull:
-        return value + 0.5 * hp.alpha * _kernels.social_penalty(
-            user_f, *edges, laplacian=sim.laplacian())
-    # the penalty of a quadratic form is half its gradient dotted with P
-    state.pull = _kernels.social_gradient(user_f, *edges, hp.alpha, laplacian=sim.laplacian())
-    return value + 0.5 * float(np.sum(np.multiply(user_f, state.pull, out=state.user_scratch)))
+    data, l2, social = _Epoch(model, train, hp, graph, sim).terms(keep_pull=False)
+    return data + l2 + social
 
 
-def gradients_social(
-    model: FactorModel,
-    train: SparseRatings,
-    graph: TrustGraph,
-    sim: SimilarityTable,
-    hp: Hyperparams,
-    *,
-    state: _EpochState | None = None,
-):
+def gradients_social(model: FactorModel, train: SparseRatings, graph: TrustGraph,
+                     sim: SimilarityTable, hp: Hyperparams):
     """Analytic gradients of the social objective.
 
     Returns (d_user, d_item) with the factor array shapes. Each trust edge
     (u, f) with similarity s contributes alpha*s*(p_u - p_f) to the source
     row and alpha*s*(p_f - p_u) to the destination row, i.e. the out-link
     and in-link terms of the derivative; the in-link term reads the
-    similarity stored on the existing edge. With ``state``, the residuals
-    and the social pull are those the last objective left there.
+    similarity stored on the existing edge. Computed as in a training
+    epoch: ``terms`` at the factors, then ``gradients``.
     """
-    d_user, d_item = _kernels.rating_gradients(
-        model.user_factors, model.item_factors,
-        train.users, train.items, train.values,
-        resid=None if state is None else state.resid,
-    )
-    if hp.lam != 0.0:
-        # lam * factors is rounded before it is added, as in d + lam * f
-        for d, f, scaled in zip((d_user, d_item), (model.user_factors, model.item_factors),
-                                _scratch(model, state)):
-            d += np.multiply(f, hp.lam, out=scaled)
-    if _has_social_term(graph, hp):
-        d_user += state.pull if state is not None else _kernels.social_gradient(
-            model.user_factors, graph.edge_src, graph.edge_dst, sim.values, hp.alpha,
-            laplacian=sim.laplacian())
-    return d_user, d_item
+    epoch = _Epoch(model, train, hp, graph, sim)
+    epoch.terms()
+    return epoch.gradients()
 
 
 def train(
@@ -247,12 +247,12 @@ def train(
     hp.tolerance or after hp.max_epochs epochs. Raises DivergenceError if
     factors or the objective leave the finite range.
 
-    The residuals and the social pull ``alpha L @ P`` computed for the
-    objective after an update are reused for the next update's gradient
-    (see ``_EpochState``), so every epoch makes one residual pass. ``L`` is
-    ``sim.laplacian()``, built once per table, so trainings that share a
-    table share it. The update scales the gradients and subtracts them in
-    place.
+    One ``_Epoch`` per call holds the operands every epoch reuses. Each
+    epoch is its ``step`` (gradients from the residuals and the social pull
+    ``alpha L @ P`` that the last ``terms`` left, then an in-place update)
+    and its ``terms`` at the new factors, so every epoch makes one residual
+    pass. ``L`` is ``sim.laplacian()``, built once per table, so trainings
+    that share a table share it.
     """
     if (graph is None) != (sim is None):
         raise ValueError("graph and sim must be supplied together or not at all")
@@ -265,35 +265,25 @@ def train(
 
     model = init_model(ratings.num_users, ratings.num_items, hp)
     model.global_mean = ratings.global_mean()
-    state = _EpochState(
-        _kernels.residual_matrix(ratings.user_ptr, ratings.items, ratings.num_items),
-        *_scratch(model, None))
-
-    def objective() -> float:
-        if graph is None:
-            return objective_basic(model, ratings, hp, state=state)
-        return objective_social(model, ratings, graph, sim, hp, state=state)
-
+    epoch = _Epoch(model, ratings, hp, graph, sim)
     report = TrainReport()
-    previous = objective()
+    data, l2, social = epoch.terms()
+    previous = data + l2 + social
     eta = hp.learning_rate
     # overflow to inf/nan is detected and raised as DivergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, hp.max_epochs + 1):
-            d_user, d_item = gradients_social(model, ratings, graph, sim, hp, state=state)
-            d_user *= eta
-            d_item *= eta
-            model.user_factors -= d_user
-            model.item_factors -= d_item
+        for n in range(1, hp.max_epochs + 1):
+            epoch.step(eta)
             if not (np.isfinite(model.user_factors).all()
                     and np.isfinite(model.item_factors).all()):
-                raise DivergenceError(epoch)
-            state.keep_pull = epoch < hp.max_epochs
-            current = objective()
+                raise DivergenceError(n)
+            # the last epoch's pull would feed no step
+            data, l2, social = epoch.terms(keep_pull=n < hp.max_epochs)
+            current = data + l2 + social
             if not np.isfinite(current):
-                raise DivergenceError(epoch)
+                raise DivergenceError(n)
             report.objective_per_epoch.append(current)
-            report.epochs_run = epoch
+            report.epochs_run = n
             if abs(current - previous) / max(1.0, previous) < hp.tolerance:
                 report.converged = True
                 break

@@ -65,16 +65,18 @@ def clustered_dataset(
 
     edges = set()
     member_lists = [np.nonzero(labels == c)[0] for c in range(num_clusters)]
+    other_lists = [np.nonzero(labels != c)[0] for c in range(num_clusters)]
     for u in range(num_users):
         own = member_lists[labels[u]]
         own = own[own != u]
-        others = np.nonzero(labels != labels[u])[0]
+        others = other_lists[labels[u]]
         targets = set()
         guard = 0
         while len(targets) < out_degree and guard < 50 * out_degree:
             guard += 1
             pool = own if rng.random() < intra_fraction else others
-            targets.add(int(rng.choice(pool)))
+            # draws what rng.choice(pool) draws, without its per-call checks
+            targets.add(int(pool[rng.integers(pool.size)]))
         edges.update((u, t) for t in targets)
     graph = TrustGraph.from_edges(num_users, edges)
     return ratings, graph, labels

@@ -189,3 +189,34 @@ def scalar_cold_start_positions(user_ptr, threshold, seed):
         if 1 <= hi - lo < threshold:
             picks.append(int(rng.integers(lo, hi)))
     return picks
+
+
+def loop_clustered_dataset(num_users, num_items, num_clusters, ratings_per_user,
+                           out_degree, intra_fraction, noise_sd, seed):
+    """The clustered generator with its per-user pool of other-cluster users
+    rebuilt for every user and one ``rng.choice`` per drawn target: (rating
+    users, items and values as lists, the set of edges, the cluster labels).
+    Ratings are clipped to the rating range [1, 5]."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(num_users) % num_clusters
+    prototypes = rng.uniform(1.0, 5.0, size=(num_clusters, num_items))
+    users, items, values = [], [], []
+    for u in range(num_users):
+        rated = rng.choice(num_items, size=ratings_per_user, replace=False)
+        noisy = prototypes[labels[u], rated] + rng.normal(0.0, noise_sd, rated.size)
+        users.extend([u] * rated.size)
+        items.extend(rated.tolist())
+        values.extend(np.clip(noisy, 1.0, 5.0).tolist())
+    edges = set()
+    for u in range(num_users):
+        own = np.nonzero(labels == labels[u])[0]
+        own = own[own != u]
+        others = np.nonzero(labels != labels[u])[0]
+        targets = set()
+        guard = 0
+        while len(targets) < out_degree and guard < 50 * out_degree:
+            guard += 1
+            pool = own if rng.random() < intra_fraction else others
+            targets.add(int(rng.choice(pool)))
+        edges.update((u, t) for t in targets)
+    return users, items, values, edges, labels

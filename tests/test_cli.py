@@ -81,6 +81,14 @@ class TestTrainCommand:
                        "--out", str(tmp_path / "m.txt"))
         assert code == 3
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_out_outside_a_directory_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "m.txt" if where == "missing-dir" else tmp_path
+        code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                       "--max-epochs", "5", "--out", str(out))
+        assert code == 1
+        assert f"socrec: error: --out {out}: " in capsys.readouterr().err
+
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
                        "--k", "0", "--out", str(tmp_path / "m.txt"))
@@ -291,6 +299,14 @@ class TestConfigFile:
                        "--config", str(cfg), "--out", str(tmp_path / "m.txt"))
         assert code == 1
         assert "mystery" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = \xff\n")
+        code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                       "--config", str(cfg), "--out", str(tmp_path / "m.txt"))
+        assert code == 1
+        assert f"socrec: error: cannot read config file {cfg}: " in capsys.readouterr().err
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -232,33 +232,67 @@ class TestFusedEpoch:
             objective_social(model, ratings, graph, sim, self.HP), rel=1e-12)
 
     def test_training_steps_match_freshly_computed_gradients(self, instance, monkeypatch):
-        """Each epoch's reused residuals and pull give the gradients and
-        objectives that gradients_social and objective_social compute from
-        scratch at the same factors."""
+        """Each epoch's reused residuals, cached ``Eᵀ`` and pull give the
+        gradients that the kernels compute from scratch at the same factors,
+        and each epoch's terms the objective that objective_social gives."""
         ratings, graph, sim, _, _ = instance
-        seen = {"gradients_social": 0, "objective_social": 0}
+        hp, entries = self.HP, (ratings.users, ratings.items, ratings.values)
+        edges = (graph.edge_src, graph.edge_dst, sim.values)
+        seen = {"gradients": 0, "terms": 0}
+        nested = []
 
-        def checked(name, compare):
-            original = getattr(factorization, name)
+        def fresh_gradients(model):
+            user_f, item_f = model.user_factors, model.item_factors
+            d_user, d_item = _kernels.rating_gradients(user_f, item_f, *entries)
+            return (d_user + hp.lam * user_f + _kernels.social_gradient(user_f, *edges, hp.alpha),
+                    d_item + hp.lam * item_f)
 
-            def wrapper(model, *args, state):
-                got = original(model, *args, state=state)
-                compare(got, original(model, *args))
-                seen[name] += 1
-                return got
-            monkeypatch.setattr(factorization, name, wrapper)
-
-        def same_gradients(got, expected):
-            for g, e in zip(got, expected):
+        def same_gradients(got, model):
+            for g, e in zip(got, fresh_gradients(model)):
                 np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-14)
 
-        def same_objective(got, expected):
-            assert got == pytest.approx(expected, rel=1e-13)
+        def same_objective(got, model):
+            data, l2, social = got
+            assert data + l2 + social == pytest.approx(
+                objective_social(model, ratings, graph, sim, hp), rel=1e-13)
 
-        checked("gradients_social", same_gradients)
-        checked("objective_social", same_objective)
-        train(ratings, self.HP, graph, sim)
-        assert seen == {"gradients_social": 25, "objective_social": 26}
+        def checked(name, compare):
+            original = getattr(factorization._Epoch, name)
+
+            def wrapper(epoch, *args, **kwargs):
+                got = original(epoch, *args, **kwargs)
+                if not nested:  # objective_social runs an epoch object of its own
+                    nested.append(name)
+                    compare(got, epoch.model)
+                    nested.pop()
+                    seen[name] += 1
+                return got
+            monkeypatch.setattr(factorization._Epoch, name, wrapper)
+
+        checked("gradients", same_gradients)
+        checked("terms", same_objective)
+        train(ratings, hp, graph, sim)
+        assert seen == {"gradients": 25, "terms": 26}
+
+    @pytest.mark.parametrize("lam,alpha", [(0.3, 0.8), (0.0, 0.8), (0.3, 0.0)])
+    def test_terms_match_the_oracles_and_sum_to_the_objective(self, instance, lam, alpha):
+        """The data, L2 and social terms each match the brute-force oracles,
+        and the last reported objective is their sum, bit for bit."""
+        ratings, graph, sim, _, _ = instance
+        hp = dataclasses.replace(self.HP, lam=lam, alpha=alpha)
+        model, report = train(ratings, hp, graph, sim)
+        user_f, item_f = model.user_factors.tolist(), model.item_factors.tolist()
+        edges = sim_edge_triples(graph, sim)
+        expected = (brute_objective_basic(user_f, item_f, entry_triples(ratings), 0.0),
+                    brute_objective_basic(user_f, item_f, [], lam),
+                    brute_objective_social(user_f, item_f, [], edges, 0.0, alpha))
+        terms = {keep_pull: factorization._Epoch(model, ratings, hp, graph, sim).terms(keep_pull)
+                 for keep_pull in (True, False)}
+        for got in terms.values():
+            assert got == pytest.approx(expected, rel=1e-12)
+        # training keeps no pull after its last epoch, unless it converged early
+        data, l2, social = terms[report.epochs_run < hp.max_epochs]
+        assert data + l2 + social == report.objective_per_epoch[-1]
 
     @pytest.mark.parametrize("social", [True, False])
     def test_epoch_calls_the_kernel_names(self, instance, monkeypatch, social):
