@@ -473,6 +473,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"socrec: divergence: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # the factor matrices are sized by --k, a configuration value
+        print(f"socrec: error: not enough memory: {exc}; lower --k", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

@@ -271,34 +271,57 @@ def run_similarity_study(
     if kind not in ("vss", "pcc"):
         raise ValueError("similarity study supports 'vss' or 'pcc'")
     rng = np.random.default_rng(seed)
+    num_users = graph.num_users
     degrees = graph.out_degrees()
-
-    # draw every peer set in user order, then score all pairs in one call;
-    # a peer is drawn as a rank among the non-excluded users, which picks
-    # the same user as drawing from the sorted eligible array itself
-    kept, skipped, others = [], [], []
-    for u in np.nonzero(degrees > min_out_degree)[0]:
-        friends = graph.out_neighbors(u)
-        excluded = np.unique(np.append(friends, u))
-        num_eligible = graph.num_users - excluded.size
-        if num_eligible < friends.size:
-            skipped.append(int(u))
-            continue
-        ranks = rng.choice(num_eligible, size=friends.size, replace=False)
-        # the rank-r eligible user is r plus the count of excluded users
-        # below it, and excluded[j] - j counts the eligible users below it
-        shift = np.searchsorted(excluded - np.arange(excluded.size), ranks, side="right")
-        kept.append(int(u))
-        others += [friends, ranks + shift]
+    users = np.nonzero(degrees > min_out_degree)[0]
+    # a user excludes its friends and itself; the graph has no self-loops
+    # or repeated edges, so that is deg + 1 distinct users
+    num_eligible = num_users - degrees[users] - 1
+    keep = num_eligible >= degrees[users]
+    kept, skipped = users[keep], users[~keep].tolist()
     if skipped:
         logger.warning(
             "similarity study skipped %d users with too few eligible peers", len(skipped)
         )
+    deg, num_eligible = degrees[kept], num_eligible[keep]
 
-    sizes = np.array([o.size for o in others], dtype=np.int64)
-    src = np.repeat(np.repeat(np.asarray(kept, dtype=np.int64), 2), sizes)
-    dst = np.concatenate(others) if others else np.empty(0, dtype=np.int64)
-    sims = pair_similarities(ratings, kind, src, dst)
+    # draw every peer set in user order as ranks among the eligible users;
+    # these calls are the random stream, everything else is array work
+    fr_start = np.cumsum(deg) - deg
+    ranks = np.empty(int(deg.sum()), dtype=np.int64)
+    for start, d, n in zip(fr_start.tolist(), deg.tolist(), num_eligible.tolist()):
+        ranks[start:start + d] = rng.choice(n, size=d, replace=False)
+
+    # the kept users' friend lists, concatenated, with each entry's owner
+    # (position in kept) and its index within the owner's list
+    owner = np.repeat(np.arange(kept.size), deg)
+    local = np.arange(ranks.size) - fr_start[owner]
+    owner_user = kept[owner]
+    friends = graph.edge_dst[graph.out_ptr[owner_user] + local]
+
+    # each owner's excluded users in ascending order, scattered: friends
+    # above the owner move up one slot to make room for the owner itself
+    ex_start = fr_start + np.arange(kept.size)
+    above = friends > owner_user
+    excluded = np.empty(ranks.size + kept.size, dtype=np.int64)
+    excluded[ex_start[owner] + local + above] = friends
+    excluded[ex_start + np.bincount(owner[~above], minlength=kept.size)] = kept
+
+    # the rank-r eligible user is r plus the count of excluded users below
+    # it, and excluded[j] - j counts the eligible users below excluded[j];
+    # keying by owner turns every owner's lookup into one searchsorted
+    span = num_users + 1
+    ex_owner = np.repeat(np.arange(kept.size), deg + 1)
+    keys = ex_owner * span + (excluded - (np.arange(excluded.size) - ex_start[ex_owner]))
+    shift = np.searchsorted(keys, owner * span + ranks, side="right") - ex_start[owner]
+
+    # score all pairs in one call: each kept user's friends, then its peers
+    slot = local + 2 * fr_start[owner]
+    dst = np.empty(2 * ranks.size, dtype=np.int64)
+    dst[slot] = friends
+    dst[slot + deg[owner]] = ranks + shift
+    sizes = np.repeat(deg, 2)
+    sims = pair_similarities(ratings, kind, np.repeat(kept, 2 * deg), dst)
     # one sum per peer set, each from its start to the next set's; every
     # set holds at least one user, so no segment is empty
     starts = np.cumsum(sizes) - sizes
@@ -321,14 +344,30 @@ def run_similarity_study(
 # --------------------------------------------------------------------------
 
 def paired_t_pvalue(sample_a, sample_b):
-    """Two-sided paired t-test p-value, or None when undefined."""
+    """Two-sided paired t-test p-value, or None when undefined.
+
+    None for fewer than two pairs, samples of unequal size, or identical
+    samples (their t statistic is 0/0, a NaN p-value). The arithmetic is
+    the one ``scipy.stats.ttest_rel`` runs (scipy 1.17): a one-sample
+    t-test of ``a - b`` against 0 with the Student-t tail from
+    ``scipy.special.stdtr``, so the p-values are equal bit for bit.
+    ``scipy.stats`` is not imported, because its import adds about 1 s and
+    45 MB to a process (2 vCPUs); its "catastrophic cancellation"
+    RuntimeWarning on nearly identical samples is therefore not raised.
+    """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size < 2 or a.size != b.size:
         return None
-    from scipy.stats import ttest_rel
+    from scipy.special import stdtr
 
-    p = float(ttest_rel(a, b).pvalue)
+    d = a - b
+    n = d.size
+    mean = np.mean(d)
+    var = np.mean((d - mean) ** 2) * (n / (n - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = mean / np.sqrt(var / n)
+    p = float(2 * stdtr(n - 1.0, -np.abs(t)))
     return None if np.isnan(p) else p
 
 

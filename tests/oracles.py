@@ -220,3 +220,35 @@ def loop_clustered_dataset(num_users, num_items, num_clusters, ratings_per_user,
             targets.add(int(rng.choice(pool)))
         edges.update((u, t) for t in targets)
     return users, items, values, edges, labels
+
+
+def loop_similarity_study(num_users, out_ptr, edge_dst, min_out_degree, seed,
+                          similarity):
+    """The similarity study's peer draws as one loop iteration per user
+    with out-degree above ``min_out_degree``: the excluded set from
+    ``np.unique``, one ``rng.choice`` over the eligible ranks and a
+    ``searchsorted`` per user. ``out_ptr``/``edge_dst`` are the graph's
+    out-link CSR and ``similarity(src, dst)`` scores user pairs. Returns
+    (kept users, friend means, random means, skipped users)."""
+    rng = np.random.default_rng(seed)
+    kept, skipped, others = [], [], []
+    for u in range(num_users):
+        friends = edge_dst[out_ptr[u]:out_ptr[u + 1]]
+        if friends.size <= min_out_degree:
+            continue
+        excluded = np.unique(np.append(friends, u))
+        num_eligible = num_users - excluded.size
+        if num_eligible < friends.size:
+            skipped.append(u)
+            continue
+        ranks = rng.choice(num_eligible, size=friends.size, replace=False)
+        shift = np.searchsorted(excluded - np.arange(excluded.size), ranks, side="right")
+        kept.append(u)
+        others += [friends, ranks + shift]
+    sizes = np.array([o.size for o in others], dtype=np.int64)
+    src = np.repeat(np.repeat(np.asarray(kept, dtype=np.int64), 2), sizes)
+    dst = np.concatenate(others) if others else np.empty(0, dtype=np.int64)
+    sims = similarity(src, dst)
+    starts = np.cumsum(sizes) - sizes
+    means = np.add.reduceat(sims, starts) / sizes if sizes.size else np.empty(0)
+    return np.asarray(kept, dtype=np.int64), means[0::2], means[1::2], skipped

@@ -95,6 +95,15 @@ class TestTrainCommand:
         assert code == 1
         assert "k must be" in capsys.readouterr().err
 
+    def test_huge_k_is_usage_error(self, tmp_path, capsys):
+        # numpy refuses the 14.6 TiB factor matrix without touching memory
+        code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                       "--k", "100000000000", "--out", str(tmp_path / "m.txt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("socrec: error: not enough memory: ")
+        assert err.rstrip().endswith("; lower --k")
+
 
 class TestPredictCommand:
     @pytest.fixture()
@@ -272,6 +281,15 @@ class TestExperimentCommand:
         assert "fraction_positive = 1.0000" in capsys.readouterr().out
         summary = (out_dir / "sim-study-summary.csv").read_text().splitlines()
         assert summary[1].startswith("1,")
+
+    def test_huge_k_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("experiment", "--which", "compare",
+                       "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
+                       "--k", "100000000000", "--out-dir", str(tmp_path / "res"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("socrec: error: not enough memory: ")
+        assert err.rstrip().endswith("; lower --k")
 
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
         code = run_cli("experiment", "--which", "nonsense",

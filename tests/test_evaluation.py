@@ -1,5 +1,6 @@
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from socrec.similarity import pair_similarities
 from socrec.synthetic import clustered_dataset, shuffled_graph
 
 from helpers import random_graph, random_ratings, split_of
+from oracles import loop_similarity_study
 
 
 def planted_hp(**kw):
@@ -278,6 +280,38 @@ class TestRunSimilarityStudy:
             friends = graph.out_neighbors(u)
             sims = pair_similarities(ratings, kind, np.full(friends.size, u), friends)
             assert got == pytest.approx(np.mean(sims), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["vss", "pcc"])
+    @pytest.mark.parametrize("seed", [0, 9, 31])
+    @pytest.mark.parametrize("min_out_degree", [1, 3, 5])
+    def test_matches_the_per_user_loop(self, kind, seed, min_out_degree):
+        """Bitwise equal to the per-user loop, on a clustered graph where
+        every qualifying user is kept and on a dense 14-user graph where
+        some have too few eligible peers and are skipped."""
+        clustered = clustered_dataset(num_users=80, num_clusters=8, seed=53)[:2]
+        rng = np.random.default_rng(seed)
+        dense = (random_ratings(rng, 14, 10), random_graph(rng, 14, edge_prob=0.55))
+        for ratings, graph in (clustered, dense):
+            study = run_similarity_study(ratings, graph, min_out_degree, seed, kind)
+            kept, friend, peer, skipped = loop_similarity_study(
+                graph.num_users, graph.out_ptr, graph.edge_dst, min_out_degree, seed,
+                partial(pair_similarities, ratings, kind))
+            np.testing.assert_array_equal(study.user_indices, kept)
+            np.testing.assert_array_equal(study.friend_sim_means, friend)
+            np.testing.assert_array_equal(study.random_sim_means, peer)
+            assert study.skipped_users == skipped
+
+    def test_every_user_skipped(self, caplog):
+        """On a complete 5-user graph nobody has enough eligible peers."""
+        rng = np.random.default_rng(57)
+        ratings = random_ratings(rng, 5, 5)
+        graph = TrustGraph.from_edges(5, [(a, b) for a in range(5) for b in range(5)])
+        with caplog.at_level(logging.WARNING):
+            study = run_similarity_study(ratings, graph, min_out_degree=1, seed=0)
+        assert study.skipped_users == [0, 1, 2, 3, 4]
+        assert study.user_indices.size == study.friend_sim_means.size == 0
+        assert study.fraction_positive == 0.0
+        assert "skipped 5 users" in caplog.text
 
     def test_constructed_perfect_homophily(self):
         """Friends share every rating, strangers none: fraction is 1."""

@@ -42,10 +42,11 @@ run_similarity_study(ratings, graph, min_out_degree=1)
 """
 
 
-def _probe_loads_scipy_sparse(code):
+def _probe_loads(code, module):
+    """Whether running ``code`` in a fresh interpreter imports ``module``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = f"{code}\nimport sys; print('scipy.sparse' in sys.modules)"
+    probe = f"{code}\nimport sys; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     return result.stdout.strip().splitlines()[-1] == "True"
@@ -55,5 +56,26 @@ def test_package_import_leaves_scipy_sparse_unloaded():
     """scipy.sparse is imported on first use by the training kernels, so
     starting the CLI (``socrec predict`` included) does not pay for it, and
     neither do the edge similarities nor the similarity study."""
-    assert not _probe_loads_scipy_sparse("import socrec, socrec.cli")
-    assert not _probe_loads_scipy_sparse(SIMILARITY_PROBE)
+    assert not _probe_loads("import socrec, socrec.cli", "scipy.sparse")
+    assert not _probe_loads(SIMILARITY_PROBE, "scipy.sparse")
+
+
+def test_package_import_leaves_scipy_special_and_stats_unloaded():
+    """scipy.special is imported by the first p-value, not at start-up."""
+    for module in ("scipy.special", "scipy.stats"):
+        assert not _probe_loads("import socrec, socrec.cli", module)
+
+
+def test_compare_experiment_never_loads_scipy_stats(tmp_path):
+    """The paired t-tests of a full comparison run without scipy.stats."""
+    code = f"""
+from socrec import toydata
+from socrec.cli import main
+argv = ["experiment", "--which", "compare", "--ratings", str(toydata.ratings_path()),
+        "--trust", str(toydata.trust_path()), "--fractions", "0.9", "--seeds", "1,2",
+        "--max-epochs", "40", "--out-dir", {str(tmp_path / "res")!r}]
+if main(argv) != 0:
+    raise SystemExit("compare failed")
+"""
+    assert not _probe_loads(code, "scipy.stats")
+    assert (tmp_path / "res" / "compare-summary.csv").exists()
