@@ -141,7 +141,7 @@ def read_config_file(path) -> dict:
     """Parse a plain 'key = value' file into converted option values."""
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read config file {path}: {reason}") from None
@@ -272,7 +272,7 @@ def _read_ids_sidecar(path, model: FactorModel):
     maps = {"user": {}, "item": {}}
     rows = {"user": model.num_users, "item": model.num_items}
     with reading(path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] not in maps:

@@ -1,17 +1,23 @@
 """Sparse ratings storage, trust-graph storage, file ingestion and splitting.
 
-File formats: UTF-8 text, fields separated by spaces or tabs, blank lines and
-lines whose first field starts with ``#`` ignored. Ratings: ``<user_id>
-<item_id> <rating>`` per line. Trust: ``<truster_id> <trustee_id>`` per line.
+File formats: UTF-8 text (a leading byte-order mark is ignored), LF, CRLF
+or CR line ends, fields separated by any Unicode whitespace. Blank lines
+and lines whose first field starts with ``#`` are skipped. Ratings:
+``<user_id> <item_id> <rating>`` per line. Trust: ``<truster_id>
+<trustee_id>`` per line.
 
-The loaders parse ``LINE_BLOCK`` lines at a time: they count each line's
-fields (so a fault names its line), split the data lines into token columns,
-map ids to first-seen indices and convert ratings with ``float``. One
-``np.unique`` over ``user * num_items + item`` (``src * num_users + dst``)
-drops repeats and self-loops and yields canonical order. ``SparseRatings``
-keeps (user, item) order with a per-user index (``user_ptr``), ``TrustGraph``
-(source, destination) order with an out-link index (``out_ptr``); neither has
-a per-item or in-link index, nor sorts input that is already in order.
+The loaders read blocks of whole lines, about ``TEXT_BLOCK`` code points
+each (``_data_blocks``). numpy finds each line's field count and comment
+flag from the block's code points, so a fault names its line, and one
+``str.split`` of the block gives its tokens. ``dict.setdefault``, mapped
+in C over a token column, gives ids first-seen indices; only the ids a
+column adds are renumbered in Python (``_add_ids``). Ratings are converted
+with ``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
+num_users + dst``) drops repeats and self-loops and yields canonical order.
+``SparseRatings`` keeps (user, item) order with a per-user index
+(``user_ptr``), ``TrustGraph`` (source, destination) order with an
+out-link index (``out_ptr``); neither has a per-item or in-link index, nor
+sorts input that is already in order.
 """
 
 from contextlib import contextmanager
@@ -20,9 +26,17 @@ from itertools import chain, compress, count, islice
 
 import numpy as np
 
-# lines a loader parses, and rows save_ratings formats, at once; small enough
-# that each block's tokens (about 1 MB) reuse the memory the last one freed
+# code points a loader reads at once, topped up to the next line end: an
+# ASCII block's arrays (1 byte per code point, 8 per field) then stay under
+# glibc's 128 KiB mmap threshold while fields with their separators average
+# over 4 code points (5.5 and 9 in the benchmark's trust and ratings files)
+TEXT_BLOCK = 1 << 16
+# rows save_ratings and SimilarityTable.save format per write
 LINE_BLOCK = 8192
+# str.isspace of every code point up to the last whitespace one (U+3000)
+# and one past it, which stands for all higher code points
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+_NEWLINE, _HASH = ord("\n"), ord("#")
 _NO_INDICES = np.empty(0, dtype=np.int64)
 
 
@@ -86,10 +100,16 @@ class IdMap:
 
 def _add_ids(index, names, ids):
     known = len(index)
-    setdefault = index.setdefault
-    out = np.array([setdefault(name, len(index)) for name in ids], dtype=np.int64)
-    # the ids added are the last entries of the insertion-ordered dict
-    names.extend(reversed(list(islice(reversed(index), len(index) - known))))
+    # an unseen id first gets its token's position past ``known``, so one
+    # C-level map does the lookups; only the ids it added are renumbered
+    out = np.fromiter(map(index.setdefault, ids, count(known)), np.int64, len(ids))
+    added = list(islice(reversed(index), len(index) - known))[::-1]
+    if added:
+        first_seen = np.fromiter(map(index.__getitem__, added), np.int64, len(added))
+        new = out >= known
+        out[new] = known + np.searchsorted(first_seen, out[new])
+        index.update(zip(added, count(known)))
+        names.extend(added)
     return out
 
 
@@ -278,6 +298,8 @@ def _last_of_each_pair(major, minor, span):
     """Distinct (major, minor) pairs in lexicographic order, and the position
     of each one's last occurrence; every ``minor`` is below ``span``."""
     keys = major * span + minor
+    if np.all(keys[1:] > keys[:-1]):
+        return major, minor, np.arange(keys.size)
     unique, first_from_end = np.unique(keys[::-1], return_index=True)
     return unique // span, unique % span, keys.size - 1 - first_from_end
 
@@ -315,44 +337,76 @@ class DatasetSplit:
 
 def _data_blocks(path, width):
     """Yield (line numbers, tokens in line order) of the data lines of a
-    text file, ``LINE_BLOCK`` lines at a time. A data line without ``width``
-    fields raises DataFileError naming it, after the lines before it were
-    yielded, so that a fault the caller finds on an earlier line wins."""
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
-        blocks = iter(lambda: list(islice(fh, LINE_BLOCK)), [])
-        for start, lines in zip(count(1, LINE_BLOCK), blocks):
-            fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    text file, a block of whole lines at a time (``TEXT_BLOCK`` code points
+    topped up to the next line end).
+
+    numpy does the line accounting over the block's code points (bytes when
+    the block is ASCII, else UTF-32): ``_SPACE`` marks whitespace, a field
+    starts at a non-space after a space or at the block's start, a line's
+    fields are the field starts from its first code point on (found with
+    ``searchsorted``), and a line is a comment when its first field starts
+    with ``#``. One ``str.split`` gives the block's tokens, and those of
+    blank, comment and faulty lines are dropped. A data line without
+    ``width`` fields raises DataFileError naming it, after the lines before
+    it were yielded, so that a fault the caller finds on an earlier line
+    wins."""
+    with reading(path), open(path, "r", encoding="utf-8-sig") as fh:
+        start = 1
+        while text := fh.read(TEXT_BLOCK):
+            if text[-1] != "\n":
+                text += fh.readline()
+            if text.isascii():
+                codes = np.frombuffer(text.encode("ascii"), np.uint8)
+            else:  # higher code points clip to the table's last, non-space entry
+                codes = np.minimum(np.frombuffer(text.encode("utf-32-le"), "<u4"),
+                                   _SPACE.size - 1)
+            space = _SPACE[codes]
+            begins = ~space
+            begins[1:] &= space[:-1]
+            field_starts = np.flatnonzero(begins)
+            # each line's first field: the first one at or after its start
+            first = np.searchsorted(field_starts, np.flatnonzero(codes[:-1] == _NEWLINE) + 1)
+            first = np.concatenate(([0], first))
+            fields = np.diff(first, append=field_starts.size)
             data = fields > 0
-            data &= [not line.lstrip().startswith("#") for line in lines]
-            linenos, fields = start + np.flatnonzero(data), fields[data]
-            bad = np.flatnonzero(fields != width)
-            end = bad[0] if bad.size else fields.size
-            yield linenos[:end], "".join(list(compress(lines, data))[:end]).split()
+            data[data] = codes[field_starts[first[data]]] != _HASH
+            bad = np.flatnonzero(data & (fields != width))
             if bad.size:
-                raise DataFileError(f"{path}:{linenos[end]}: expected {width} fields, "
-                                    f"got {fields[end]}")
+                data[bad[0]:] = False
+            tokens = text.split()
+            if not data.all():
+                tokens = list(compress(tokens, np.repeat(data, fields)))
+            yield start + np.flatnonzero(data), tokens
+            if bad.size:
+                raise DataFileError(f"{path}:{start + bad[0]}: expected {width} fields, "
+                                    f"got {fields[bad[0]]}")
+            start += fields.size
 
 
 def _parse_ratings(path, linenos, tokens):
     """A block's ratings; raises DataFileError naming the first bad one."""
     try:
-        values = list(map(float, tokens))
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
-        values = []
-        for token in tokens:
-            try:
-                values.append(float(token))
-            except ValueError:
-                break
-    values = np.array(values, dtype=np.float64)
+        bad = _first_unparsed(tokens, float)
+        _parse_ratings(path, linenos[:bad], tokens[:bad])
+        raise DataFileError(
+            f"{path}:{linenos[bad]}: non-numeric rating {tokens[bad]!r}") from None
     outside = np.flatnonzero(~((values >= RATING_MIN) & (values <= RATING_MAX)))
     if outside.size:
         n = outside[0]
         raise DataFileError(f"{path}:{linenos[n]}: rating {values[n]:g} outside [1, 5]")
-    if values.size < len(tokens):
-        n = values.size
-        raise DataFileError(f"{path}:{linenos[n]}: non-numeric rating {tokens[n]!r}")
     return values
+
+
+def _first_unparsed(rows, parse):
+    """Index of the first row on which ``parse`` raises ValueError, so that
+    a caller can check the rows before it first."""
+    for n, row in enumerate(rows):
+        try:
+            parse(row)
+        except ValueError:
+            return n
 
 
 def load_ratings(path) -> tuple[SparseRatings, IdMap]:

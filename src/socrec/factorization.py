@@ -311,7 +311,7 @@ def save_model(model: FactorModel, path):
 def load_model(path) -> FactorModel:
     """Parse a saved model; raises DataFileError on any format violation or
     non-finite value, and when the file cannot be read."""
-    with reading(path), open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFileError(f"{path}: empty model file")

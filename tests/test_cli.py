@@ -135,6 +135,15 @@ class TestPredictCommand:
         expected = float(np.clip(model.global_mean, 1.0, 5.0))
         assert float(captured.out.strip()) == pytest.approx(expected, abs=5e-5)
 
+    def test_model_and_sidecar_with_byte_order_marks(self, model_path, capsys):
+        argv = ("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
+        assert run_cli(*argv) == 0
+        expected = capsys.readouterr().out
+        for path in (model_path, _ids_sidecar_path(model_path)):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("index,fault", [
         ("-1", "outside"),
         ("99999", "outside"),
@@ -325,6 +334,11 @@ class TestConfigFile:
                        "--config", str(cfg), "--out", str(tmp_path / "m.txt"))
         assert code == 1
         assert f"socrec: error: cannot read config file {cfg}: " in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffk = 6\n", encoding="utf-8")
+        assert read_config_file(cfg) == {"k": 6}
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -82,6 +82,24 @@ class TestLoadRatings:
         assert reloaded == original
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a data file is not part of
+    its first id."""
+
+    def test_ratings_and_trust(self, tmp_path):
+        rpath = write(tmp_path, "r.tsv", "\ufeffu1 i1 4\nu2 i1 3\n")
+        tpath = write(tmp_path, "t.tsv", "\ufeffu1 u2\n")
+        ratings, graph, ids = load_dataset(rpath, tpath)
+        assert [ids.user_id(u) for u in range(ids.num_users)] == ["u1", "u2"]
+        assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == [(0, 1)]
+        assert ratings.num_users == 2 and ratings.user_counts().tolist() == [1, 1]
+
+    def test_only_a_leading_mark_is_dropped(self, tmp_path):
+        path = write(tmp_path, "r.tsv", "\ufeffa x 4\n\ufeffb x 3\n")
+        _, ids = load_ratings(path)
+        assert [ids.user_id(u) for u in range(ids.num_users)] == ["a", "\ufeffb"]
+
+
 class TestSparseRatings:
     def test_duplicate_entry_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,6 +1,7 @@
 """Property tests on arbitrary inputs: the block loaders of socrec.data
-against the line-at-a-time loaders of oracles.py, and exact save/load
-round trips of models and similarity caches."""
+and the similarity-cache loader against the line-at-a-time loaders of
+oracles.py, and exact save/load round trips of models and similarity
+caches."""
 
 import pytest
 
@@ -24,7 +25,12 @@ from socrec import (
     save_model,
 )
 
-from oracles import OracleDataError, line_load_ratings, line_load_trust
+from oracles import (
+    OracleDataError,
+    line_load_ratings,
+    line_load_similarity,
+    line_load_trust,
+)
 
 
 def write(tmp_path, name, text):
@@ -39,8 +45,11 @@ _VALUES = st.one_of(
     _GOOD_VALUES, _GOOD_VALUES,
     st.sampled_from(["nan", "inf", "6", "0", "-3", "four", "\u0663", "1__0", ""]),
 )
-_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
-_PAD = st.sampled_from(["", " ", "\t"])
+# every str.isspace character separates fields: a sample of them, none of
+# which ends a line of a text file read with universal newlines
+_SEP = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x1c", "\x85", "\xa0", "\u2028",
+                        "\u3000", "\t\u3000"])
+_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u2028"])
 _SKIPPED = st.sampled_from(["", "   ", "\t", "# x", "  # x", "#", "#a b c", "\t#1 2 3"])
 _GARBAGE = st.one_of(
     st.lists(_IDS, max_size=5).map(" ".join),
@@ -53,16 +62,50 @@ def _line(fields):
         lambda p: p[0] + p[2].join(p[1]) + p[3])
 
 
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+_BOM = st.sampled_from(["", "\ufeff"])
+
+
+def _join(lines, newline, bom, last_newline):
+    return bom + newline.join(lines) + (newline if last_newline else "")
+
+
 def _file(good_line, any_line):
     """Files of data, comment and blank lines, with faults in about half of
-    them, joined by LF or CRLF."""
+    them, joined by LF, CRLF or CR, some with a leading byte-order mark."""
     good = st.lists(st.one_of(*[good_line] * 4, _SKIPPED), max_size=20)
     faulty = st.lists(st.one_of(*[any_line] * 6, _SKIPPED, _GARBAGE), max_size=20)
-    return st.tuples(st.one_of(good, faulty), st.sampled_from(["\n", "\r\n"]),
-                     st.booleans()).map(lambda p: p[1].join(p[0]) + (p[1] if p[2] else ""))
+    return st.tuples(st.one_of(good, faulty), _NEWLINES, _BOM, st.booleans()).map(
+        lambda p: _join(*p))
 
 
-_BLOCK_SIZES = [1, 2, 3, data_module.LINE_BLOCK]
+_ENDPOINTS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "01", "+2", "1_0", "\uff12",
+                              "99999999999999999999", "x", "1.0"])
+_UNIT_TEXT = st.sampled_from(["0.5", "1", "0", "-0", "1e-3", "0.25", "1.0000", "5e-324"])
+_SIM_TEXT = st.one_of(_UNIT_TEXT, st.sampled_from(["nan", "1.5", "-0.1", "x", "inf", ""]))
+
+
+@st.composite
+def _cache_cases(draw):
+    """(sorted edges of a 4-user graph, similarity-cache text): the graph's
+    edges in any order, some repeated, with blank and comment lines, and in
+    about half of the files arbitrary lines besides."""
+    pairs = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1])
+    edges = sorted(set(draw(st.lists(pairs, max_size=8))))
+    listed = list(edges)
+    if edges:
+        listed += draw(st.lists(st.sampled_from(edges), max_size=3))
+    rows = [draw(_line([st.just(str(s)), st.just(str(t)), _UNIT_TEXT])) for s, t in listed]
+    rows += draw(st.lists(_SKIPPED, max_size=3))
+    if draw(st.booleans()):
+        rows += draw(st.lists(st.one_of(_line([_ENDPOINTS, _ENDPOINTS, _SIM_TEXT]), _GARBAGE),
+                              max_size=4))
+    rows = draw(st.permutations(rows))
+    return edges, _join(rows, draw(_NEWLINES), draw(_BOM), draw(st.booleans()))
+
+
+# code points the loaders read per block (before topping up to a line end)
+_BLOCK_SIZES = [1, 2, 3, 7, data_module.TEXT_BLOCK]
 _PER_BLOCK = settings(max_examples=60, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -79,7 +122,7 @@ class TestBlockLoadersMatchLineLoaders:
     @_PER_BLOCK
     @given(text=_file(_line([_IDS, _IDS, _GOOD_VALUES]), _line([_IDS, _IDS, _VALUES])))
     def test_ratings(self, tmp_path, monkeypatch, block, text):
-        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        monkeypatch.setattr(data_module, "TEXT_BLOCK", block)
         path = tmp_path / "r.tsv"
         path.write_bytes(text.encode("utf-8"))
 
@@ -95,7 +138,7 @@ class TestBlockLoadersMatchLineLoaders:
     @_PER_BLOCK
     @given(text=_file(_line([_IDS, _IDS]), _line([_IDS, _IDS])))
     def test_trust(self, tmp_path, monkeypatch, block, text):
-        monkeypatch.setattr(data_module, "LINE_BLOCK", block)
+        monkeypatch.setattr(data_module, "TEXT_BLOCK", block)
         rpath = write(tmp_path, "r.tsv", "b x 4\nz y 3\n")
         tpath = tmp_path / "t.tsv"
         tpath.write_bytes(text.encode("utf-8"))
@@ -109,6 +152,18 @@ class TestBlockLoadersMatchLineLoaders:
 
         assert _outcome(blocks) == _outcome(lambda: line_load_trust(tpath, users))
         assert [ids.user_id(u) for u in range(ids.num_users)] == list(users)
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @_PER_BLOCK
+    @given(case=_cache_cases())
+    def test_similarity_cache(self, tmp_path, monkeypatch, block, case):
+        monkeypatch.setattr(data_module, "TEXT_BLOCK", block)
+        edges, text = case
+        path = tmp_path / "sim.txt"
+        path.write_bytes(text.encode("utf-8"))
+        graph = TrustGraph.from_edges(4, edges)
+        assert (_outcome(lambda: _bits(load_similarity_table(path, graph).values))
+                == _outcome(lambda: _bits(line_load_similarity(path, edges))))
 
     @given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
     def test_from_edges(self, edges):

@@ -231,3 +231,35 @@ class TestBuildSimilarityTable:
         path.write_text(f"# cache\n0 1 0.5\n{line}\n", encoding="utf-8")
         with pytest.raises(DataFileError, match=re.escape(f"{path}:3:")):
             load_similarity_table(path, graph)
+
+    def test_cache_with_byte_order_mark(self, tmp_path):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "sim.txt"
+        path.write_text("\ufeff0 1 0.5\n1 2 0.25\n", encoding="utf-8")
+        assert load_similarity_table(path, graph).values.tolist() == [0.5, 0.25]
+
+    def test_repeated_cache_edge_keeps_last(self, tmp_path):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "sim.txt"
+        path.write_text("1 2 0.1\n0 1 0.5\n1 2 0.25\n", encoding="utf-8")
+        assert load_similarity_table(path, graph).values.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("lines,message", [
+        ("0 1 0.5\n", "cache holds 1 edges, graph has 2"),
+        ("0 1 0.5\n1 2 0.5\n2 0 0.5\n", "cache holds 3 edges, graph has 2"),
+        ("0 1 0.5\n2 1 0.5\n", "cache is missing edge (1, 2)"),
+        ("0 1 0.5\n1 3 0.5\n", "cache is missing edge (1, 2)"),
+        ("0 1 0.5\n-1 2 0.5\n", "cache is missing edge (1, 2)"),
+        ("0 4 0.5\n", "cache holds 1 edges, graph has 2"),
+        ("0 99999999999999999999 0.5\n1 2 0.5\n", "cache is missing edge (0, 1)"),
+        ("0 99999999999999999999 0.5\n0 99999999999999999999 0.5\n",
+         "cache holds 1 edges, graph has 2"),
+    ])
+    def test_cache_edge_set_must_equal_graph(self, tmp_path, lines, message):
+        """Endpoints that are no user index (negative, past the last user,
+        beyond int64) count as edges the graph lacks."""
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        path = tmp_path / "sim.txt"
+        path.write_text(lines, encoding="utf-8")
+        with pytest.raises(DataFileError, match=re.escape(f"{path}: {message}")):
+            load_similarity_table(path, graph)

@@ -79,3 +79,15 @@ if main(argv) != 0:
 """
     assert not _probe_loads(code, "scipy.stats")
     assert (tmp_path / "res" / "compare-summary.csv").exists()
+
+
+def test_whitespace_table_covers_every_whitespace_code_point():
+    """The block reader marks whitespace with a table of ``str.isspace``
+    whose last entry stands for every higher code point, so it splits
+    fields where ``str.split`` does. A Python release that adds a
+    whitespace code point past the table fails here."""
+    from socrec.data import _SPACE
+
+    assert _SPACE.tolist() == [chr(c).isspace() for c in range(_SPACE.size)]
+    assert not _SPACE[-1]
+    assert not any(chr(c).isspace() for c in range(_SPACE.size, sys.maxunicode + 1))
