@@ -26,6 +26,7 @@ from .data import (
 from .evaluation import (
     DEFAULT_ALPHAS,
     DEFAULT_SEEDS,
+    STUDY_KINDS,
     comparison_summary,
     run_alpha_sweep,
     run_cold_start,
@@ -74,7 +75,7 @@ def _kind_list(text):
 _OPTIONS = {
     "ratings": (str, None),
     "trust": (str, None),
-    "out": (str, "socrec-model.txt"),
+    "out": (str, "socrec-model.bin"),
     "out_dir": (str, "socrec-results"),
     "k": (int, 10),
     "lambda": (float, 3.0),
@@ -193,9 +194,11 @@ class RunConfig:
     kinds: tuple
     cold_start_threshold: int
     min_out_degree: int
-    similarity: str | None
+    similarity: SimilarityKind | None
 
-    def validate(self) -> "RunConfig":
+    def validate(self, study: bool = False) -> "RunConfig":
+        """Check value ranges; ``study`` also applies the similarity study's
+        rule that ``--similarity`` is vss or pcc."""
         if not self.fractions or any(not 0.0 < f < 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must lie in (0, 1), got {self.fractions}")
         if not self.seeds:
@@ -212,6 +215,9 @@ class RunConfig:
             raise ConfigError(
                 f"min-out-degree must be >= 1, got {self.min_out_degree}"
             )
+        if study and self.similarity and self.similarity.tag not in STUDY_KINDS:
+            raise ConfigError(f"--similarity {self.similarity.label()!r}: the similarity "
+                              f"study supports {' or '.join(STUDY_KINDS)}")
         return self
 
 
@@ -229,6 +235,11 @@ def resolve_config(args) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    similarity = _resolve(args, "similarity")
+    try:
+        similarity = SimilarityKind.parse(similarity) if similarity else None
+    except ValueError as exc:
+        raise ConfigError(f"--similarity {similarity!r}: {exc}") from None
     return RunConfig(
         ratings=_resolve(args, "ratings"),
         trust=_resolve(args, "trust"),
@@ -241,8 +252,8 @@ def resolve_config(args) -> RunConfig:
         kinds=tuple(_resolve(args, "kinds")),
         cold_start_threshold=_resolve(args, "cold_start_threshold"),
         min_out_degree=_resolve(args, "min_out_degree"),
-        similarity=_resolve(args, "similarity"),
-    ).validate()
+        similarity=similarity,
+    ).validate(study=getattr(args, "which", None) == "sim-study")
 
 
 def _load(cfg: RunConfig, need_trust: bool):
@@ -298,8 +309,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ratings, graph, ids = _load(cfg, need_trust=(method == "social"))
     hp = cfg.hyperparams
     if method == "social":
-        kind = SimilarityKind.parse(cfg.similarity or "pcc")
-        sim = build_similarity_table(ratings, graph, kind)
+        sim = build_similarity_table(ratings, graph, cfg.similarity or SimilarityKind.pcc())
         model, report = train(ratings, hp, graph, sim)
     else:
         model, report = train(ratings, hp)
@@ -425,7 +435,7 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
             ratings, graph,
             min_out_degree=cfg.min_out_degree,
             seed=cfg.seeds[0],
-            kind=cfg.similarity or "vss",
+            kind=cfg.similarity.tag if cfg.similarity else "vss",
         )
         with open(rows_path, "w", encoding="utf-8") as fh:
             fh.write("user,friend_sim_mean,random_sim_mean\n")

@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 METHODS = ("user_mean", "item_mean", "basic_mf", "social_mf")
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 DEFAULT_ALPHAS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+STUDY_KINDS = ("vss", "pcc")  # the similarities the friend/peer study compares
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def run_similarity_study(
     """
     if min_out_degree < 1:
         raise ValueError(f"min_out_degree must be >= 1, got {min_out_degree}")
-    if kind not in ("vss", "pcc"):
+    if kind not in STUDY_KINDS:
         raise ValueError("similarity study supports 'vss' or 'pcc'")
     rng = np.random.default_rng(seed)
     num_users = graph.num_users

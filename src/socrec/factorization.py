@@ -10,7 +10,9 @@ Factors are stored row-per-user / row-per-item (shape (M, K) and (N, K));
 each row is one latent column vector of the factor matrices.
 """
 
+import codecs
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -291,32 +293,70 @@ def train(
     return model, report
 
 
-MODEL_HEADER = "SOCREC-MODEL v1"
+MODEL_HEADER = "SOCREC-MODEL v2"
+V1_HEADER = "SOCREC-MODEL v1"
+_HEADER_LIMIT = 256  # bytes; a v2 header line is far shorter
 
 
 def save_model(model: FactorModel, path):
-    """Write the text model format: header, user rows, item rows, mean.
-
-    Values carry 17 significant digits for exact float64 round-trips.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MODEL_HEADER} {model.k} {model.num_users} {model.num_items}\n")
-        for factors in (model.user_factors, model.item_factors):
-            rows, cols = factors.shape
-            row = " ".join(["%.17g"] * cols) + "\n"
-            fh.write((row * rows) % tuple(factors.ravel().tolist()))
-        fh.write(f"{model.global_mean:.17g}\n")
+    """Write model format v2: the ASCII line ``SOCREC-MODEL v2 K M N``, then
+    the user rows, the item rows (both row-major) and the train mean as
+    little-endian IEEE float64, ``8 * ((M + N) * K + 1)`` bytes in all, so
+    the values round-trip bit for bit."""
+    with open(path, "wb") as fh:
+        fh.write(f"{MODEL_HEADER} {model.k} {model.num_users} {model.num_items}\n"
+                 .encode("ascii"))
+        for block in (model.user_factors, model.item_factors, model.global_mean):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_model(path) -> FactorModel:
-    """Parse a saved model; raises DataFileError on any format violation or
-    non-finite value, and when the file cannot be read."""
+    """Read a saved model, format v2 or the v1 text of earlier versions (a
+    leading UTF-8 BOM is skipped). Raises DataFileError on any format
+    violation or non-finite value, and when the file cannot be read; a v2
+    body must be exactly the size its header gives, which is checked
+    before the body is read."""
+    with reading(path), open(path, "rb") as fh:
+        head = fh.readline(_HEADER_LIMIT)
+        fields = head.removeprefix(codecs.BOM_UTF8).split()
+        if fields[:2] != MODEL_HEADER.encode().split():
+            return _load_model_v1(path)
+        if len(fields) != 5 or not head.endswith(b"\n"):
+            raise DataFileError(f"{path}:1: bad model header")
+        try:
+            k, m, n = (int(x) for x in fields[2:])
+        except ValueError:
+            raise DataFileError(f"{path}:1: bad model dimensions") from None
+        if k < 1 or m < 1 or n < 1:
+            raise DataFileError(f"{path}:1: model dimensions must be >= 1")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        need = 8 * ((m + n) * k + 1)
+        if size != need:
+            raise DataFileError(f"{path}: model body has {size} bytes, "
+                                f"header {k} {m} {n} needs {need}")
+        body = np.empty(need // 8, dtype="<f8")
+        if fh.readinto(body) != need:
+            raise DataFileError(f"{path}: model file shrank while being read")
+    body = body.astype(np.float64, copy=False)
+    finite = np.isfinite(body)
+    if not finite.all():
+        row = int(np.argmin(finite)) // k
+        where = (f"user row {row}" if row < m else
+                 f"item row {row - m}" if row < m + n else "global mean")
+        raise DataFileError(f"{path}: non-finite value in {where}")
+    return FactorModel(body[:m * k].reshape(m, k), body[m * k:-1].reshape(n, k),
+                       k, float(body[-1]))
+
+
+def _load_model_v1(path) -> FactorModel:
+    """Parse the v1 text format: header ``SOCREC-MODEL v1 K M N``, then one
+    line of K values per user row and per item row, then the train mean."""
     with reading(path), open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFileError(f"{path}: empty model file")
     head = lines[0].split()
-    if len(head) != 5 or " ".join(head[:2]) != MODEL_HEADER:
+    if len(head) != 5 or " ".join(head[:2]) != V1_HEADER:
         raise DataFileError(f"{path}:1: bad model header")
     try:
         k, m, n = (int(x) for x in head[2:])
@@ -326,6 +366,8 @@ def load_model(path) -> FactorModel:
         raise DataFileError(f"{path}: model body does not match header")
 
     def parse_rows(rows, count, offset):
+        if len(rows[0]) < k:  # cannot hold k values; fail before allocating
+            raise DataFileError(f"{path}:{offset}: expected {k} values")
         out = np.empty((count, k))
         for r, line in enumerate(rows):
             parts = line.split()

@@ -6,6 +6,7 @@ serves only as the seeded generator the cold-start split draws from.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -202,6 +203,18 @@ def line_save_model(path, header, user_rows, item_rows, mean):
         for row in user_rows + item_rows:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
         fh.write(f"{mean:.17g}\n")
+
+
+def struct_save_model(path, user_rows, item_rows, mean):
+    """A v2 model file: the header line, then every value packed one at a
+    time as a little-endian IEEE double."""
+    with open(path, "wb") as fh:
+        fh.write(f"SOCREC-MODEL v2 {len(user_rows[0])} {len(user_rows)} "
+                 f"{len(item_rows)}\n".encode("ascii"))
+        for row in user_rows + item_rows:
+            for v in row:
+                fh.write(struct.pack("<d", v))
+        fh.write(struct.pack("<d", mean))
 
 
 def scalar_cold_start_positions(user_ptr, threshold, seed):

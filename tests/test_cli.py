@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import socrec
-from socrec import load_model, toydata
+from socrec import load_model, save_model, toydata
 from socrec.cli import _ids_sidecar_path, main, read_config_file
+
+from oracles import line_save_model
 
 
 TOY_RATINGS = str(toydata.ratings_path())
@@ -59,7 +62,7 @@ class TestTrainCommand:
                            "--trust", TOY_TRUST, "--max-epochs", "30",
                            "--seed", "3", "--out", str(out))
             assert code == 0
-            outs.append(out.read_text(encoding="utf-8"))
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
     def test_missing_ratings_file_is_data_error(self, tmp_path, capsys):
@@ -88,6 +91,21 @@ class TestTrainCommand:
                        "--max-epochs", "5", "--out", str(out))
         assert code == 1
         assert f"socrec: error: --out {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--method", "social", "--similarity", "random:x"),
+        ("train", "--method", "mf", "--similarity", "cosine"),
+        ("experiment", "--which", "sim-study", "--similarity", "constant"),
+        ("experiment", "--which", "sim-study", "--similarity", "random:1"),
+    ])
+    def test_bad_similarity_is_config_error_before_any_file(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.tsv"
+        out_dir = tmp_path / "res"
+        code = run_cli(*argv, "--ratings", str(missing), "--trust", str(missing),
+                       *(("--out-dir", str(out_dir)) if argv[0] == "experiment" else ()))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("socrec: error: --similarity ")
+        assert not out_dir.exists()
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
@@ -162,18 +180,40 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize("target,value", [("factor", "nan"), ("mean", "inf")])
     def test_non_finite_model_is_data_error(self, model_path, capsys, target, value):
+        """One non-finite value in a v1 text model or in a v2 model is a data
+        error naming where it sits, whether or not the prediction uses it."""
+        def check(message):
+            for user in ("u01", "nobody"):
+                code = run_cli("predict", "--model", str(model_path), "--user", user,
+                               "--item", "m01")
+                assert code == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and message in captured.err
+
+        model = load_model(model_path)
+        line_save_model(model_path, "SOCREC-MODEL v1", model.user_factors.tolist(),
+                        model.item_factors.tolist(), model.global_mean)
         lines = model_path.read_text(encoding="utf-8").splitlines()
         lineno = 2 if target == "factor" else len(lines)
         fields = lines[lineno - 1].split()
         fields[0] = value
         lines[lineno - 1] = " ".join(fields)
         model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for user in ("u01", "nobody"):
-            code = run_cli("predict", "--model", str(model_path), "--user", user,
-                           "--item", "m01")
-            assert code == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and f"{model_path}:{lineno}: non-finite" in captured.err
+        check(f"{model_path}:{lineno}: non-finite")
+
+        save_model(model, model_path)
+        data = bytearray(model_path.read_bytes())
+        offset = data.index(b"\n") + 1 if target == "factor" else len(data) - 8
+        data[offset:offset + 8] = struct.pack("<d", float(value))
+        model_path.write_bytes(bytes(data))
+        where = "user row 0" if target == "factor" else "global mean"
+        check(f"{model_path}: non-finite value in {where}")
+
+    def test_header_claiming_huge_model_is_data_error(self, model_path, capsys):
+        model_path.write_bytes(b"SOCREC-MODEL v2 10 100000000000 5\n".ljust(100, b"\0"))
+        code = run_cli("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
+        assert code == 2
+        assert "needs 8000000000408" in capsys.readouterr().err
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     brute_objective_social,
     central_differences,
     line_save_model,
+    struct_save_model,
 )
 
 
@@ -343,21 +345,30 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.item_factors, model.item_factors)
 
     def test_bytes_match_line_writer(self, tmp_path):
+        """save_model writes the bytes of a value-by-value v2 writer, and
+        load_model reads the v1 text of the line writer bit for bit."""
         rng = np.random.default_rng(11)
         model = random_model(rng, 6, 4, 3)
         model.user_factors *= 10.0 ** rng.integers(-30, 30, model.user_factors.shape)
         model.user_factors[0, :2] = [-0.0, 5e-324]
         model.global_mean = 3.2502
-        save_model(model, tmp_path / "fast.txt")
-        line_save_model(tmp_path / "lines.txt", "SOCREC-MODEL v1", model.user_factors.tolist(),
-                        model.item_factors.tolist(), model.global_mean)
-        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "lines.txt").read_bytes()
+        rows = (model.user_factors.tolist(), model.item_factors.tolist(), model.global_mean)
+        save_model(model, tmp_path / "fast.bin")
+        struct_save_model(tmp_path / "packed.bin", *rows)
+        assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
+        line_save_model(tmp_path / "lines.txt", "SOCREC-MODEL v1", *rows)
+        loaded = load_model(tmp_path / "lines.txt")
+        assert loaded.k == 3 and loaded.global_mean == model.global_mean
+        assert loaded.user_factors.tobytes() == model.user_factors.tobytes()
+        assert loaded.item_factors.tobytes() == model.item_factors.tobytes()
 
     def test_header_format(self, tmp_path):
         model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         save_model(model, path)
-        assert path.read_text().splitlines()[0] == "SOCREC-MODEL v1 2 2 3"
+        head, _, body = path.read_bytes().partition(b"\n")
+        assert head == b"SOCREC-MODEL v2 2 2 3"
+        assert len(body) == 8 * ((2 + 3) * 2 + 1)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -370,9 +381,8 @@ class TestModelFile:
         (6, "nan", "global mean"), (6, "-inf", "global mean"),
     ])
     def test_non_finite_value_rejected_with_line(self, tmp_path, line, value, where):
-        model = FactorModel(np.ones((2, 2)), np.ones((2, 2)), k=2, global_mean=3.0)
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        line_save_model(path, "SOCREC-MODEL v1", [[1.0, 1.0]] * 2, [[1.0, 1.0]] * 2, 3.0)
         lines = path.read_text().splitlines()
         fields = lines[line - 1].split()
         fields[-1] = value
@@ -382,10 +392,91 @@ class TestModelFile:
             load_model(path)
 
     def test_truncated_body_rejected(self, tmp_path):
-        model = FactorModel(np.zeros((2, 2)), np.zeros((2, 2)), k=2)
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        line_save_model(path, "SOCREC-MODEL v1", [[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2, 0.0)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
-        with pytest.raises(DataFileError):
+        with pytest.raises(DataFileError, match="model body does not match header"):
             load_model(path)
+
+    def test_v1_header_too_wide_for_its_rows(self, tmp_path):
+        """A v1 header claiming 10**11 columns fails on the first row, before
+        a factor matrix of that width is allocated."""
+        path = tmp_path / "model.txt"
+        path.write_text("SOCREC-MODEL v1 100000000000 1 1\n1\n1\n3\n", encoding="utf-8")
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:2: expected 100000000000")):
+            load_model(path)
+
+
+def _v2_file(path, m=2, n=3, k=2):
+    """A v2 model of ones with train mean 3, written by the library."""
+    save_model(FactorModel(np.ones((m, k)), np.ones((n, k)), k=k, global_mean=3.0), path)
+    return path
+
+
+class TestModelFileV2:
+    """Format v2: header, exact-size body, and which value is non-finite."""
+
+    @pytest.mark.parametrize("cut,fault", [(-1, "truncated"), (1, "one extra byte")])
+    def test_body_size_must_match_header(self, tmp_path, cut, fault):
+        path = _v2_file(tmp_path / "model.bin")
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}: model body has {len(data) - 22 + cut} bytes, header 2 2 3 needs 88")):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims", ["0 2 3", "2 0 3", "2 2 -1"])
+    def test_dimension_below_one(self, tmp_path, dims):
+        path = tmp_path / "model.bin"
+        path.write_bytes(f"SOCREC-MODEL v2 {dims}\n".encode() + b"\0" * 88)
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:1: model dimensions must be >= 1")):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims", ["2.0 2 3", "2 x 3", "2 2 3e0"])
+    def test_non_integer_dimension(self, tmp_path, dims):
+        path = tmp_path / "model.bin"
+        path.write_bytes(f"SOCREC-MODEL v2 {dims}\n".encode() + b"\0" * 88)
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:1: bad model dimensions")):
+            load_model(path)
+
+    @pytest.mark.parametrize("head", [b"SOCREC-MODEL v3 2 2 3\n", b"SOCREC-MODEL v2 2 2\n",
+                                      b"SOCREC-MODEL v2 2 2 3 4\n",
+                                      b"SOCREC-MODEL v2 2 2 3" + b" " * 300 + b"\n"])
+    def test_bad_header(self, tmp_path, head):
+        path = tmp_path / "model.bin"
+        path.write_bytes(head + b"\0" * 88)
+        with pytest.raises(DataFileError, match=re.escape(f"{path}:1: bad model header")):
+            load_model(path)
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"SOCREC-MODEL v2 10 100000000000 5\n".ljust(100, b"\0"))
+        with pytest.raises(DataFileError, match="header 10 100000000000 5 needs 8000000000408"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index,where", [
+        (0, "user row 0"), (3, "user row 1"), (4, "item row 0"), (9, "item row 2"),
+        (10, "global mean"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_named(self, tmp_path, index, where, value):
+        path = _v2_file(tmp_path / "model.bin")
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1 + 8 * index
+        data[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFileError, match=re.escape(f"{path}: non-finite value in {where}")):
+            load_model(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = _v2_file(tmp_path / "model.bin")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_model(path)
+        assert (loaded.num_users, loaded.num_items, loaded.global_mean) == (2, 3, 3.0)
+
+    def test_loaded_factors_are_writable_native_arrays(self, tmp_path):
+        loaded = load_model(_v2_file(tmp_path / "model.bin"))
+        for factors in (loaded.user_factors, loaded.item_factors):
+            assert factors.dtype == np.float64 and factors.dtype.isnative
+            assert factors.flags.writeable and factors.flags.c_contiguous
