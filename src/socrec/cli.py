@@ -203,6 +203,8 @@ class RunConfig:
             raise ConfigError(f"fractions must lie in (0, 1), got {self.fractions}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"--seeds must be >= 0, got {self.seeds}")
         if not self.alphas or any(a < 0.0 for a in self.alphas):
             raise ConfigError(f"alphas must be >= 0, got {self.alphas}")
         if not self.kinds:
@@ -380,6 +382,12 @@ def _result_rows(results):
 def cmd_experiment(args, cfg: RunConfig) -> int:
     which = args.which
     ratings, graph, _ = _load(cfg, need_trust=True)
+    if which == "cold-start" and ratings.user_counts().max(initial=0) <= 1:
+        # each cold-start user holds out one rating, so one rating per user
+        # leaves no train set at any threshold
+        raise ConfigError(f"--cold-start-threshold {cfg.cold_start_threshold}: every user "
+                          f"in {cfg.ratings} has one rating, so the cold-start split "
+                          "holds out all of them and leaves no train set")
     hp = cfg.hyperparams
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -55,11 +55,14 @@ class SimilarityKind:
 
     @classmethod
     def parse(cls, text: str) -> "SimilarityKind":
-        """Parse 'pcc' | 'vss' | 'constant' | 'random[:seed]'."""
+        """Parse 'pcc' | 'vss' | 'constant' | 'random[:seed]'; a seed on any
+        other kind is a ValueError, since nothing would use it."""
         tag, _, seed = text.strip().lower().partition(":")
-        if seed:
-            return cls(tag, int(seed))
-        return cls(tag)
+        if not seed:
+            return cls(tag)
+        if tag in KINDS and tag != "random":
+            raise ValueError(f"only the random kind takes a seed, got {text!r}")
+        return cls(tag, int(seed))
 
     def label(self) -> str:
         return f"{self.tag}:{self.seed}" if self.tag == "random" else self.tag

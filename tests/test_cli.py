@@ -97,6 +97,9 @@ class TestTrainCommand:
         ("train", "--method", "mf", "--similarity", "cosine"),
         ("experiment", "--which", "sim-study", "--similarity", "constant"),
         ("experiment", "--which", "sim-study", "--similarity", "random:1"),
+        ("train", "--method", "social", "--similarity", "pcc:5"),
+        ("experiment", "--which", "sim-study", "--similarity", "vss:3"),
+        ("experiment", "--which", "ablation", "--similarity", "constant:0"),
     ])
     def test_bad_similarity_is_config_error_before_any_file(self, tmp_path, capsys, argv):
         missing = tmp_path / "missing.tsv"
@@ -339,6 +342,32 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("socrec: error: not enough memory: ")
         assert err.rstrip().endswith("; lower --k")
+
+    @pytest.mark.parametrize("which", ["sim-study", "compare"])
+    def test_negative_seed_names_seeds(self, tmp_path, capsys, which):
+        out_dir = tmp_path / "res"
+        code = run_cli("experiment", "--which", which,
+                       "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
+                       "--seeds", "1,-1", "--out-dir", str(out_dir))
+        assert code == 1
+        assert capsys.readouterr().err == "socrec: error: --seeds must be >= 0, got (1, -1)\n"
+        assert not out_dir.exists()
+
+    def test_cold_start_that_holds_out_everything_names_option_and_file(
+            self, tmp_path, capsys):
+        ratings = tmp_path / "one-each.tsv"
+        ratings.write_text("u1 m1 4\nu2 m2 3\nu3 m1 5\n", encoding="utf-8")
+        trust = tmp_path / "trust.tsv"
+        trust.write_text("u1 u2\nu2 u3\n", encoding="utf-8")
+        out_dir = tmp_path / "res"
+        code = run_cli("experiment", "--which", "cold-start",
+                       "--ratings", str(ratings), "--trust", str(trust),
+                       "--cold-start-threshold", "2", "--out-dir", str(out_dir))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("socrec: error: --cold-start-threshold 2: ")
+        assert f" in {ratings} has one rating" in err
+        assert not out_dir.exists()
 
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
         code = run_cli("experiment", "--which", "nonsense",

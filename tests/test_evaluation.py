@@ -19,7 +19,7 @@ from socrec import (
     run_similarity_study,
     split_ratings,
 )
-from socrec.evaluation import comparison_summary, paired_t_pvalue
+from socrec.evaluation import _DEEP_USERS, _peer_ranks, comparison_summary, paired_t_pvalue
 from socrec.similarity import pair_similarities
 from socrec.synthetic import clustered_dataset, shuffled_graph
 
@@ -263,6 +263,86 @@ class TestRunColdStart:
             run_cold_start(ratings, graph, threshold=1, hp=planted_hp())
 
 
+def wide_dataset(seed):
+    """10,300 users: user 0 trusts 250 others, more than 1/50 of its 10,049
+    eligible peers, so its draw takes rng.choice's tail-shuffle branch;
+    users 1..300 trust about 7 random users each. Everyone rates 2 of 30
+    items."""
+    rng = np.random.default_rng(seed)
+    num_users = 10_300
+    first = rng.integers(0, 30, num_users)
+    items = np.stack([first, (first + rng.integers(1, 30, num_users)) % 30], axis=1)
+    ratings = SparseRatings(num_users, 30, np.repeat(np.arange(num_users), 2),
+                            items.ravel(), rng.uniform(1.0, 5.0, 2 * num_users))
+    hub = np.stack([np.zeros(250, dtype=np.int64),
+                    rng.choice(np.arange(1, num_users), 250, replace=False)], axis=1)
+    rest = np.stack([np.repeat(np.arange(1, 301), 7),
+                     rng.integers(0, num_users, 300 * 7)], axis=1)
+    return ratings, TrustGraph.from_edges(num_users, np.concatenate([hub, rest]))
+
+
+def choice_loop(rng, deg, num_eligible):
+    """One ``rng.choice(n, d, replace=False)`` per (d, n) pair, concatenated."""
+    draws = [rng.choice(n, size=d, replace=False) for d, n in zip(deg, num_eligible)]
+    return np.concatenate(draws) if draws else np.empty(0, dtype=np.int64)
+
+
+class TestPeerRanks:
+    """``_peer_ranks`` gives the ranks of a per-user ``rng.choice`` loop on
+    the installed numpy, bit for bit, and leaves the generator where the
+    loop leaves it, on each of choice's branches."""
+
+    def assert_matches_loop(self, deg, num_eligible, seed=0):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _peer_ranks(got_rng, np.asarray(deg), np.asarray(num_eligible))
+        np.testing.assert_array_equal(got, choice_loop(want_rng, deg, num_eligible))
+        assert got.dtype == np.int64
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_no_users(self):
+        self.assert_matches_loop([], [])
+
+    def test_draw_of_every_eligible_user(self):
+        # Floyd's first draw has bound 1 and consumes nothing
+        self.assert_matches_loop([1, 2, 7, 40, 3], [1, 2, 7, 40, 9])
+
+    def test_floyd_repeat(self):
+        deg, num_eligible = [6, 50, 8], [900, 60, 5000]
+        # the second user's raw draws from [0, n-d+t] repeat, so Floyd
+        # replaces at least one of them by n-d+t
+        rng = np.random.default_rng(4)
+        choice_loop(rng, deg[:1], num_eligible[:1])
+        raw = rng.integers(0, np.arange(num_eligible[1] - deg[1] + 1, num_eligible[1] + 1))
+        assert np.unique(raw).size < deg[1]
+        self.assert_matches_loop(deg, num_eligible, seed=4)
+
+    @pytest.mark.parametrize("deg,num_eligible", [
+        ([401, 500, 9], [20_000, 20_000, 30]),  # n > 10000 and d > n // 50
+        ([6, 201, 7], [50, 10_001, 10_001]),  # tail, then Floyd at d <= n // 50
+        ([3, 12_000], [10, 12_000]),  # the tail branch at n == d
+        ([200, 201], [10_000, 10_000]),  # n == 10000 stays with Floyd
+        ([200, 4], [10_001, 10]),  # d == n // 50 stays with Floyd
+    ])
+    def test_tail_shuffle_branch(self, deg, num_eligible):
+        self.assert_matches_loop(deg, num_eligible, seed=7)
+
+    def test_heavy_tailed_degrees(self):
+        """Zipf degrees: the deepest shuffle levels have fewer than
+        _DEEP_USERS users and run in Python lists."""
+        deg = np.minimum(np.random.default_rng(5).zipf(1.8, 1500), 600)
+        deg = deg[deg < 1400]
+        num_eligible = 1500 - deg - 1
+        assert np.sort(deg)[-1] > np.sort(deg)[-_DEEP_USERS]
+        self.assert_matches_loop(deg, num_eligible, seed=3)
+
+    def test_random_small_cases(self):
+        gen = np.random.default_rng(11)
+        for seed in range(40):
+            num_eligible = gen.integers(1, 80 if seed % 2 else 9000, gen.integers(0, 50))
+            deg = np.minimum(gen.integers(0, 60, num_eligible.size), num_eligible)
+            self.assert_matches_loop(deg, num_eligible, seed)
+
+
 class TestRunSimilarityStudy:
     def test_disjoint_and_deterministic(self):
         ratings, graph, _ = clustered_dataset(num_users=80, num_clusters=8, seed=53)
@@ -286,12 +366,13 @@ class TestRunSimilarityStudy:
     @pytest.mark.parametrize("min_out_degree", [1, 3, 5])
     def test_matches_the_per_user_loop(self, kind, seed, min_out_degree):
         """Bitwise equal to the per-user loop, on a clustered graph where
-        every qualifying user is kept and on a dense 14-user graph where
-        some have too few eligible peers and are skipped."""
+        every qualifying user is kept, on a dense 14-user graph where some
+        have too few eligible peers and are skipped, and on a 10,300-user
+        graph whose hub user's draw takes rng.choice's tail-shuffle branch."""
         clustered = clustered_dataset(num_users=80, num_clusters=8, seed=53)[:2]
         rng = np.random.default_rng(seed)
         dense = (random_ratings(rng, 14, 10), random_graph(rng, 14, edge_prob=0.55))
-        for ratings, graph in (clustered, dense):
+        for ratings, graph in (clustered, dense, wide_dataset(seed)):
             study = run_similarity_study(ratings, graph, min_out_degree, seed, kind)
             kept, friend, peer, skipped = loop_similarity_study(
                 graph.num_users, graph.out_ptr, graph.edge_dst, min_out_degree, seed,

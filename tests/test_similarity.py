@@ -150,6 +150,11 @@ class TestSimilarityKind:
         assert kind.tag == "random" and kind.seed == 42
         assert kind.label() == "random:42"
 
+    @pytest.mark.parametrize("text", ["pcc:5", "vss:3", "constant:0", "PCC:1"])
+    def test_seed_on_a_kind_that_ignores_it_rejected(self, text):
+        with pytest.raises(ValueError, match="only the random kind takes a seed"):
+            SimilarityKind.parse(text)
+
 
 class TestBuildSimilarityTable:
     def test_constant_kind_all_ones(self):
