@@ -17,16 +17,21 @@ the row sums of ``W + Wᵀ``. The gradient of ``(alpha/2) tr(Pᵀ L P)`` is
 ``(1/2) sum(P * alpha L @ P)``.
 
 Training epoch. ``factorization.train`` builds one epoch object per call.
-It holds ``E`` (``residual_matrix``), its transpose ``Eᵀ``, which shares
-``E.data``, and ``L`` from the similarity table, which builds it once
-(``SimilarityTable.laplacian``). The object passes them to the public names
-below and updates the factors in place. Its ``terms`` writes the residuals
-into ``E`` (``squared_error_sum(..., out=E.data)``) and, when another step
-follows, takes the social penalty from ``alpha L @ P``
+It holds the factors as one ``(M + N, k)`` block whose first M rows are
+``P`` and the rest ``Q``, ``E`` (``residual_matrix``), its transpose
+``Eᵀ``, which shares ``E.data``, and ``L`` from the similarity table, which
+builds it once (``SimilarityTable.laplacian``). The object passes the two
+row ranges of the block to the public names below, which see them as
+separate factor arrays, and updates the block in place with one numpy call
+per whole-model pass. Its ``terms`` writes the residuals into ``E``
+(``squared_error_sum(..., out=E.data)``) and, when another step follows,
+takes the social penalty from ``alpha L @ P``
 (``social_gradient(..., laplacian=L)``). Its ``step`` reuses both:
-``rating_gradients(..., resid=E, resid_t=Eᵀ)`` and that pull. A run of ``n``
-epochs thus makes ``n + 1`` residual passes and ``n + 1`` products with
-``L``.
+``rating_gradients(..., resid=E, resid_t=Eᵀ)`` and that pull, added into
+the block's ``lam * F``. A run of ``n`` epochs that stops at its epoch
+budget thus calls ``squared_error_sum`` ``n + 1`` times and
+``rating_gradients`` ``n`` times and, with the social term,
+``social_gradient`` ``n`` times and ``social_penalty`` once.
 
 Similarity. For a block of ``EDGE_BLOCK`` edges, the rated entries of both
 ends of each edge are gathered and keyed ``local_edge * span + item``; rows

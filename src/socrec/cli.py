@@ -236,7 +236,9 @@ def resolve_config(args) -> RunConfig:
             seed=_resolve(args, "seed"),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # each Hyperparams message opens with its option's name, in snake case
+        label, _, fault = str(exc).partition(" ")
+        raise ConfigError(f"--{label.replace('_', '-')} {fault}") from None
     similarity = _resolve(args, "similarity")
     try:
         similarity = SimilarityKind.parse(similarity) if similarity else None

@@ -7,7 +7,12 @@ Training is full-batch gradient descent with a constant learning rate; runs
 are fully deterministic given (seed, hyperparameters, data).
 
 Factors are stored row-per-user / row-per-item (shape (M, K) and (N, K));
-each row is one latent column vector of the factor matrices.
+each row is one latent column vector of the factor matrices. A training
+keeps both in one C-contiguous (M + N, K) block, users first, so each
+whole-model pass of an epoch (the L2 products, the gradient, the update
+and the finiteness check) is one numpy call; the model's two factor
+arrays are adjacent views of that block, as those of ``load_model`` are
+of the file body.
 """
 
 import codecs
@@ -65,6 +70,8 @@ class Hyperparams:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "Hyperparams":
         return replace(self, seed=seed)
@@ -101,13 +108,18 @@ class TrainReport:
 
 
 def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
-    """Seeded factor initialization, entries i.i.d. uniform on [0, init_scale]."""
+    """Seeded factor initialization, entries i.i.d. uniform on [0, init_scale].
+
+    One draw fills a C-contiguous ``(num_users + num_items, k)`` block,
+    user rows first; the model's user and item factors are its two adjacent
+    row ranges. The stream is the one two draws in turn would take, so the
+    values are those of a user draw followed by an item draw.
+    """
     if num_users < 1 or num_items < 1:
         raise ValueError("need at least one user and one item")
     rng = np.random.default_rng(hp.seed)
-    user_f = rng.uniform(0.0, hp.init_scale, size=(num_users, hp.k))
-    item_f = rng.uniform(0.0, hp.init_scale, size=(num_items, hp.k))
-    return FactorModel(user_f, item_f, hp.k)
+    factors = rng.uniform(0.0, hp.init_scale, size=(num_users + num_items, hp.k))
+    return FactorModel(factors[:num_users], factors[num_users:], hp.k)
 
 
 def predict(model: FactorModel, u, i):
@@ -131,28 +143,33 @@ class _Epoch:
     """The operands of one training, built once, and the passes of its
     epochs over them: ``terms`` and ``step``.
 
-    It holds the train entries, their residual matrix ``E``
-    (``residual_matrix``) with ``Eᵀ``, which shares ``E.data``, the social
-    Laplacian ``L`` (``sim.laplacian()``) when the social term contributes,
-    two scratch arrays shaped like the user and item factors, and ``lam`` and
-    ``alpha``. ``terms`` writes the residuals at the current factors into
-    ``E.data`` and, with ``keep_pull``, leaves the social pull ``alpha L @ P``
-    in ``pull``; the following ``gradients`` read both there instead of
-    recomputing them. The scratch arrays take the elementwise products of
-    the L2 and social penalties and the ``lam * factors`` of the gradients,
-    so an epoch allocates no full-size temporary for them.
+    ``factors`` is the training's C-contiguous ``(M + N, k)`` block, the
+    user factors ``P`` in its first M rows and the item factors ``Q`` in
+    the rest; ``step`` updates it in place. The object holds the train
+    entries, their residual matrix ``E`` (``residual_matrix``) with ``Eᵀ``,
+    which shares ``E.data``, the social Laplacian ``L``
+    (``sim.laplacian()``) when the social term contributes, one scratch
+    block shaped like ``factors``, and ``lam`` and ``alpha``. ``terms``
+    writes the residuals at the current factors into ``E.data`` and, with
+    ``keep_pull``, leaves the social pull ``alpha L @ P`` in ``pull``; the
+    following ``gradients`` read both there instead of recomputing them.
+    The scratch block takes the elementwise products of the L2 and social
+    penalties in ``terms`` and the gradient in ``gradients``, so an epoch
+    allocates no full-size temporary for them.
     """
 
-    def __init__(self, model: FactorModel, train: SparseRatings, hp: Hyperparams,
+    def __init__(self, factors: np.ndarray, train: SparseRatings, hp: Hyperparams,
                  graph: TrustGraph | None = None, sim: SimilarityTable | None = None):
-        self.model = model
+        m = train.num_users
+        self.factors, self.user_f, self.item_f = factors, factors[:m], factors[m:]
         self.entries = (train.users, train.items, train.values)
         self.resid = _kernels.residual_matrix(train.user_ptr, train.items, train.num_items)
         self.resid_t = self.resid.T
         social = _has_social_term(graph, hp)
         self.edges = (graph.edge_src, graph.edge_dst, sim.values) if social else None
         self.laplacian = sim.laplacian() if social else None
-        self.scratch = (np.empty_like(model.user_factors), np.empty_like(model.item_factors))
+        self.scratch = np.empty_like(factors)
+        self.scratch_user, self.scratch_item = self.scratch[:m], self.scratch[m:]
         self.lam, self.alpha = hp.lam, hp.alpha
         self.pull = None
 
@@ -164,14 +181,16 @@ class _Epoch:
         ``P`` (the penalty of a quadratic form), and the pull stays for the
         next ``gradients``; without, it is ``social_penalty`` alone.
         """
-        user_f, item_f = self.model.user_factors, self.model.item_factors
+        user_f, item_f = self.user_f, self.item_f
         data = 0.5 * _kernels.squared_error_sum(user_f, item_f, *self.entries,
                                                 out=self.resid.data)
         l2 = 0.0
         if self.lam != 0.0:
-            user_sq, item_sq = self.scratch
-            l2 = 0.5 * self.lam * (float(np.sum(np.multiply(user_f, user_f, out=user_sq)))
-                                   + float(np.sum(np.multiply(item_f, item_f, out=item_sq))))
+            np.multiply(self.factors, self.factors, out=self.scratch)
+            # one sum per half: a sum over the whole block rounds
+            # differently, which can move a tolerance stop by an epoch
+            l2 = 0.5 * self.lam * (float(self.scratch_user.sum())
+                                   + float(self.scratch_item.sum()))
         if self.laplacian is None:
             return data, l2, 0.0
         if not keep_pull:
@@ -179,36 +198,43 @@ class _Epoch:
                 user_f, *self.edges, laplacian=self.laplacian)
         self.pull = _kernels.social_gradient(user_f, *self.edges, self.alpha,
                                              laplacian=self.laplacian)
-        return data, l2, 0.5 * float(np.sum(np.multiply(user_f, self.pull, out=self.scratch[0])))
+        return data, l2, 0.5 * float(np.multiply(user_f, self.pull,
+                                                 out=self.scratch_user).sum())
 
     def gradients(self):
-        """(d_user, d_item) at the factors of the last ``terms``, from the
-        residuals and the pull it left."""
-        user_f, item_f = self.model.user_factors, self.model.item_factors
-        d_user, d_item = _kernels.rating_gradients(user_f, item_f, *self.entries,
+        """The gradient at the factors of the last ``terms``, from the
+        residuals and the pull it left, in the scratch block: ``lam * F``,
+        plus ``E @ Q`` in the user rows and ``Eᵀ @ P`` in the item rows,
+        plus the pull in the user rows. Returns its (d_user, d_item) views.
+        """
+        np.multiply(self.factors, self.lam, out=self.scratch)
+        d_user, d_item = _kernels.rating_gradients(self.user_f, self.item_f, *self.entries,
                                                    resid=self.resid, resid_t=self.resid_t)
-        if self.lam != 0.0:
-            # lam * factors is rounded before it is added, as in d + lam * f
-            for d, f, scaled in zip((d_user, d_item), (user_f, item_f), self.scratch):
-                d += np.multiply(f, self.lam, out=scaled)
+        self.scratch_user += d_user
+        self.scratch_item += d_item
         if self.laplacian is not None:
-            d_user += self.pull
-        return d_user, d_item
+            self.scratch_user += self.pull
+        return self.scratch_user, self.scratch_item
 
     def step(self, eta: float):
         """One descent update of the factors in place, after ``terms`` with
-        ``keep_pull`` at the current factors: scales the gradients by
-        ``eta`` and subtracts them."""
-        d_user, d_item = self.gradients()
-        d_user *= eta
-        d_item *= eta
-        self.model.user_factors -= d_user
-        self.model.item_factors -= d_item
+        ``keep_pull`` at the current factors: scales the gradient by
+        ``eta`` and subtracts it."""
+        self.gradients()
+        self.scratch *= eta
+        self.factors -= self.scratch
+
+
+def _factor_block(model: FactorModel) -> np.ndarray:
+    """A new ``(M + N, k)`` block holding copies of the model's user and
+    item factors, so that an epoch over it leaves the model's arrays as
+    they are."""
+    return np.concatenate((model.user_factors, model.item_factors))
 
 
 def objective_basic(model: FactorModel, train: SparseRatings, hp: Hyperparams) -> float:
     """Half the squared rating error plus the L2 penalty on both factor sets."""
-    data, l2, _ = _Epoch(model, train, hp).terms(keep_pull=False)
+    data, l2, _ = _Epoch(_factor_block(model), train, hp).terms(keep_pull=False)
     return data + l2
 
 
@@ -216,7 +242,8 @@ def objective_social(model: FactorModel, train: SparseRatings, graph: TrustGraph
                      sim: SimilarityTable, hp: Hyperparams) -> float:
     """Basic objective plus the similarity-weighted factor smoothness penalty
     over out-link edges."""
-    data, l2, social = _Epoch(model, train, hp, graph, sim).terms(keep_pull=False)
+    data, l2, social = _Epoch(_factor_block(model), train, hp, graph, sim).terms(
+        keep_pull=False)
     return data + l2 + social
 
 
@@ -231,7 +258,7 @@ def gradients_social(model: FactorModel, train: SparseRatings, graph: TrustGraph
     similarity stored on the existing edge. Computed as in a training
     epoch: ``terms`` at the factors, then ``gradients``.
     """
-    epoch = _Epoch(model, train, hp, graph, sim)
+    epoch = _Epoch(_factor_block(model), train, hp, graph, sim)
     epoch.terms()
     return epoch.gradients()
 
@@ -249,12 +276,13 @@ def train(
     hp.tolerance or after hp.max_epochs epochs. Raises DivergenceError if
     factors or the objective leave the finite range.
 
-    One ``_Epoch`` per call holds the operands every epoch reuses. Each
-    epoch is its ``step`` (gradients from the residuals and the social pull
-    ``alpha L @ P`` that the last ``terms`` left, then an in-place update)
-    and its ``terms`` at the new factors, so every epoch makes one residual
-    pass. ``L`` is ``sim.laplacian()``, built once per table, so trainings
-    that share a table share it.
+    One ``_Epoch`` per call holds the operands every epoch reuses, over
+    the one factor block of ``init_model``. Each epoch is its ``step`` (the
+    gradient from the residuals and the social pull ``alpha L @ P`` that
+    the last ``terms`` left, then an in-place update of the block) and its
+    ``terms`` at the new factors, so every epoch makes one residual pass.
+    ``L`` is ``sim.laplacian()``, built once per table, so trainings that
+    share a table share it.
     """
     if (graph is None) != (sim is None):
         raise ValueError("graph and sim must be supplied together or not at all")
@@ -267,7 +295,8 @@ def train(
 
     model = init_model(ratings.num_users, ratings.num_items, hp)
     model.global_mean = ratings.global_mean()
-    epoch = _Epoch(model, ratings, hp, graph, sim)
+    # the model's factors are views of the block init_model drew
+    epoch = _Epoch(model.user_factors.base, ratings, hp, graph, sim)
     report = TrainReport()
     data, l2, social = epoch.terms()
     previous = data + l2 + social
@@ -276,13 +305,12 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, hp.max_epochs + 1):
             epoch.step(eta)
-            if not (np.isfinite(model.user_factors).all()
-                    and np.isfinite(model.item_factors).all()):
+            if not np.isfinite(epoch.factors).all():
                 raise DivergenceError(n)
             # the last epoch's pull would feed no step
             data, l2, social = epoch.terms(keep_pull=n < hp.max_epochs)
             current = data + l2 + social
-            if not np.isfinite(current):
+            if not math.isfinite(current):
                 raise DivergenceError(n)
             report.objective_per_epoch.append(current)
             report.epochs_run = n

@@ -36,6 +36,8 @@ class SimilarityKind:
     def __post_init__(self):
         if self.tag not in KINDS:
             raise ValueError(f"unknown similarity kind {self.tag!r}; choose from {KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def pcc(cls) -> "SimilarityKind":

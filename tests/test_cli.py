@@ -100,6 +100,7 @@ class TestTrainCommand:
         ("train", "--method", "social", "--similarity", "pcc:5"),
         ("experiment", "--which", "sim-study", "--similarity", "vss:3"),
         ("experiment", "--which", "ablation", "--similarity", "constant:0"),
+        ("train", "--method", "social", "--similarity", "random:-1"),
     ])
     def test_bad_similarity_is_config_error_before_any_file(self, tmp_path, capsys, argv):
         missing = tmp_path / "missing.tsv"
@@ -109,6 +110,15 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("socrec: error: --similarity ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [("train", "--method", "mf"),
+                                      ("experiment", "--which", "compare")])
+    def test_negative_seed_is_config_error_before_any_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.tsv")
+        code = run_cli(*argv, "--seed", "-1", "--ratings", missing, "--trust", missing,
+                       "--out" if argv[0] == "train" else "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == "socrec: error: --seed must be >= 0, got -1\n"
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,

@@ -56,6 +56,7 @@ class TestHyperparams:
         ("max_epochs", 0),
         ("tolerance", 0.0),
         ("init_scale", -0.1),
+        ("seed", -1),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -329,6 +330,150 @@ class TestTrain:
         model, _ = train(train_set, hp)
         assert np.isfinite(model.user_factors).all()
         assert np.isfinite(model.item_factors).all()
+
+
+def per_half_train(ratings, hp, graph=None, sim=None):
+    """The trainer over separate user and item arrays, as it ran before it
+    kept both in one block, in plain numpy/scipy: per half, the gradient
+    ``E @ Q + lam * P (+ pull)``, scaled by eta and subtracted, a
+    finiteness check of each half, and the objective terms at the new
+    factors. ``L`` is the table's own Laplacian. Returns (user factors,
+    item factors, objective trace, converged), or the epoch at which the
+    run diverged."""
+    from scipy.sparse import csr_matrix
+
+    rng = np.random.default_rng(hp.seed)
+    user_f = rng.uniform(0.0, hp.init_scale, (ratings.num_users, hp.k))
+    item_f = rng.uniform(0.0, hp.init_scale, (ratings.num_items, hp.k))
+    resid = csr_matrix((np.empty(ratings.num_entries), ratings.items, ratings.user_ptr),
+                       shape=(ratings.num_users, ratings.num_items))
+    resid_t = resid.T
+    social = graph is not None and hp.alpha != 0.0 and graph.num_edges > 0
+    lap = sim.laplacian() if social else None
+    state = {}
+
+    def objective(keep_pull):
+        err = np.einsum("ej,ej->e", user_f[ratings.users], item_f[ratings.items])
+        err -= ratings.values
+        resid.data[:] = err
+        total = 0.5 * float(np.einsum("e,e->", err, err))
+        if hp.lam != 0.0:
+            total += 0.5 * hp.lam * (float(np.sum(user_f * user_f))
+                                     + float(np.sum(item_f * item_f)))
+        if not social:
+            return total
+        if not keep_pull:
+            return total + 0.5 * hp.alpha * float(np.sum(user_f * (lap @ user_f)))
+        state["pull"] = lap @ user_f
+        state["pull"] *= hp.alpha
+        return total + 0.5 * float(np.sum(user_f * state["pull"]))
+
+    trace = []
+    previous = objective(True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, hp.max_epochs + 1):
+            d_user, d_item = resid @ item_f, resid_t @ user_f
+            if hp.lam != 0.0:
+                d_user += hp.lam * user_f
+                d_item += hp.lam * item_f
+            if social:
+                d_user += state["pull"]
+            d_user *= hp.learning_rate
+            d_item *= hp.learning_rate
+            user_f -= d_user
+            item_f -= d_item
+            if not (np.isfinite(user_f).all() and np.isfinite(item_f).all()):
+                return n
+            current = objective(n < hp.max_epochs)
+            if not np.isfinite(current):
+                return n
+            trace.append(current)
+            if abs(current - previous) / max(1.0, previous) < hp.tolerance:
+                return user_f, item_f, trace, True
+            previous = current
+    return user_f, item_f, trace, False
+
+
+def block_instance(seed=12, num_users=9, num_items=7):
+    """Random ratings over all but the last item, which no rating touches,
+    with a random trust graph and similarities."""
+    rng = np.random.default_rng(seed)
+    rated = random_ratings(rng, num_users, num_items - 1)
+    ratings = SparseRatings(num_users, num_items, rated.users, rated.items, rated.values)
+    graph = random_graph(rng, num_users)
+    return ratings, graph, random_sim(rng, graph)
+
+
+class TestFactorBlock:
+    """Training keeps the factors in one (M + N, k) block; its results are
+    those of the per-half trainer bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("social", [False, True])
+    def test_training_bitwise_equals_the_per_half_trainer(self, lam, alpha, k, social):
+        ratings, graph, sim = block_instance()
+        for tolerance in (3e-3, 1e-15):  # mostly tolerance stops, and the full budget
+            hp = tiny_hp(k=k, lam=lam, alpha=alpha, learning_rate=0.05, max_epochs=60,
+                         tolerance=tolerance, seed=4)
+            model, report = train(ratings, hp, *((graph, sim) if social else ()))
+            user_f, item_f, trace, converged = per_half_train(
+                ratings, hp, *((graph, sim) if social else ()))
+            assert model.user_factors.tobytes() == user_f.tobytes()
+            assert model.item_factors.tobytes() == item_f.tobytes()
+            assert report.objective_per_epoch == trace
+            assert report.epochs_run == len(trace)
+            assert report.converged == converged
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("social", [False, True])
+    def test_divergence_at_the_per_half_trainer_epoch(self, lam, social):
+        ratings, graph, sim = block_instance()
+        hp = tiny_hp(k=3, lam=lam, alpha=0.5, learning_rate=0.8, max_epochs=500,
+                     tolerance=1e-15, seed=4)
+        expected = per_half_train(ratings, hp, *((graph, sim) if social else ()))
+        assert isinstance(expected, int) and expected > 1
+        with pytest.raises(DivergenceError) as info:
+            train(ratings, hp, *((graph, sim) if social else ()))
+        assert info.value.epoch == expected
+
+    def test_init_model_is_two_adjacent_views_of_one_block(self):
+        hp = tiny_hp(k=3, seed=21)
+        model = init_model(5, 4, hp)
+        block = model.user_factors.base
+        assert block is model.item_factors.base
+        assert block.shape == (9, 3) and block.flags.c_contiguous
+        assert model.user_factors.ctypes.data == block.ctypes.data
+        assert model.item_factors.ctypes.data == block.ctypes.data + model.user_factors.nbytes
+        rng = np.random.default_rng(21)
+        user_f = rng.uniform(0.0, hp.init_scale, (5, 3))
+        item_f = rng.uniform(0.0, hp.init_scale, (4, 3))
+        assert model.user_factors.tobytes() == user_f.tobytes()
+        assert model.item_factors.tobytes() == item_f.tobytes()
+
+    def test_wrappers_leave_the_callers_arrays_alone(self):
+        ratings, graph, sim = block_instance()
+        hp = tiny_hp(k=3, lam=0.4, alpha=0.5)
+        model = random_model(np.random.default_rng(13), ratings.num_users,
+                             ratings.num_items, 3)
+        user_f, item_f = model.user_factors, model.item_factors
+        before = (user_f.copy(), item_f.copy())
+        objective_basic(model, ratings, hp)
+        objective_social(model, ratings, graph, sim, hp)
+        grads = gradients_social(model, ratings, graph, sim, hp)
+        assert model.user_factors is user_f and model.item_factors is item_f
+        assert user_f.tobytes() == before[0].tobytes()
+        assert item_f.tobytes() == before[1].tobytes()
+        assert not any(np.shares_memory(g, f) for g in grads for f in (user_f, item_f))
+
+    def test_saved_trained_model_has_the_per_value_bytes(self, tmp_path):
+        ratings, graph, sim = block_instance()
+        model, _ = train(ratings, tiny_hp(k=3, lam=0.1, alpha=0.5), graph, sim)
+        save_model(model, tmp_path / "block.bin")
+        struct_save_model(tmp_path / "packed.bin", model.user_factors.tolist(),
+                          model.item_factors.tolist(), model.global_mean)
+        assert (tmp_path / "block.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
 
 
 class TestModelFile:

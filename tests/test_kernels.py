@@ -263,7 +263,7 @@ class TestFusedEpoch:
                 got = original(epoch, *args, **kwargs)
                 if not nested:  # objective_social runs an epoch object of its own
                     nested.append(name)
-                    compare(got, epoch.model)
+                    compare(got, factorization.FactorModel(epoch.user_f, epoch.item_f, hp.k))
                     nested.pop()
                     seen[name] += 1
                 return got
@@ -286,7 +286,8 @@ class TestFusedEpoch:
         expected = (brute_objective_basic(user_f, item_f, entry_triples(ratings), 0.0),
                     brute_objective_basic(user_f, item_f, [], lam),
                     brute_objective_social(user_f, item_f, [], edges, 0.0, alpha))
-        terms = {keep_pull: factorization._Epoch(model, ratings, hp, graph, sim).terms(keep_pull)
+        factors = factorization._factor_block(model)
+        terms = {keep_pull: factorization._Epoch(factors, ratings, hp, graph, sim).terms(keep_pull)
                  for keep_pull in (True, False)}
         for got in terms.values():
             assert got == pytest.approx(expected, rel=1e-12)
@@ -297,7 +298,9 @@ class TestFusedEpoch:
     @pytest.mark.parametrize("social", [True, False])
     def test_epoch_calls_the_kernel_names(self, instance, monkeypatch, social):
         """Training goes through the public kernel names, one residual pass per
-        objective: the per-layer benchmark traces exactly these calls."""
+        objective: a run of n epochs makes n + 1 residual passes, n data
+        gradients and, with the social term, n pulls and one closing
+        penalty. The per-layer benchmark traces exactly these calls."""
         ratings, graph, sim, _, _ = instance
         calls = dict.fromkeys(TestBenchmarkContract.KERNELS, 0)
         for name in calls:
@@ -305,12 +308,15 @@ class TestFusedEpoch:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(_kernels, name, counted)
-        hp = factorization.Hyperparams(k=3, alpha=0.1, max_epochs=4, tolerance=1e-300)
-        train(ratings, hp, *((graph, sim) if social else ()))
-        assert calls == {"squared_error_sum": 5, "rating_gradients": 4,
-                         "social_gradient": 4 if social else 0,
-                         "social_penalty": 1 if social else 0,
-                         "predict_pairs": 0, "pcc_edges": 0, "vss_edges": 0}
+        for n in (1, 4, 9):
+            calls.update(dict.fromkeys(calls, 0))
+            hp = factorization.Hyperparams(k=3, alpha=0.1, max_epochs=n, tolerance=1e-300)
+            _, report = train(ratings, hp, *((graph, sim) if social else ()))
+            assert report.epochs_run == n
+            assert calls == {"squared_error_sum": n + 1, "rating_gradients": n,
+                             "social_gradient": n if social else 0,
+                             "social_penalty": 1 if social else 0,
+                             "predict_pairs": 0, "pcc_edges": 0, "vss_edges": 0}
 
 
 class TestCachedLaplacian:

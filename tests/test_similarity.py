@@ -155,6 +155,13 @@ class TestSimilarityKind:
         with pytest.raises(ValueError, match="only the random kind takes a seed"):
             SimilarityKind.parse(text)
 
+    def test_negative_seed_rejected(self):
+        """A random table's seed feeds numpy's generator, which takes no
+        negative seed; the kind refuses it when built."""
+        for make in (lambda: SimilarityKind.random(-1), lambda: SimilarityKind.parse("random:-1")):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+                make()
+
 
 class TestBuildSimilarityTable:
     def test_constant_kind_all_ones(self):
