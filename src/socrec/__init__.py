@@ -55,7 +55,6 @@ from .similarity import (
     SimilarityKind,
     SimilarityTable,
     build_similarity_table,
-    load_similarity_table,
     map_to_unit,
     pcc,
     vss,
@@ -88,7 +87,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_ratings",
-    "load_similarity_table",
     "load_trust",
     "mae_rmse",
     "map_to_unit",

@@ -128,10 +128,10 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", help="run an experiment and write CSVs")
     p_exp.add_argument("--which", choices=EXPERIMENTS, required=True)
     p_exp.add_argument("--out-dir", help="directory for result CSVs")
-    p_exp.add_argument("--fractions", type=_float_list, help="e.g. 0.9,0.8")
-    p_exp.add_argument("--seeds", type=_int_list, help="e.g. 1,2,3,4,5")
-    p_exp.add_argument("--alphas", type=_float_list, help="e.g. 0,0.001,0.01,0.1")
-    p_exp.add_argument("--kinds", type=_kind_list, help="e.g. constant,random,vss,pcc")
+    p_exp.add_argument("--fractions", help="e.g. 0.9,0.8")
+    p_exp.add_argument("--seeds", help="e.g. 1,2,3,4,5")
+    p_exp.add_argument("--alphas", help="e.g. 0,0.001,0.01,0.1")
+    p_exp.add_argument("--kinds", help="e.g. constant,random,vss,pcc")
     p_exp.add_argument("--cold-start-threshold", type=int)
     p_exp.add_argument("--min-out-degree", type=int)
     _add_common_options(p_exp)
@@ -159,23 +159,26 @@ def read_config_file(path) -> dict:
         convert, _ = _OPTIONS[key]
         try:
             values[key] = convert(value.strip())
-        except ValueError:
+        except ValueError as exc:
             raise ConfigError(
-                f"{path}:{lineno}: bad value for {key}: {value.strip()!r}"
+                f"{path}:{lineno}: bad value for {key}: {value.strip()!r}: {exc}"
             ) from None
     return values
 
 
 def _resolve(args, name):
-    """Option precedence: flag > config file > built-in default."""
-    attr = "lam_flag" if name == "lambda" else name
-    flag = getattr(args, attr, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config_values", {})
-    if name in config:
-        return config[name]
-    return _OPTIONS[name][1]
+    """Option precedence: flag > config file > built-in default. A flag
+    value goes through its option's converter, as a config value does (the
+    list flags arrive as text); a value it refuses is a ConfigError naming
+    the flag."""
+    convert, default = _OPTIONS[name]
+    flag = getattr(args, "lam_flag" if name == "lambda" else name, None)
+    if flag is None:
+        return getattr(args, "_config_values", {}).get(name, default)
+    try:
+        return convert(flag)
+    except ValueError as exc:
+        raise ConfigError(f"--{name.replace('_', '-')} {flag!r}: {exc}") from None
 
 
 @dataclass
@@ -200,22 +203,22 @@ class RunConfig:
         """Check value ranges; ``study`` also applies the similarity study's
         rule that ``--similarity`` is vss or pcc."""
         if not self.fractions or any(not 0.0 < f < 1.0 for f in self.fractions):
-            raise ConfigError(f"fractions must lie in (0, 1), got {self.fractions}")
+            raise ConfigError(f"--fractions must lie in (0, 1), got {self.fractions}")
         if not self.seeds:
-            raise ConfigError("seeds must not be empty")
+            raise ConfigError("--seeds must not be empty")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"--seeds must be >= 0, got {self.seeds}")
         if not self.alphas or any(a < 0.0 for a in self.alphas):
-            raise ConfigError(f"alphas must be >= 0, got {self.alphas}")
+            raise ConfigError(f"--alphas must be >= 0, got {self.alphas}")
         if not self.kinds:
-            raise ConfigError("kinds must not be empty")
+            raise ConfigError("--kinds must not be empty")
         if self.cold_start_threshold < 2:
             raise ConfigError(
-                f"cold-start-threshold must be >= 2, got {self.cold_start_threshold}"
+                f"--cold-start-threshold must be >= 2, got {self.cold_start_threshold}"
             )
         if self.min_out_degree < 1:
             raise ConfigError(
-                f"min-out-degree must be >= 1, got {self.min_out_degree}"
+                f"--min-out-degree must be >= 1, got {self.min_out_degree}"
             )
         if study and self.similarity and self.similarity.tag not in STUDY_KINDS:
             raise ConfigError(f"--similarity {self.similarity.label()!r}: the similarity "
@@ -390,6 +393,10 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--cold-start-threshold {cfg.cold_start_threshold}: every user "
                           f"in {cfg.ratings} has one rating, so the cold-start split "
                           "holds out all of them and leaves no train set")
+    if which in ("compare", "alpha-sweep", "ablation") and ratings.num_entries < 2:
+        # no train fraction splits one rating into two non-empty sides
+        raise DataFileError(f"{cfg.ratings}: holds 1 rating; a train/test split "
+                            "needs at least 2 ratings")
     hp = cfg.hyperparams
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

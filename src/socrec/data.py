@@ -31,7 +31,7 @@ import numpy as np
 # glibc's 128 KiB mmap threshold while fields with their separators average
 # over 4 code points (5.5 and 9 in the benchmark's trust and ratings files)
 TEXT_BLOCK = 1 << 16
-# rows save_ratings and SimilarityTable.save format per write
+# rows save_ratings formats per write
 LINE_BLOCK = 8192
 # str.isspace of every code point up to the last whitespace one (U+3000)
 # and one past it, which stands for all higher code points
@@ -166,9 +166,6 @@ class SparseRatings:
             if np.any(same_user & same_item):
                 raise ValueError("duplicate (user, item) entry")
 
-    def __len__(self) -> int:
-        return self.users.size
-
     @property
     def num_entries(self) -> int:
         return self.users.size
@@ -270,14 +267,6 @@ class TrustGraph:
 
     def out_degrees(self):
         return np.diff(self.out_ptr)
-
-    def edge_position(self, u, f) -> int:
-        """Position of edge (u, f) in edge order, or -1 if absent."""
-        lo, hi = self.out_ptr[u], self.out_ptr[u + 1]
-        pos = lo + np.searchsorted(self.edge_dst[lo:hi], f)
-        if pos < hi and self.edge_dst[pos] == f:
-            return int(pos)
-        return -1
 
 
 def _canonical(major, minor, *rest):

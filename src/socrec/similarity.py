@@ -7,21 +7,11 @@ a seeded uniform random value per edge.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import _kernels
-from .data import (
-    _NO_INDICES,
-    LINE_BLOCK,
-    DataFileError,
-    SparseRatings,
-    TrustGraph,
-    _data_blocks,
-    _first_unparsed,
-    _last_of_each_pair,
-)
+from .data import SparseRatings, TrustGraph
 
 KINDS = ("pcc", "vss", "constant", "random")
 
@@ -88,9 +78,6 @@ class SimilarityTable:
         self.values = values
         self._laplacian = None
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def keyed_by(self, graph: TrustGraph) -> bool:
         """Whether the table's values belong to the edges of ``graph``: its
         own graph, or one with the same users and edges."""
@@ -111,91 +98,6 @@ class SimilarityTable:
                 a.flags.writeable = False
             self._laplacian = lap
         return self._laplacian
-
-    def value(self, u: int, f: int) -> float:
-        """Similarity stored on edge (u, f); KeyError if the edge is absent."""
-        pos = self.graph.edge_position(u, f)
-        if pos < 0:
-            raise KeyError(f"no trust edge {u} -> {f}")
-        return float(self.values[pos])
-
-    def save(self, path):
-        """Write '<u> <f> <sim>' lines, 17 significant digits per value,
-        ``LINE_BLOCK`` lines per write."""
-        g = self.graph
-        with open(path, "w", encoding="utf-8") as fh:
-            for lo in range(0, g.num_edges, LINE_BLOCK):
-                block = slice(lo, lo + LINE_BLOCK)
-                cells = tuple(chain.from_iterable(zip(
-                    g.edge_src[block].tolist(), g.edge_dst[block].tolist(),
-                    self.values[block].tolist())))
-                fh.write(("%d %d %.17g\n" * (len(cells) // 3)) % cells)
-
-
-def load_similarity_table(path, graph: TrustGraph) -> SimilarityTable:
-    """Read a cached table and check it is keyed by exactly the graph's edges.
-
-    The last line of a repeated edge wins. Raises DataFileError, with the
-    line number where one applies, on a malformed line, a value outside
-    [0, 1] (NaN included) or an edge set that differs from the graph's, and
-    when the file cannot be read.
-    """
-    n = graph.num_users
-    src, dst, values = [_NO_INDICES], [_NO_INDICES], [np.empty(0)]
-    strays = set()  # distinct edges with an endpoint that is no user index
-    for linenos, tokens in _data_blocks(path, 3):
-        s, t, v = _cache_columns(path, linenos, tokens)
-        outside = (s < 0) | (s >= n) | (t < 0) | (t >= n)
-        if outside.any():
-            strays.update(zip(s[outside].tolist(), t[outside].tolist()))
-            s, t, v = s[~outside], t[~outside], v[~outside]
-        src.append(s.astype(np.int64, copy=False))
-        dst.append(t.astype(np.int64, copy=False))
-        values.append(v)
-    src, dst, last = _last_of_each_pair(np.concatenate(src), np.concatenate(dst), n)
-    if src.size + len(strays) != graph.num_edges:
-        raise DataFileError(f"{path}: cache holds {src.size + len(strays)} edges, "
-                            f"graph has {graph.num_edges}")
-    keys, edge_keys = src * n + dst, graph.edge_src * n + graph.edge_dst
-    pos = np.searchsorted(keys, edge_keys)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == edge_keys[found]
-    if not found.all():
-        e = np.argmin(found)
-        raise DataFileError(f"{path}: cache is missing edge "
-                            f"{(int(graph.edge_src[e]), int(graph.edge_dst[e]))}")
-    return SimilarityTable(graph, np.concatenate(values)[last[pos]])
-
-
-def _cache_columns(path, linenos, tokens):
-    """A cache block's (sources, destinations, values); raises DataFileError
-    naming the first line with a non-numeric field or a value outside
-    [0, 1]."""
-    try:
-        src, dst = _int_column(tokens[0::3]), _int_column(tokens[1::3])
-        values = np.fromiter(map(float, tokens[2::3]), np.float64, len(linenos))
-    except ValueError:
-        bad = _first_unparsed(zip(tokens[0::3], tokens[1::3], tokens[2::3]), _parse_line)
-        _cache_columns(path, linenos[:bad], tokens[:3 * bad])
-        raise DataFileError(f"{path}:{linenos[bad]}: non-numeric field") from None
-    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if outside.size:
-        n = outside[0]
-        raise DataFileError(
-            f"{path}:{linenos[n]}: similarity {tokens[3 * n + 2]} outside [0, 1]")
-    return src, dst, values
-
-
-def _int_column(tokens):
-    try:
-        return np.fromiter(map(int, tokens), np.int64, len(tokens))
-    except OverflowError:  # an integer beyond int64, which is no user index
-        return np.array(list(map(int, tokens)), dtype=object)
-
-
-def _parse_line(fields):
-    src, dst, value = fields
-    return int(src), int(dst), float(value)
 
 
 def map_to_unit(x):

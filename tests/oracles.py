@@ -162,31 +162,6 @@ def line_load_trust(path, users):
     return sorted(edges)
 
 
-def line_load_similarity(path, edges):
-    """The similarity-cache loader one line at a time: the cached value of
-    each of ``edges``, the graph's sorted (source, destination) pairs; the
-    last line of a repeated edge wins."""
-    entries = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise OracleDataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            key, value = (int(parts[0]), int(parts[1])), float(parts[2])
-        except ValueError:
-            raise OracleDataError(f"{path}:{lineno}: non-numeric field") from None
-        if not 0.0 <= value <= 1.0:
-            raise OracleDataError(f"{path}:{lineno}: similarity {parts[2]} outside [0, 1]")
-        entries[key] = value
-    if len(entries) != len(edges):
-        raise OracleDataError(
-            f"{path}: cache holds {len(entries)} edges, graph has {len(edges)}")
-    for key in edges:
-        if key not in entries:
-            raise OracleDataError(f"{path}: cache is missing edge {key}")
-    return [entries[key] for key in edges]
-
-
 def line_save_ratings(path, triples, user_ids=None, item_ids=None):
     """A ratings file written one (user, item, rating) line at a time."""
     with open(path, "w", encoding="utf-8") as fh:

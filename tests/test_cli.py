@@ -379,6 +379,26 @@ class TestExperimentCommand:
         assert f" in {ratings} has one rating" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("fraction", ["0.9", "0.1"])
+    @pytest.mark.parametrize("which", ["compare", "alpha-sweep", "ablation"])
+    def test_one_rating_is_data_error_naming_the_file(self, tmp_path, capsys,
+                                                      which, fraction):
+        """No train fraction splits a single rating into a train and a test
+        side, so the file, not an option, is at fault."""
+        ratings = tmp_path / "one.tsv"
+        ratings.write_text("u1 m1 4\n", encoding="utf-8")
+        trust = tmp_path / "trust.tsv"
+        trust.write_text("u1 u2\n", encoding="utf-8")
+        out_dir = tmp_path / "res"
+        code = run_cli("experiment", "--which", which, "--fractions", fraction,
+                       "--ratings", str(ratings), "--trust", str(trust),
+                       "--max-epochs", "5", "--out-dir", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"socrec: data error: {ratings}: holds 1 rating; "
+            "a train/test split needs at least 2 ratings\n")
+        assert not out_dir.exists()
+
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
         code = run_cli("experiment", "--which", "nonsense",
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST)
@@ -435,11 +455,17 @@ class TestConfigFile:
         assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("flag,value,named", [
-        ("--fractions", "1.5", "fractions"),
-        ("--cold-start-threshold", "1", "cold-start-threshold"),
-        ("--min-out-degree", "0", "min-out-degree"),
-        ("--alpha", "-0.5", "alpha"),
-        ("--lambda", "nan", "lambda"),
+        ("--fractions", "1.5", "--fractions must lie in (0, 1)"),
+        ("--alphas", "0,-1", "--alphas must be >= 0"),
+        ("--seeds", ",", "--seeds must not be empty"),
+        ("--cold-start-threshold", "1", "--cold-start-threshold must be >= 2"),
+        ("--min-out-degree", "0", "--min-out-degree must be >= 1"),
+        ("--alpha", "-0.5", "--alpha"),
+        ("--lambda", "nan", "--lambda"),
+        ("--kinds", "random:-1", "--kinds 'random:-1': seed must be >= 0, got -1\n"),
+        ("--seeds", "1,x", "--seeds '1,x': invalid literal for int() with base 10: 'x'\n"),
+        ("--fractions", "0.5,abc",
+         "--fractions '0.5,abc': could not convert string to float: 'abc'\n"),
     ])
     def test_out_of_range_values_name_the_field(self, tmp_path, capsys,
                                                 flag, value, named):
@@ -448,6 +474,17 @@ class TestConfigFile:
                        flag, value, "--out-dir", str(tmp_path / "res"))
         assert code == 1
         assert named in capsys.readouterr().err
+
+    def test_bad_config_value_gives_the_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kinds = pcc,random:-1\n", encoding="utf-8")
+        code = run_cli("experiment", "--which", "ablation", "--config", str(cfg),
+                       "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
+                       "--out-dir", str(tmp_path / "res"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"socrec: error: {cfg}:1: bad value for kinds: 'pcc,random:-1': "
+            "seed must be >= 0, got -1\n")
 
 
 class TestInstalledEntryPoint:

@@ -1,7 +1,6 @@
 """Property tests on arbitrary inputs: the block loaders of socrec.data
-and the similarity-cache loader against the line-at-a-time loaders of
-oracles.py, and exact save/load round trips of models and similarity
-caches."""
+against the line-at-a-time loaders of oracles.py, and exact save/load
+round trips of models."""
 
 import pytest
 
@@ -16,11 +15,9 @@ import socrec.data as data_module
 from socrec import (
     DataFileError,
     FactorModel,
-    SimilarityTable,
     TrustGraph,
     load_model,
     load_ratings,
-    load_similarity_table,
     load_trust,
     save_model,
 )
@@ -28,7 +25,6 @@ from socrec import (
 from oracles import (
     OracleDataError,
     line_load_ratings,
-    line_load_similarity,
     line_load_trust,
 )
 
@@ -77,31 +73,6 @@ def _file(good_line, any_line):
     faulty = st.lists(st.one_of(*[any_line] * 6, _SKIPPED, _GARBAGE), max_size=20)
     return st.tuples(st.one_of(good, faulty), _NEWLINES, _BOM, st.booleans()).map(
         lambda p: _join(*p))
-
-
-_ENDPOINTS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "01", "+2", "1_0", "\uff12",
-                              "99999999999999999999", "x", "1.0"])
-_UNIT_TEXT = st.sampled_from(["0.5", "1", "0", "-0", "1e-3", "0.25", "1.0000", "5e-324"])
-_SIM_TEXT = st.one_of(_UNIT_TEXT, st.sampled_from(["nan", "1.5", "-0.1", "x", "inf", ""]))
-
-
-@st.composite
-def _cache_cases(draw):
-    """(sorted edges of a 4-user graph, similarity-cache text): the graph's
-    edges in any order, some repeated, with blank and comment lines, and in
-    about half of the files arbitrary lines besides."""
-    pairs = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1])
-    edges = sorted(set(draw(st.lists(pairs, max_size=8))))
-    listed = list(edges)
-    if edges:
-        listed += draw(st.lists(st.sampled_from(edges), max_size=3))
-    rows = [draw(_line([st.just(str(s)), st.just(str(t)), _UNIT_TEXT])) for s, t in listed]
-    rows += draw(st.lists(_SKIPPED, max_size=3))
-    if draw(st.booleans()):
-        rows += draw(st.lists(st.one_of(_line([_ENDPOINTS, _ENDPOINTS, _SIM_TEXT]), _GARBAGE),
-                              max_size=4))
-    rows = draw(st.permutations(rows))
-    return edges, _join(rows, draw(_NEWLINES), draw(_BOM), draw(st.booleans()))
 
 
 # code points the loaders read per block (before topping up to a line end)
@@ -153,18 +124,6 @@ class TestBlockLoadersMatchLineLoaders:
         assert _outcome(blocks) == _outcome(lambda: line_load_trust(tpath, users))
         assert [ids.user_id(u) for u in range(ids.num_users)] == list(users)
 
-    @pytest.mark.parametrize("block", _BLOCK_SIZES)
-    @_PER_BLOCK
-    @given(case=_cache_cases())
-    def test_similarity_cache(self, tmp_path, monkeypatch, block, case):
-        monkeypatch.setattr(data_module, "TEXT_BLOCK", block)
-        edges, text = case
-        path = tmp_path / "sim.txt"
-        path.write_bytes(text.encode("utf-8"))
-        graph = TrustGraph.from_edges(4, edges)
-        assert (_outcome(lambda: _bits(load_similarity_table(path, graph).values))
-                == _outcome(lambda: _bits(line_load_similarity(path, edges))))
-
     @given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
     def test_from_edges(self, edges):
         graph = TrustGraph.from_edges(6, edges)
@@ -184,8 +143,6 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-
                                 1e308, -1e308, 1.7976931348623157e308,
                                 -1.7976931348623157e308])
 _FINITE = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
-_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 - 2 ** -53]),
-                  st.floats(0.0, 1.0))
 _ROUND_TRIP = settings(max_examples=100, deadline=None,
                        suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -196,14 +153,6 @@ def _models(draw):
     return FactorModel(draw(arrays(np.float64, (m, k), elements=_FINITE)),
                        draw(arrays(np.float64, (n, k), elements=_FINITE)),
                        k, draw(_FINITE))
-
-
-@st.composite
-def _similarity_tables(draw):
-    num_users = draw(st.integers(1, 6))
-    pairs = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_users - 1))
-    graph = TrustGraph.from_edges(num_users, draw(st.lists(pairs, max_size=20)))
-    return SimilarityTable(graph, draw(arrays(np.float64, graph.num_edges, elements=_UNIT)))
 
 
 class TestRoundTrips:
@@ -218,12 +167,3 @@ class TestRoundTrips:
         assert _bits(loaded.user_factors) == _bits(model.user_factors)
         assert _bits(loaded.item_factors) == _bits(model.item_factors)
         assert _bits(loaded.global_mean) == _bits(model.global_mean)
-
-    @_ROUND_TRIP
-    @given(table=_similarity_tables())
-    def test_similarity_table(self, tmp_path, table):
-        path = tmp_path / "sim.txt"
-        table.save(path)
-        loaded = load_similarity_table(path, table.graph)
-        assert loaded.graph is table.graph
-        assert _bits(loaded.values) == _bits(table.values)

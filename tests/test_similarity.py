@@ -1,15 +1,11 @@
-import re
-
 import numpy as np
 import pytest
 
 from socrec import (
-    DataFileError,
     SimilarityKind,
     SimilarityTable,
     TrustGraph,
     build_similarity_table,
-    load_similarity_table,
     map_to_unit,
     pcc,
     vss,
@@ -191,87 +187,11 @@ class TestBuildSimilarityTable:
         ratings = random_ratings(rng, 12, 8)
         graph = random_graph(rng, 12)
         table = build_similarity_table(ratings, graph, SimilarityKind.pcc())
-        for s, t in zip(graph.edge_src, graph.edge_dst):
-            expected = map_to_unit(pcc(ratings, int(s), int(t)))
-            assert table.value(int(s), int(t)) == pytest.approx(expected, abs=1e-12)
-
-    def test_lookup_missing_edge_raises(self):
-        graph = TrustGraph.from_edges(3, [(0, 1)])
-        table = SimilarityTable(graph, np.array([0.5]))
-        with pytest.raises(KeyError):
-            table.value(1, 0)
-
-    def test_cache_round_trip(self, tmp_path):
-        rng = np.random.default_rng(24)
-        ratings = random_ratings(rng, 10, 6)
-        graph = random_graph(rng, 10)
-        table = build_similarity_table(ratings, graph, SimilarityKind.pcc())
-        path = tmp_path / "sim.txt"
-        table.save(path)
-        loaded = load_similarity_table(path, graph)
-        np.testing.assert_array_equal(loaded.values, table.values)
-
-    def test_cache_edge_mismatch_rejected(self, tmp_path):
-        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
-        table = SimilarityTable(graph, np.array([0.5, 0.25]))
-        path = tmp_path / "sim.txt"
-        table.save(path)
-        other = TrustGraph.from_edges(3, [(0, 1), (2, 0)])
-        with pytest.raises(ValueError):
-            load_similarity_table(path, other)
+        expected = [map_to_unit(pcc(ratings, int(s), int(t)))
+                    for s, t in zip(graph.edge_src, graph.edge_dst)]
+        np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
 
     def test_nan_value_rejected(self):
         graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SimilarityTable(graph, np.array([0.5, np.nan]))
-
-    @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
-    def test_unreadable_cache_is_data_error(self, tmp_path, fault):
-        graph = TrustGraph.from_edges(3, [(0, 1)])
-        path = tmp_path / "sim.txt"
-        if fault == "directory":
-            path.mkdir()
-        else:
-            path.write_bytes(b"0 1 \xff\n")
-        with pytest.raises(DataFileError, match=re.escape(f"cannot read {path}: ")):
-            load_similarity_table(path, graph)
-
-    @pytest.mark.parametrize("line", ["1 2", "1 x 0.5", "1 2 nan", "1 2 1.5"])
-    def test_bad_cache_line_is_data_error_with_line_number(self, tmp_path, line):
-        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
-        path = tmp_path / "sim.txt"
-        path.write_text(f"# cache\n0 1 0.5\n{line}\n", encoding="utf-8")
-        with pytest.raises(DataFileError, match=re.escape(f"{path}:3:")):
-            load_similarity_table(path, graph)
-
-    def test_cache_with_byte_order_mark(self, tmp_path):
-        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
-        path = tmp_path / "sim.txt"
-        path.write_text("\ufeff0 1 0.5\n1 2 0.25\n", encoding="utf-8")
-        assert load_similarity_table(path, graph).values.tolist() == [0.5, 0.25]
-
-    def test_repeated_cache_edge_keeps_last(self, tmp_path):
-        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
-        path = tmp_path / "sim.txt"
-        path.write_text("1 2 0.1\n0 1 0.5\n1 2 0.25\n", encoding="utf-8")
-        assert load_similarity_table(path, graph).values.tolist() == [0.5, 0.25]
-
-    @pytest.mark.parametrize("lines,message", [
-        ("0 1 0.5\n", "cache holds 1 edges, graph has 2"),
-        ("0 1 0.5\n1 2 0.5\n2 0 0.5\n", "cache holds 3 edges, graph has 2"),
-        ("0 1 0.5\n2 1 0.5\n", "cache is missing edge (1, 2)"),
-        ("0 1 0.5\n1 3 0.5\n", "cache is missing edge (1, 2)"),
-        ("0 1 0.5\n-1 2 0.5\n", "cache is missing edge (1, 2)"),
-        ("0 4 0.5\n", "cache holds 1 edges, graph has 2"),
-        ("0 99999999999999999999 0.5\n1 2 0.5\n", "cache is missing edge (0, 1)"),
-        ("0 99999999999999999999 0.5\n0 99999999999999999999 0.5\n",
-         "cache holds 1 edges, graph has 2"),
-    ])
-    def test_cache_edge_set_must_equal_graph(self, tmp_path, lines, message):
-        """Endpoints that are no user index (negative, past the last user,
-        beyond int64) count as edges the graph lacks."""
-        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
-        path = tmp_path / "sim.txt"
-        path.write_text(lines, encoding="utf-8")
-        with pytest.raises(DataFileError, match=re.escape(f"{path}: {message}")):
-            load_similarity_table(path, graph)

@@ -1,13 +1,17 @@
 """Checks on the test suite's own structure."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ORACLES = Path(__file__).with_name("oracles.py")
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _imported_modules(tree):
@@ -91,3 +95,35 @@ def test_whitespace_table_covers_every_whitespace_code_point():
     assert _SPACE.tolist() == [chr(c).isspace() for c in range(_SPACE.size)]
     assert not _SPACE[-1]
     assert not any(chr(c).isspace() for c in range(_SPACE.size, sys.maxunicode + 1))
+
+
+@pytest.fixture
+def perfbench_module(monkeypatch):
+    """A loader of perfbench modules by path. Their sibling imports
+    (``import tracer``) resolve from the perfbench directory, and the
+    perfbench modules they add to ``sys.modules`` are dropped afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    yield load
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "").parent == PERFBENCH:
+            del sys.modules[name]
+
+
+def test_benchmark_finds_the_package_names_it_uses(perfbench_module):
+    """The benchmark wraps package functions by name and calls some
+    directly, outside this suite; a deletion that removes one of them
+    fails here instead of in the benchmark run."""
+    tracer = perfbench_module("tracer")
+    for module, attr, *_ in tracer._entry_points():
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    worker = perfbench_module("worker")
+    worker.warm_up()
+    assert worker.environment()["kernel_backend"]
