@@ -195,3 +195,65 @@ class TestBuildSimilarityTable:
         graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SimilarityTable(graph, np.array([0.5, np.nan]))
+
+    def test_vss_table_matches_pairwise_ops(self):
+        rng = np.random.default_rng(25)
+        ratings = random_ratings(rng, 12, 8)
+        graph = random_graph(rng, 12)
+        table = build_similarity_table(ratings, graph, SimilarityKind.vss())
+        expected = [vss(ratings, int(s), int(t))
+                    for s, t in zip(graph.edge_src, graph.edge_dst)]
+        np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
+
+    def test_user_count_mismatch_rejected(self):
+        rng = np.random.default_rng(26)
+        ratings = random_ratings(rng, 4, 5)
+        graph = TrustGraph.from_edges(5, [(0, 1), (3, 4)])
+        with pytest.raises(ValueError, match="ratings cover 4 users, graph 5"):
+            build_similarity_table(ratings, graph, SimilarityKind.pcc())
+
+    @pytest.mark.parametrize("tag", ["pcc", "vss", "constant", "random"])
+    def test_edgeless_graph_gives_empty_table(self, tag):
+        rng = np.random.default_rng(27)
+        ratings = random_ratings(rng, 4, 5)
+        graph = TrustGraph.from_edges(4, [])
+        table = build_similarity_table(ratings, graph, SimilarityKind(tag))
+        assert table.graph is graph
+        assert table.values.shape == (0,)
+
+
+class TestSimilarityTable:
+    """The table's constructor is the one check on similarity values: every
+    table, built or supplied, holds one value in [0, 1] per edge."""
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, np.inf, -np.inf, -5e-324])
+    def test_value_outside_unit_interval_rejected(self, value):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SimilarityTable(graph, np.array([0.5, value]))
+
+    def test_unit_interval_endpoints_accepted(self):
+        graph = TrustGraph.from_edges(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)])
+        values = [0.0, -0.0, 5e-324, 1.0 - 2 ** -53, 1.0]
+        table = SimilarityTable(graph, values)
+        assert table.values.dtype == np.float64
+        assert table.values.tolist() == values
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_value_per_edge_required(self, count):
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="one similarity value per edge required"):
+            SimilarityTable(graph, np.full(count, 0.5))
+
+    @pytest.mark.parametrize("other,keyed", [
+        (None, True),
+        (TrustGraph.from_edges(3, [(1, 2), (0, 1)]), True),
+        (TrustGraph.from_edges(3, [(0, 1), (2, 1)]), False),
+        (TrustGraph.from_edges(4, [(0, 1), (1, 2)]), False),
+    ], ids=["own-graph", "same-edges", "other-edges", "more-users"])
+    def test_keyed_by(self, other, keyed):
+        """A table belongs to its own graph and to any graph with the same
+        users and edges, whatever order the edges were given in."""
+        graph = TrustGraph.from_edges(3, [(0, 1), (1, 2)])
+        table = SimilarityTable(graph, np.array([0.5, 0.25]))
+        assert table.keyed_by(graph if other is None else other) is keyed
