@@ -47,9 +47,6 @@ from .factorization import (
 )
 from .similarity import SimilarityKind, build_similarity_table
 
-EXPERIMENTS = ("compare", "alpha-sweep", "ablation", "cold-start", "sim-study")
-
-
 class ConfigError(ValueError):
     """Invalid usage, flag value or config-file entry."""
 
@@ -126,7 +123,7 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--item", required=True, help="external item id")
 
     p_exp = sub.add_parser("experiment", help="run an experiment and write CSVs")
-    p_exp.add_argument("--which", choices=EXPERIMENTS, required=True)
+    p_exp.add_argument("--which", choices=(*_RUNNERS, "sim-study"), required=True)
     p_exp.add_argument("--out-dir", help="directory for result CSVs")
     p_exp.add_argument("--fractions", help="e.g. 0.9,0.8")
     p_exp.add_argument("--seeds", help="e.g. 1,2,3,4,5")
@@ -354,34 +351,51 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(r[c])) for r in [header] + rows) for c in range(len(header))]
-    for row in [header] + rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-
-
-def _print_results_summary(summary_rows):
-    header = ("variant", "fraction", "mae", "rmse", "p_mae", "p_rmse")
-    rows = [
-        (
-            variant,
-            f"{fraction:.10g}",
-            f"{mae:.4f}",
-            f"{rmse:.4f}",
-            f"{p_mae:.4g}" if p_mae is not None else "-",
-            f"{p_rmse:.4g}" if p_rmse is not None else "-",
-        )
-        for variant, fraction, mae, rmse, p_mae, p_rmse in summary_rows
+def _print_summary(rows):
+    """The summary rows as a left-aligned table on stdout."""
+    table = [("variant", "fraction", "mae", "rmse", "p_mae", "p_rmse")] + [
+        (variant, f"{fraction:.10g}", f"{mae:.4f}", f"{rmse:.4f}",
+         "-" if p_mae is None else f"{p_mae:.4g}", "-" if p_rmse is None else f"{p_rmse:.4g}")
+        for variant, fraction, mae, rmse, p_mae, p_rmse in rows
     ]
-    _print_table(header, rows)
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    for row in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def _result_rows(results):
-    rows = []
-    for r in results:
-        for seed, pair in zip(r.seeds, r.per_seed):
-            rows.append((r.method, seed, r.train_fraction, pair))
-    return rows
+def _write_similarity_study(study, rows_path, summary_path):
+    """The study's per-user and summary CSVs, and its one-line summary."""
+    with open(rows_path, "w", encoding="utf-8") as fh:
+        fh.write("user,friend_sim_mean,random_sim_mean\n")
+        for u, f_mean, r_mean in zip(
+            study.user_indices, study.friend_sim_means, study.random_sim_means
+        ):
+            fh.write(f"{u},{f_mean:.10g},{r_mean:.10g}\n")
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write("fraction_positive,users_evaluated,users_skipped,min_out_degree,seed\n")
+        fh.write(
+            f"{study.fraction_positive:.10g},{study.user_indices.size},"
+            f"{len(study.skipped_users)},{study.min_out_degree},{study.seed}\n"
+        )
+    print(f"fraction_positive = {study.fraction_positive:.4f} "
+          f"({study.user_indices.size} users evaluated, "
+          f"{len(study.skipped_users)} skipped)")
+
+
+# each training experiment's runner: (ratings, graph, cfg) -> [ExperimentResult];
+# the sweeps and the ablation take the first --fractions and --seeds value
+_RUNNERS = {
+    "compare": lambda ratings, graph, cfg: run_comparison(
+        ratings, graph, cfg.fractions, cfg.seeds, cfg.hyperparams),
+    "alpha-sweep": lambda ratings, graph, cfg: run_alpha_sweep(
+        ratings, graph, cfg.alphas, cfg.hyperparams,
+        train_fraction=cfg.fractions[0], seed=cfg.seeds[0]),
+    "ablation": lambda ratings, graph, cfg: run_similarity_ablation(
+        ratings, graph, cfg.kinds, cfg.hyperparams,
+        train_fraction=cfg.fractions[0], seed=cfg.seeds[0]),
+    "cold-start": lambda ratings, graph, cfg: run_cold_start(
+        ratings, graph, cfg.cold_start_threshold, cfg.hyperparams, seeds=cfg.seeds),
+}
 
 
 def cmd_experiment(args, cfg: RunConfig) -> int:
@@ -389,86 +403,40 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
     ratings, graph, _ = _load(cfg, need_trust=True)
     if which == "cold-start" and ratings.user_counts().max(initial=0) <= 1:
         # each cold-start user holds out one rating, so one rating per user
-        # leaves no train set at any threshold
-        raise ConfigError(f"--cold-start-threshold {cfg.cold_start_threshold}: every user "
-                          f"in {cfg.ratings} has one rating, so the cold-start split "
-                          "holds out all of them and leaves no train set")
+        # leaves no train set at any threshold: the file, not an option, is at fault
+        raise DataFileError(f"{cfg.ratings}: every user has one rating; the cold-start "
+                            "split holds each one out and leaves no train set")
     if which in ("compare", "alpha-sweep", "ablation") and ratings.num_entries < 2:
         # no train fraction splits one rating into two non-empty sides
         raise DataFileError(f"{cfg.ratings}: holds 1 rating; a train/test split "
                             "needs at least 2 ratings")
-    hp = cfg.hyperparams
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / f"{which}.csv"
     summary_path = out_dir / f"{which}-summary.csv"
 
-    if which == "compare":
-        results = run_comparison(ratings, graph, cfg.fractions, cfg.seeds, hp)
-        write_rows_csv(rows_path, which, _result_rows(results))
-        summary = comparison_summary(results)
-        write_summary_csv(summary_path, which, summary)
-        _print_results_summary(summary)
-
-    elif which == "alpha-sweep":
-        seed, fraction = cfg.seeds[0], cfg.fractions[0]
-        sweep = run_alpha_sweep(ratings, graph, cfg.alphas, hp,
-                                train_fraction=fraction, seed=seed)
-        rows = [(f"alpha={a:g}", seed, fraction, pair) for a, pair in sweep]
-        write_rows_csv(rows_path, which, rows)
-        summary = [(f"alpha={a:g}", fraction, pair.mae, pair.rmse, None, None)
-                   for a, pair in sweep]
-        write_summary_csv(summary_path, which, summary)
-        write_metric_column_csv(out_dir / "alpha-sweep-mae.csv", which, "mae",
-                                [(a, p.mae) for a, p in sweep])
-        write_metric_column_csv(out_dir / "alpha-sweep-rmse.csv", which, "rmse",
-                                [(a, p.rmse) for a, p in sweep])
-        _print_results_summary(summary)
-
-    elif which == "ablation":
-        seed, fraction = cfg.seeds[0], cfg.fractions[0]
-        ablation = run_similarity_ablation(ratings, graph, cfg.kinds, hp,
-                                           train_fraction=fraction, seed=seed)
-        rows = [(kind.label(), seed, fraction, pair) for kind, pair in ablation]
-        write_rows_csv(rows_path, which, rows)
-        summary = [(kind.label(), fraction, pair.mae, pair.rmse, None, None)
-                   for kind, pair in ablation]
-        write_summary_csv(summary_path, which, summary)
-        _print_results_summary(summary)
-
-    elif which == "cold-start":
-        results = run_cold_start(ratings, graph, cfg.cold_start_threshold, hp,
-                                 seeds=cfg.seeds)
-        write_rows_csv(rows_path, which, _result_rows(results))
-        summary = comparison_summary(results)
-        write_summary_csv(summary_path, which, summary)
-        if not results:
-            print("no cold-start users below the threshold; nothing to evaluate")
-        else:
-            _print_results_summary(summary)
-
-    else:  # sim-study
+    if which == "sim-study":
         study = run_similarity_study(
             ratings, graph,
             min_out_degree=cfg.min_out_degree,
             seed=cfg.seeds[0],
             kind=cfg.similarity.tag if cfg.similarity else "vss",
         )
-        with open(rows_path, "w", encoding="utf-8") as fh:
-            fh.write("user,friend_sim_mean,random_sim_mean\n")
-            for u, f_mean, r_mean in zip(
-                study.user_indices, study.friend_sim_means, study.random_sim_means
-            ):
-                fh.write(f"{u},{f_mean:.10g},{r_mean:.10g}\n")
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("fraction_positive,users_evaluated,users_skipped,min_out_degree,seed\n")
-            fh.write(
-                f"{study.fraction_positive:.10g},{study.user_indices.size},"
-                f"{len(study.skipped_users)},{study.min_out_degree},{study.seed}\n"
-            )
-        print(f"fraction_positive = {study.fraction_positive:.4f} "
-              f"({study.user_indices.size} users evaluated, "
-              f"{len(study.skipped_users)} skipped)")
+        _write_similarity_study(study, rows_path, summary_path)
+    else:
+        results = _RUNNERS[which](ratings, graph, cfg)
+        write_rows_csv(rows_path, which, [
+            (r.method, seed, r.train_fraction, pair)
+            for r in results for seed, pair in zip(r.seeds, r.per_seed)
+        ])
+        summary = comparison_summary(results)
+        write_summary_csv(summary_path, which, summary)
+        if which == "alpha-sweep":
+            for column in ("mae", "rmse"):
+                write_metric_column_csv(
+                    out_dir / f"alpha-sweep-{column}.csv", which, column,
+                    [(a, getattr(r.mean, column)) for a, r in zip(cfg.alphas, results)])
+        _print_summary(summary)
 
     print(f"results written to {out_dir}")
     return 0

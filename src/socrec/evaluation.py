@@ -2,13 +2,16 @@
 splits, alpha-sensitivity sweeps, similarity ablations, cold-start runs,
 and the friends-vs-random-peers similarity analysis.
 
-Every experiment cell is deterministic given its seed; results can be
-written as CSV (one row per variant and seed, plus a summary file with
-means and paired t-test p-values).
+The four training experiments return one shape, a list of
+``ExperimentResult`` (a variant's metrics per seed under one train
+fraction), in the order of their input grid. Every experiment cell is
+deterministic given its seed; results can be written as CSV (one row per
+variant and seed, plus a summary file with means and paired t-test
+p-values).
 """
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 
@@ -45,13 +48,13 @@ class MetricPair:
 
 @dataclass
 class ExperimentResult:
-    """Per-seed metrics of one method under one train fraction."""
+    """Per-seed metrics of one variant under one train fraction: a method,
+    a social weight or a similarity kind."""
 
     method: str
     train_fraction: float
     seeds: tuple
     per_seed: list  # MetricPair per seed, aligned with seeds
-    hyperparams: dict
 
     @property
     def mean(self) -> MetricPair:
@@ -151,7 +154,6 @@ def _score_seeds(make_split, seeds, graph, sim_kind, hp, train_fraction, label):
             train_fraction=train_fraction,
             seeds=tuple(seeds),
             per_seed=per_method[method],
-            hyperparams=asdict(hp),
         )
         for method in METHODS
     ]
@@ -191,8 +193,10 @@ def run_alpha_sweep(
 ) -> list:
     """Metrics of the social model across social-weight values.
 
-    One full train/evaluate per value; split, seed and similarity table are
-    held fixed, so the zero point coincides exactly with the basic model.
+    One full train/evaluate per value, one ExperimentResult per value in
+    input order, labelled ``alpha=<value>``; split, seed and similarity
+    table are held fixed, so the zero point coincides exactly with the
+    basic model.
     """
     if not alphas:
         raise ValueError("need at least one alpha")
@@ -200,9 +204,9 @@ def run_alpha_sweep(
     sim = build_similarity_table(split.train, graph, sim_kind)
     out = []
     for alpha in alphas:
-        hp_a = replace(hp, alpha=float(alpha), seed=seed)
-        model, _ = train(split.train, hp_a, graph, sim)
-        out.append((float(alpha), evaluate(model, split, split.train)))
+        model, _ = train(split.train, replace(hp, alpha=float(alpha), seed=seed), graph, sim)
+        out.append(ExperimentResult(f"alpha={alpha:g}", train_fraction, (seed,),
+                                    [evaluate(model, split, split.train)]))
         logger.info("alpha sweep alpha=%s done", alpha)
     return out
 
@@ -215,7 +219,8 @@ def run_similarity_ablation(
     train_fraction: float = 0.9,
     seed: int = 1,
 ) -> list:
-    """Social model under different similarity kinds, all else held fixed."""
+    """Social model under different similarity kinds, all else held fixed;
+    one ExperimentResult per kind in input order, labelled by the kind."""
     if not kinds:
         raise ValueError("need at least one similarity kind")
     split = split_ratings(ratings, train_fraction, seed)
@@ -224,7 +229,8 @@ def run_similarity_ablation(
     for kind in kinds:
         sim = build_similarity_table(split.train, graph, kind)
         model, _ = train(split.train, hp_run, graph, sim)
-        out.append((kind, evaluate(model, split, split.train)))
+        out.append(ExperimentResult(kind.label(), train_fraction, (seed,),
+                                    [evaluate(model, split, split.train)]))
         logger.info("ablation kind=%s done", kind.label())
     return out
 

@@ -118,7 +118,12 @@ def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
     if num_users < 1 or num_items < 1:
         raise ValueError("need at least one user and one item")
     rng = np.random.default_rng(hp.seed)
-    factors = rng.uniform(0.0, hp.init_scale, size=(num_users + num_items, hp.k))
+    try:
+        factors = rng.uniform(0.0, hp.init_scale, size=(num_users + num_items, hp.k))
+    except ValueError:
+        # numpy refuses a block whose byte size or k it cannot even index
+        raise MemoryError(f"a ({num_users + num_items}, {hp.k}) float64 factor "
+                          "block is larger than numpy can address") from None
     return FactorModel(factors[:num_users], factors[num_users:], hp.k)
 
 

@@ -1,3 +1,4 @@
+import logging
 import os
 import struct
 import subprocess
@@ -8,7 +9,18 @@ import numpy as np
 import pytest
 
 import socrec
-from socrec import load_model, save_model, toydata
+from socrec import (
+    Hyperparams,
+    SimilarityKind,
+    load_dataset,
+    load_model,
+    run_alpha_sweep,
+    run_cold_start,
+    run_comparison,
+    run_similarity_ablation,
+    save_model,
+    toydata,
+)
 from socrec.cli import _ids_sidecar_path, main, read_config_file
 
 from oracles import line_save_model
@@ -16,6 +28,9 @@ from oracles import line_save_model
 
 TOY_RATINGS = str(toydata.ratings_path())
 TOY_TRUST = str(toydata.trust_path())
+# --k values whose factor block numpy refuses without touching memory: a
+# 14.6 TiB allocation, a byte size past the largest array and a k past int64
+HUGE_K = ["100000000000", "4611686018427387904", "100000000000000000000"]
 
 
 def run_cli(*argv):
@@ -126,10 +141,10 @@ class TestTrainCommand:
         assert code == 1
         assert "k must be" in capsys.readouterr().err
 
-    def test_huge_k_is_usage_error(self, tmp_path, capsys):
-        # numpy refuses the 14.6 TiB factor matrix without touching memory
+    @pytest.mark.parametrize("k", HUGE_K)
+    def test_huge_k_is_usage_error(self, tmp_path, capsys, k):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
-                       "--k", "100000000000", "--out", str(tmp_path / "m.txt"))
+                       "--k", k, "--out", str(tmp_path / "m.txt"))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("socrec: error: not enough memory: ")
@@ -332,6 +347,58 @@ class TestExperimentCommand:
         body = csv_body(out_dir / "cold-start.csv").splitlines()
         assert len(body) == 1 + 4 * 2
 
+    def test_no_cold_users_writes_headers_and_reports_once(self, tmp_path, capsys, caplog):
+        """Every toy user has four ratings, so threshold 2 finds no cold-start
+        user: both CSVs hold only their header, and the notice shows once
+        across stdout, stderr and the log records."""
+        out_dir = tmp_path / "res"
+        with caplog.at_level(logging.WARNING):
+            code = run_cli("experiment", "--which", "cold-start",
+                           "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
+                           "--cold-start-threshold", "2", "--out-dir", str(out_dir))
+        assert code == 0
+        assert csv_body(out_dir / "cold-start.csv") == (
+            "experiment,variant,seed,train_fraction,mae,rmse")
+        assert csv_body(out_dir / "cold-start-summary.csv") == (
+            "experiment,variant,train_fraction,mae,rmse,p_mae,p_rmse")
+        out, err = capsys.readouterr()
+        shown = out + err + "".join(r.getMessage() for r in caplog.records)
+        assert shown.count("no cold-start users") == 1
+
+    @pytest.mark.parametrize("which,flags,run,rows", [
+        ("compare", ["--fractions", "0.9", "--seeds", "1,2"],
+         lambda r, g, hp: run_comparison(r, g, (0.9,), (1, 2), hp), 8),
+        ("alpha-sweep", ["--fractions", "0.8", "--seeds", "3", "--alphas", "0.1,0.1"],
+         lambda r, g, hp: run_alpha_sweep(r, g, (0.1, 0.1), hp, train_fraction=0.8,
+                                          seed=3), 2),
+        ("ablation", ["--fractions", "0.8", "--seeds", "3", "--kinds", "pcc,pcc"],
+         lambda r, g, hp: run_similarity_ablation(r, g, (SimilarityKind.pcc(),) * 2, hp,
+                                                  train_fraction=0.8, seed=3), 2),
+        ("cold-start", ["--seeds", "1,2", "--cold-start-threshold", "5"],
+         lambda r, g, hp: run_cold_start(r, g, 5, hp, seeds=(1, 2)), 8),
+    ], ids=["compare", "alpha-sweep", "ablation", "cold-start"])
+    def test_csv_rows_are_the_runners_results(self, tmp_path, which, flags, run, rows):
+        """Each experiment writes its runner's results, one row per variant
+        and seed and one summary row per variant, in the runner's order; a
+        repeated alpha or kind gives repeated rows."""
+        out_dir = tmp_path / "res"
+        assert run_cli("experiment", "--which", which, "--ratings", TOY_RATINGS,
+                       "--trust", TOY_TRUST, "--k", "3", "--max-epochs", "30",
+                       "--out-dir", str(out_dir), *flags) == 0
+        ratings, graph, _ = load_dataset(TOY_RATINGS, TOY_TRUST)
+        results = run(ratings, graph, Hyperparams(k=3, max_epochs=30))
+        body = csv_body(out_dir / f"{which}.csv").splitlines()[1:]
+        assert body == [
+            f"{which},{r.method},{seed},{r.train_fraction:.10g},{pair.mae:.10g},{pair.rmse:.10g}"
+            for r in results for seed, pair in zip(r.seeds, r.per_seed)
+        ]
+        assert len(body) == rows
+        summary = csv_body(out_dir / f"{which}-summary.csv").splitlines()[1:]
+        assert len(summary) == len(results) == rows // len(results[0].seeds)
+        for line, r in zip(summary, results):
+            assert line.startswith(f"{which},{r.method},{r.train_fraction:.10g},"
+                                   f"{r.mean.mae:.10g},{r.mean.rmse:.10g},")
+
     def test_sim_study_on_toy_data_is_perfect(self, tmp_path, capsys):
         """The bundled triangles share all ratings; strangers share none."""
         out_dir = tmp_path / "res"
@@ -344,10 +411,11 @@ class TestExperimentCommand:
         summary = (out_dir / "sim-study-summary.csv").read_text().splitlines()
         assert summary[1].startswith("1,")
 
-    def test_huge_k_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k", HUGE_K)
+    def test_huge_k_is_usage_error(self, tmp_path, capsys, k):
         code = run_cli("experiment", "--which", "compare",
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
-                       "--k", "100000000000", "--out-dir", str(tmp_path / "res"))
+                       "--k", k, "--out-dir", str(tmp_path / "res"))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("socrec: error: not enough memory: ")
@@ -363,8 +431,10 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == "socrec: error: --seeds must be >= 0, got (1, -1)\n"
         assert not out_dir.exists()
 
-    def test_cold_start_that_holds_out_everything_names_option_and_file(
+    def test_cold_start_on_one_rating_per_user_is_data_error_naming_the_file(
             self, tmp_path, capsys):
+        """Every threshold holds out each user's only rating, so the file,
+        not --cold-start-threshold, is at fault."""
         ratings = tmp_path / "one-each.tsv"
         ratings.write_text("u1 m1 4\nu2 m2 3\nu3 m1 5\n", encoding="utf-8")
         trust = tmp_path / "trust.tsv"
@@ -373,10 +443,10 @@ class TestExperimentCommand:
         code = run_cli("experiment", "--which", "cold-start",
                        "--ratings", str(ratings), "--trust", str(trust),
                        "--cold-start-threshold", "2", "--out-dir", str(out_dir))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("socrec: error: --cold-start-threshold 2: ")
-        assert f" in {ratings} has one rating" in err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"socrec: data error: {ratings}: every user has one rating; the cold-start "
+            "split holds each one out and leaves no train set\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("fraction", ["0.9", "0.1"])

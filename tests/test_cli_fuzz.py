@@ -1,7 +1,11 @@
-"""Fuzz ``socrec predict`` with damaged model and id-sidecar files: v1 and
-v2 models and their sidecars are truncated, bit-flipped and spliced, and
-the command must end in a prediction (exit 0) or a data error (exit 2),
-never in a traceback or another exit code."""
+"""Fuzz the CLI with damaged input files, which are truncated, bit-flipped
+and spliced; no exception may escape ``main``.
+
+``predict`` reads damaged v1 and v2 models and id sidecars and must end in a
+prediction (exit 0) or a data error (exit 2). ``train --method social`` and
+every ``experiment --which`` read damaged ratings, trust and config files:
+a ratings or trust fault must end in exit 0 or 2, a config fault in exit 0,
+1 (a bad value) or 3 (a damaged learning rate can diverge)."""
 
 import tempfile
 from pathlib import Path
@@ -78,3 +82,47 @@ def test_damaged_files_give_a_prediction_or_a_data_error(seed_files, data, versi
         Path(str(model) + ".ids").write_bytes(files["ids"])
         code = main(["predict", "--model", str(model), "--user", user, "--item", "m01"])
     assert code in (0, 2)
+
+
+# every option the experiments read except --k and --max-epochs, which the
+# command line pins so that no damage can make a run large
+_SEED_CONFIG = b"""# fuzz seed config
+lambda = 3
+alpha = 0.01
+learning-rate = 0.001
+tolerance = 1e-5
+init-scale = 0.1
+seed = 1
+fractions = 0.9
+seeds = 1,2
+alphas = 0,0.1
+kinds = constant,pcc
+cold-start-threshold = 5
+min-out-degree = 1
+similarity = pcc
+"""
+
+_COMMANDS = [("train", "--method", "social")] + [
+    ("experiment", "--which", which)
+    for which in ("compare", "alpha-sweep", "ablation", "cold-start", "sim-study")]
+
+_EXIT_CODES = {"ratings": (0, 2), "trust": (0, 2), "config": (0, 1, 3)}
+
+
+@_FUZZ
+@given(data=st.data(), command=st.sampled_from(_COMMANDS),
+       target=st.sampled_from(sorted(_EXIT_CODES)))
+def test_damaged_inputs_give_a_result_or_the_fault_s_exit_code(data, command, target):
+    files = {"ratings": toydata.ratings_path().read_bytes(),
+             "trust": toydata.trust_path().read_bytes(), "config": _SEED_CONFIG}
+    files[target] = data.draw(_damaged(files[target], list(files.values())))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in files}
+        for name, content in files.items():
+            paths[name].write_bytes(content)
+        out = ["--out", str(Path(tmp) / "model.bin")] if command[0] == "train" else [
+            "--out-dir", str(Path(tmp) / "res")]
+        code = main([*command, *out, "--ratings", str(paths["ratings"]),
+                     "--trust", str(paths["trust"]), "--config", str(paths["config"]),
+                     "--k", "2", "--max-epochs", "3"])
+    assert code in _EXIT_CODES[target]

@@ -188,7 +188,9 @@ class TestRunAlphaSweep:
         from socrec import train as train_model
         model, _ = train_model(split.train, hp.with_seed(3))
         basic = evaluate(model, split, split.train)
-        assert sweep[0][1] == basic
+        assert [(r.method, r.train_fraction, r.seeds) for r in sweep] == [
+            ("alpha=0", 0.8, (3,)), ("alpha=0.1", 0.8, (3,))]
+        assert sweep[0].per_seed == [basic]
 
     def test_interior_optimum_and_endpoint_degradation(self):
         """Sweep the social weight and locate the error minimum."""
@@ -196,7 +198,7 @@ class TestRunAlphaSweep:
         hp = planted_hp(learning_rate=0.002, max_epochs=2500, tolerance=1e-10)
         alphas = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
         sweep = run_alpha_sweep(ratings, graph, alphas, hp, train_fraction=0.8, seed=1)
-        rmses = [p.rmse for _, p in sweep]
+        rmses = [r.mean.rmse for r in sweep]
         best = int(np.argmin(rmses))
         assert 0 < best < len(alphas) - 1
         assert rmses[-1] > rmses[best]
@@ -210,8 +212,9 @@ class TestRunSimilarityAblation:
         kinds = (SimilarityKind.constant(), SimilarityKind.random(seed=4))
         out = run_similarity_ablation(ratings, graph, kinds, hp,
                                       train_fraction=0.8, seed=2)
-        assert [k.label() for k, _ in out] == ["constant", "random:4"]
-        assert out[0][1] != out[1][1]
+        assert [(r.method, r.train_fraction, r.seeds) for r in out] == [
+            ("constant", 0.8, (2,)), ("random:4", 0.8, (2,))]
+        assert out[0].per_seed != out[1].per_seed
 
 
 class TestRunColdStart:
