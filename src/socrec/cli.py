@@ -10,7 +10,7 @@ keys. Exit codes: 0 success, 1 usage/config error, 2 data error,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,44 +68,34 @@ def _kind_list(text):
     return tuple(SimilarityKind.parse(x) for x in text.split(","))
 
 
-# (converter, default) per option; flag and config key share a name
+_TRAIN, _EXPERIMENT, _BOTH = ("train",), ("experiment",), ("train", "experiment")
+
+# the one declaration of each option: name -> (converter, default, commands
+# that take it, help); the flag is --<name in kebab case>, the config key is
+# the name in either case, and flag and config text go through one converter
 _OPTIONS = {
-    "ratings": (str, None),
-    "trust": (str, None),
-    "out": (str, "socrec-model.bin"),
-    "out_dir": (str, "socrec-results"),
-    "k": (int, 10),
-    "lambda": (float, 3.0),
-    "alpha": (float, 0.01),
-    "learning_rate": (float, 0.001),
-    "max_epochs": (int, 300),
-    "tolerance": (float, 1e-5),
-    "init_scale": (float, 0.1),
-    "seed": (int, 1),
-    "fractions": (_float_list, (0.9, 0.8)),
-    "seeds": (_int_list, DEFAULT_SEEDS),
-    "alphas": (_float_list, DEFAULT_ALPHAS),
-    "kinds": (_kind_list, tuple(SimilarityKind.parse(t) for t in ("constant", "random", "vss", "pcc"))),
-    "cold_start_threshold": (int, 5),
-    "min_out_degree": (int, 5),
-    "similarity": (str, None),  # per-command default: pcc for training, vss for the study
+    "ratings": (str, None, _BOTH, "ratings file (user item rating per line)"),
+    "trust": (str, None, _BOTH, "trust file (truster trustee per line)"),
+    "out": (str, "socrec-model.bin", _TRAIN, "model output path"),
+    "out_dir": (str, "socrec-results", _EXPERIMENT, "directory for result CSVs"),
+    "k": (int, 10, _BOTH, "latent dimension"),
+    "lambda": (float, 3.0, _BOTH, "L2 regularization weight"),
+    "alpha": (float, 0.01, _BOTH, "social regularization weight"),
+    "learning_rate": (float, 0.001, _BOTH, "gradient step size"),
+    "max_epochs": (int, 300, _BOTH, "epoch budget of each training"),
+    "tolerance": (float, 1e-5, _BOTH, "relative objective change that stops training"),
+    "init_scale": (float, 0.1, _BOTH, "initial factors are uniform on [0, init-scale]"),
+    "seed": (int, 1, _BOTH, "factor initialization seed"),
+    "fractions": (_float_list, (0.9, 0.8), _EXPERIMENT, "train fractions, e.g. 0.9,0.8"),
+    "seeds": (_int_list, DEFAULT_SEEDS, _EXPERIMENT, "split seeds, e.g. 1,2,3,4,5"),
+    "alphas": (_float_list, DEFAULT_ALPHAS, _EXPERIMENT, "alpha-sweep grid, e.g. 0,0.01,0.1"),
+    "kinds": (_kind_list, _kind_list("constant,random,vss,pcc"), _EXPERIMENT,
+              "ablation kinds, e.g. constant,random:7,vss,pcc"),
+    "cold_start_threshold": (int, 5, _EXPERIMENT, "users with fewer ratings are cold"),
+    "min_out_degree": (int, 5, _EXPERIMENT, "sim-study: users need more friends than this"),
+    # per-command default: pcc for training, vss for the study
+    "similarity": (SimilarityKind.parse, None, _BOTH, "pcc | vss | constant | random[:seed]"),
 }
-
-
-def _add_common_options(parser):
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--ratings", help="ratings file (user item rating per line)")
-    parser.add_argument("--trust", help="trust file (truster trustee per line)")
-    parser.add_argument("--k", type=int, help="latent dimension")
-    parser.add_argument("--lambda", dest="lam_flag", type=float, metavar="LAMBDA",
-                        help="L2 regularization weight")
-    parser.add_argument("--alpha", type=float, help="social regularization weight")
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--max-epochs", type=int)
-    parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--init-scale", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--similarity", help="pcc | vss | constant | random[:seed]")
 
 
 def build_parser() -> _Parser:
@@ -114,8 +104,6 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="fit a factor model and save it")
     p_train.add_argument("--method", choices=("mf", "social"), default="mf")
-    p_train.add_argument("--out", help="model output path")
-    _add_common_options(p_train)
 
     p_pred = sub.add_parser("predict", help="predict one rating from a saved model")
     p_pred.add_argument("--model", required=True, help="model file written by train")
@@ -124,14 +112,15 @@ def build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run an experiment and write CSVs")
     p_exp.add_argument("--which", choices=(*_RUNNERS, "sim-study"), required=True)
-    p_exp.add_argument("--out-dir", help="directory for result CSVs")
-    p_exp.add_argument("--fractions", help="e.g. 0.9,0.8")
-    p_exp.add_argument("--seeds", help="e.g. 1,2,3,4,5")
-    p_exp.add_argument("--alphas", help="e.g. 0,0.001,0.01,0.1")
-    p_exp.add_argument("--kinds", help="e.g. constant,random,vss,pcc")
-    p_exp.add_argument("--cold-start-threshold", type=int)
-    p_exp.add_argument("--min-out-degree", type=int)
-    _add_common_options(p_exp)
+
+    parsers = {"train": p_train, "experiment": p_exp}
+    for p in parsers.values():
+        p.add_argument("--config", help="key = value config file")
+    for name, (_, _, commands, help_text) in _OPTIONS.items():
+        for command in commands:
+            # no type=: _resolve converts flag text as it converts config text
+            parsers[command].add_argument(f"--{name.replace('_', '-')}", dest=name,
+                                          help=help_text)
     return parser
 
 
@@ -153,9 +142,8 @@ def read_config_file(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        convert, _ = _OPTIONS[key]
         try:
-            values[key] = convert(value.strip())
+            values[key] = _OPTIONS[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key}: {value.strip()!r}: {exc}"
@@ -163,15 +151,14 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _resolve(args, name):
-    """Option precedence: flag > config file > built-in default. A flag
-    value goes through its option's converter, as a config value does (the
-    list flags arrive as text); a value it refuses is a ConfigError naming
-    the flag."""
-    convert, default = _OPTIONS[name]
-    flag = getattr(args, "lam_flag" if name == "lambda" else name, None)
+def _resolve(args, config, name):
+    """Option precedence: flag > config file > built-in default. Flag text
+    goes through its option's converter, as config text does; a value it
+    refuses is a ConfigError naming the flag."""
+    convert, default = _OPTIONS[name][:2]
+    flag = getattr(args, name, None)
     if flag is None:
-        return getattr(args, "_config_values", {}).get(name, default)
+        return config.get(name, default)
     try:
         return convert(flag)
     except ValueError as exc:
@@ -224,40 +211,21 @@ class RunConfig:
 
 
 def resolve_config(args) -> RunConfig:
+    """The command's options from its flags, its --config file and the
+    table's defaults, converted and validated."""
+    config = read_config_file(args.config) if args.config else {}
+    # converted outside the try below: a ConfigError is a ValueError too
+    hp_values = {f.name: _resolve(args, config, "lambda" if f.name == "lam" else f.name)
+                 for f in fields(Hyperparams)}
     try:
-        hp = Hyperparams(
-            k=_resolve(args, "k"),
-            lam=_resolve(args, "lambda"),
-            alpha=_resolve(args, "alpha"),
-            learning_rate=_resolve(args, "learning_rate"),
-            max_epochs=_resolve(args, "max_epochs"),
-            tolerance=_resolve(args, "tolerance"),
-            init_scale=_resolve(args, "init_scale"),
-            seed=_resolve(args, "seed"),
-        )
+        hp = Hyperparams(**hp_values)
     except ValueError as exc:
         # each Hyperparams message opens with its option's name, in snake case
         label, _, fault = str(exc).partition(" ")
         raise ConfigError(f"--{label.replace('_', '-')} {fault}") from None
-    similarity = _resolve(args, "similarity")
-    try:
-        similarity = SimilarityKind.parse(similarity) if similarity else None
-    except ValueError as exc:
-        raise ConfigError(f"--similarity {similarity!r}: {exc}") from None
-    return RunConfig(
-        ratings=_resolve(args, "ratings"),
-        trust=_resolve(args, "trust"),
-        out=_resolve(args, "out"),
-        out_dir=_resolve(args, "out_dir"),
-        hyperparams=hp,
-        fractions=tuple(_resolve(args, "fractions")),
-        seeds=tuple(_resolve(args, "seeds")),
-        alphas=tuple(_resolve(args, "alphas")),
-        kinds=tuple(_resolve(args, "kinds")),
-        cold_start_threshold=_resolve(args, "cold_start_threshold"),
-        min_out_degree=_resolve(args, "min_out_degree"),
-        similarity=similarity,
-    ).validate(study=getattr(args, "which", None) == "sim-study")
+    return RunConfig(hyperparams=hp, **{f.name: _resolve(args, config, f.name)
+                                        for f in fields(RunConfig) if f.name != "hyperparams"}
+                     ).validate(study=getattr(args, "which", None) == "sim-study")
 
 
 def _load(cfg: RunConfig, need_trust: bool):
@@ -386,15 +354,17 @@ def _write_similarity_study(study, rows_path, summary_path):
 # the sweeps and the ablation take the first --fractions and --seeds value
 _RUNNERS = {
     "compare": lambda ratings, graph, cfg: run_comparison(
-        ratings, graph, cfg.fractions, cfg.seeds, cfg.hyperparams),
+        ratings, graph, cfg.fractions, cfg.seeds, cfg.hyperparams,
+        sim_kind=cfg.similarity or SimilarityKind.pcc()),
     "alpha-sweep": lambda ratings, graph, cfg: run_alpha_sweep(
-        ratings, graph, cfg.alphas, cfg.hyperparams,
-        train_fraction=cfg.fractions[0], seed=cfg.seeds[0]),
+        ratings, graph, cfg.alphas, cfg.hyperparams, train_fraction=cfg.fractions[0],
+        seed=cfg.seeds[0], sim_kind=cfg.similarity or SimilarityKind.pcc()),
     "ablation": lambda ratings, graph, cfg: run_similarity_ablation(
         ratings, graph, cfg.kinds, cfg.hyperparams,
         train_fraction=cfg.fractions[0], seed=cfg.seeds[0]),
     "cold-start": lambda ratings, graph, cfg: run_cold_start(
-        ratings, graph, cfg.cold_start_threshold, cfg.hyperparams, seeds=cfg.seeds),
+        ratings, graph, cfg.cold_start_threshold, cfg.hyperparams, seeds=cfg.seeds,
+        sim_kind=cfg.similarity or SimilarityKind.pcc()),
 }
 
 
@@ -446,10 +416,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args._config_values = read_config_file(args.config)
-        else:
-            args._config_values = {}
         if args.command == "predict":
             return cmd_predict(args)
         cfg = resolve_config(args)

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -21,7 +22,15 @@ from socrec import (
     save_model,
     toydata,
 )
-from socrec.cli import _ids_sidecar_path, main, read_config_file
+from socrec import evaluation
+from socrec.cli import (
+    _OPTIONS,
+    _ids_sidecar_path,
+    build_parser,
+    main,
+    read_config_file,
+    resolve_config,
+)
 
 from oracles import line_save_model
 
@@ -116,6 +125,7 @@ class TestTrainCommand:
         ("experiment", "--which", "sim-study", "--similarity", "vss:3"),
         ("experiment", "--which", "ablation", "--similarity", "constant:0"),
         ("train", "--method", "social", "--similarity", "random:-1"),
+        ("train", "--method", "social", "--similarity", ""),
     ])
     def test_bad_similarity_is_config_error_before_any_file(self, tmp_path, capsys, argv):
         missing = tmp_path / "missing.tsv"
@@ -399,6 +409,24 @@ class TestExperimentCommand:
             assert line.startswith(f"{which},{r.method},{r.train_fraction:.10g},"
                                    f"{r.mean.mae:.10g},{r.mean.rmse:.10g},")
 
+    @pytest.mark.parametrize("which", ["compare", "alpha-sweep", "cold-start"])
+    def test_similarity_reaches_the_experiment(self, tmp_path, monkeypatch, which):
+        """Every similarity table the experiment builds is of the --similarity
+        kind. The toy CSVs cannot show this: every kind gives the same rows."""
+        asked = []
+        build = evaluation.build_similarity_table
+
+        def record(ratings, graph, kind):
+            asked.append(kind)
+            return build(ratings, graph, kind)
+
+        monkeypatch.setattr(evaluation, "build_similarity_table", record)
+        assert run_cli("experiment", "--which", which, "--ratings", TOY_RATINGS,
+                       "--trust", TOY_TRUST, "--similarity", "constant",
+                       "--fractions", "0.9", "--seeds", "1", "--alphas", "0.1",
+                       "--max-epochs", "5", "--out-dir", str(tmp_path / "res")) == 0
+        assert asked and set(asked) == {SimilarityKind.constant()}
+
     def test_sim_study_on_toy_data_is_perfect(self, tmp_path, capsys):
         """The bundled triangles share all ratings; strangers share none."""
         out_dir = tmp_path / "res"
@@ -536,6 +564,11 @@ class TestConfigFile:
         ("--seeds", "1,x", "--seeds '1,x': invalid literal for int() with base 10: 'x'\n"),
         ("--fractions", "0.5,abc",
          "--fractions '0.5,abc': could not convert string to float: 'abc'\n"),
+        ("--k", "x", "--k 'x': invalid literal for int() with base 10: 'x'\n"),
+        ("--max-epochs", "1.5",
+         "--max-epochs '1.5': invalid literal for int() with base 10: '1.5'\n"),
+        ("--cold-start-threshold", "x",
+         "--cold-start-threshold 'x': invalid literal for int() with base 10: 'x'\n"),
     ])
     def test_out_of_range_values_name_the_field(self, tmp_path, capsys,
                                                 flag, value, named):
@@ -545,16 +578,71 @@ class TestConfigFile:
         assert code == 1
         assert named in capsys.readouterr().err
 
-    def test_bad_config_value_gives_the_reason(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value,reason", [
+        ("kinds", "pcc,random:-1", "seed must be >= 0, got -1"),
+        ("similarity", "pcc:5", "only the random kind takes a seed, got 'pcc:5'"),
+    ])
+    def test_bad_config_value_gives_the_reason(self, tmp_path, capsys, key, value, reason):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("kinds = pcc,random:-1\n", encoding="utf-8")
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         code = run_cli("experiment", "--which", "ablation", "--config", str(cfg),
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                        "--out-dir", str(tmp_path / "res"))
         assert code == 1
         assert capsys.readouterr().err == (
-            f"socrec: error: {cfg}:1: bad value for kinds: 'pcc,random:-1': "
-            "seed must be >= 0, got -1\n")
+            f"socrec: error: {cfg}:1: bad value for {key}: {value!r}: {reason}\n")
+
+
+# a value other than the default for each option in cli._OPTIONS
+OPTION_SAMPLES = {
+    "ratings": "r.tsv", "trust": "t.tsv", "out": "m.bin", "out_dir": "res",
+    "k": "4", "lambda": "0.5", "alpha": "0.2", "learning_rate": "0.02",
+    "max_epochs": "7", "tolerance": "1e-3", "init_scale": "0.3", "seed": "9",
+    "fractions": "0.7,0.6", "seeds": "3,4", "alphas": "0,0.5", "kinds": "vss,random:2",
+    "cold_start_threshold": "3", "min_out_degree": "2", "similarity": "vss",
+}
+# the flags each command declares outside the option table
+HAND_WRITTEN = {
+    "train": {"--help", "--config", "--method"},
+    "predict": {"--help", "--model", "--user", "--item"},
+    "experiment": {"--help", "--config", "--which"},
+}
+COMMAND_ARGV = {"train": ["train"], "experiment": ["experiment", "--which", "compare"]}
+
+
+def _option_value(cfg, name):
+    if name == "lambda":
+        return cfg.hyperparams.lam
+    return getattr(cfg.hyperparams, name, getattr(cfg, name, None))
+
+
+class TestOptionTable:
+    """cli._OPTIONS is the one declaration of every option's flag, config
+    key, converter and default."""
+
+    @pytest.mark.parametrize("name,command", [
+        (name, command) for name, (_, _, commands, _) in _OPTIONS.items()
+        for command in commands
+    ])
+    def test_flag_and_config_key_give_the_same_value(self, tmp_path, name, command):
+        argv = COMMAND_ARGV[command]
+        text = OPTION_SAMPLES[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name.replace('_', '-')} = {text}\n", encoding="utf-8")
+        by_flag, by_config, by_default = (
+            _option_value(resolve_config(build_parser().parse_args([*argv, *extra])), name)
+            for extra in ([f"--{name.replace('_', '-')}", text], ["--config", str(cfg)], []))
+        assert by_flag == by_config != by_default
+
+    @pytest.mark.parametrize("command", ["train", "predict", "experiment"])
+    def test_help_lists_the_table_s_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        table = {f"--{name.replace('_', '-')}"
+                 for name, (_, _, commands, _) in _OPTIONS.items() if command in commands}
+        assert listed == table | HAND_WRITTEN[command]
 
 
 class TestInstalledEntryPoint:

@@ -3,8 +3,10 @@
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,22 @@ def test_benchmark_finds_the_package_names_it_uses(perfbench_module):
     worker = perfbench_module("worker")
     worker.warm_up()
     assert worker.environment()["kernel_backend"]
+
+
+def test_readme_defaults_are_the_option_table_s():
+    """The README's sentence of CLI defaults, and its ``train --out``
+    default, read the values that cli._OPTIONS declares."""
+    from socrec import Hyperparams
+    from socrec.cli import _OPTIONS
+
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Defaults: ((?:`[\w-]+=[^`]+`,?\s*)+)", readme)
+    assert sentence, "the README's 'Defaults: `key=value`, ...' sentence is gone"
+    stated = dict(re.findall(r"`([\w-]+)=([^`]+)`", sentence.group(1)))
+    hyperparams = {"lambda" if f.name == "lam" else f.name for f in fields(Hyperparams)}
+    assert hyperparams <= {key.replace("-", "_") for key in stated}
+    for key, text in stated.items():
+        convert, default = _OPTIONS[key.replace("-", "_")][:2]
+        assert convert(text) == default, key
+    out = re.search(r"`train --out` defaults to\s+`([^`]+)`", readme)
+    assert out and out.group(1) == _OPTIONS["out"][1]
