@@ -15,14 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    RATING_MAX,
-    RATING_MIN,
-    DataFileError,
-    IdMap,
-    load_dataset,
-    reading,
-)
+from .data import RATING_MAX, RATING_MIN, DataFileError, load_dataset
 from .evaluation import (
     DEFAULT_ALPHAS,
     DEFAULT_SEEDS,
@@ -37,14 +30,7 @@ from .evaluation import (
     write_rows_csv,
     write_summary_csv,
 )
-from .factorization import (
-    DivergenceError,
-    FactorModel,
-    Hyperparams,
-    load_model,
-    save_model,
-    train,
-)
+from .factorization import DivergenceError, Hyperparams, load_model, save_model, train
 from .similarity import SimilarityKind, build_similarity_table
 
 class ConfigError(ValueError):
@@ -52,6 +38,10 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: experiment's --seeds must not take a --seed
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -85,7 +75,8 @@ _OPTIONS = {
     "max_epochs": (int, 300, _BOTH, "epoch budget of each training"),
     "tolerance": (float, 1e-5, _BOTH, "relative objective change that stops training"),
     "init_scale": (float, 0.1, _BOTH, "initial factors are uniform on [0, init-scale]"),
-    "seed": (int, 1, _BOTH, "factor initialization seed"),
+    # each experiment trains with its split's seed
+    "seed": (int, 1, _TRAIN, "factor initialization seed"),
     "fractions": (_float_list, (0.9, 0.8), _EXPERIMENT, "train fractions, e.g. 0.9,0.8"),
     "seeds": (_int_list, DEFAULT_SEEDS, _EXPERIMENT, "split seeds, e.g. 1,2,3,4,5"),
     "alphas": (_float_list, DEFAULT_ALPHAS, _EXPERIMENT, "alpha-sweep grid, e.g. 0,0.01,0.1"),
@@ -236,43 +227,6 @@ def _load(cfg: RunConfig, need_trust: bool):
     return load_dataset(cfg.ratings, cfg.trust)
 
 
-def _ids_sidecar_path(model_path) -> Path:
-    return Path(str(model_path) + ".ids")
-
-
-def _write_ids_sidecar(path, ids: IdMap):
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx in range(ids.num_users):
-            fh.write(f"user\t{ids.user_id(idx)}\t{idx}\n")
-        for idx in range(ids.num_items):
-            fh.write(f"item\t{ids.item_id(idx)}\t{idx}\n")
-
-
-def _read_ids_sidecar(path, model: FactorModel):
-    """(user id -> row, item id -> row) maps; raises DataFileError naming a
-    line that is malformed, repeats an id or whose index is not a row of the
-    model, and when the file cannot be read."""
-    maps = {"user": {}, "item": {}}
-    rows = {"user": model.num_users, "item": model.num_items}
-    with reading(path):
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[0] not in maps:
-            raise DataFileError(f"{path}:{lineno}: bad sidecar line")
-        try:
-            index = int(parts[2])
-        except ValueError:
-            raise DataFileError(f"{path}:{lineno}: non-integer index {parts[2]!r}") from None
-        if not 0 <= index < rows[parts[0]]:
-            raise DataFileError(f"{path}:{lineno}: {parts[0]} index {index} outside "
-                                f"the model's {rows[parts[0]]} rows")
-        if parts[1] in maps[parts[0]]:
-            raise DataFileError(f"{path}:{lineno}: {parts[0]} id {parts[1]!r} listed twice")
-        maps[parts[0]][parts[1]] = index
-    return maps["user"], maps["item"]
-
-
 def cmd_train(args, cfg: RunConfig) -> int:
     out = Path(cfg.out)
     if out.is_dir() or not out.parent.is_dir():
@@ -286,8 +240,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     else:
         model, report = train(ratings, hp)
 
+    model.ids = ids
     save_model(model, out)
-    _write_ids_sidecar(_ids_sidecar_path(out), ids)
     report_path = Path(str(out) + ".report.json")
     report_path.write_text(json.dumps({
         "method": method,
@@ -298,16 +252,13 @@ def cmd_train(args, cfg: RunConfig) -> int:
     }, indent=2) + "\n", encoding="utf-8")
     print(f"model written to {out} ({report.epochs_run} epochs, "
           f"converged={report.converged})")
-    print(f"id sidecar: {_ids_sidecar_path(out)}")
     print(f"training report: {report_path}")
     return 0
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    users, items = _read_ids_sidecar(_ids_sidecar_path(args.model), model)
-    u = users.get(args.user)
-    i = items.get(args.item)
+    u, i = model.ids.user_index(args.user), model.ids.item_index(args.item)
     if u is None or i is None:
         missing = "user" if u is None else "item"
         print(f"warning: unknown {missing} id; falling back to the global mean",
@@ -428,9 +379,6 @@ def main(argv=None) -> int:
     except DataFileError as exc:
         print(f"socrec: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"socrec: error: {exc}", file=sys.stderr)
-        return 1
     except DivergenceError as exc:
         print(f"socrec: divergence: {exc}", file=sys.stderr)
         return 3

@@ -85,11 +85,13 @@ class IdMap:
         """Indices of a sequence of item ids, adding the unseen ones."""
         return _add_ids(self._item_index, self._item_ids, item_ids)
 
-    def user_index(self, user_id: str) -> int:
-        return self._user_index[user_id]
+    def user_index(self, user_id: str) -> int | None:
+        """The user's index, or None for an unknown id."""
+        return self._user_index.get(user_id)
 
-    def item_index(self, item_id: str) -> int:
-        return self._item_index[item_id]
+    def item_index(self, item_id: str) -> int | None:
+        """The item's index, or None for an unknown id."""
+        return self._item_index.get(item_id)
 
     def user_id(self, index: int) -> str:
         return self._user_ids[index]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .data import DataFileError, SparseRatings, TrustGraph, reading
+from .data import DataFileError, IdMap, SparseRatings, TrustGraph, reading
 from .similarity import SimilarityTable
 
 
@@ -79,12 +79,14 @@ class Hyperparams:
 
 @dataclass
 class FactorModel:
-    """User and item latent factors plus the training-set mean rating."""
+    """User and item latent factors plus the training-set mean rating, and
+    the external ids of the rows when they are known."""
 
     user_factors: np.ndarray  # (num_users, k)
     item_factors: np.ndarray  # (num_items, k)
     k: int
     global_mean: float = 0.0
+    ids: IdMap | None = None
 
     @property
     def num_users(self) -> int:
@@ -326,50 +328,75 @@ def train(
     return model, report
 
 
-MODEL_HEADER = "SOCREC-MODEL v2"
-V1_HEADER = "SOCREC-MODEL v1"
-_HEADER_LIMIT = 256  # bytes; a v2 header line is far shorter
+MODEL_HEADER = "SOCREC-MODEL v3"
+_HEADER_LIMIT = 256  # bytes; a v3 header line is far shorter
 
 
 def save_model(model: FactorModel, path):
-    """Write model format v2: the ASCII line ``SOCREC-MODEL v2 K M N``, then
-    the user rows, the item rows (both row-major) and the train mean as
-    little-endian IEEE float64, ``8 * ((M + N) * K + 1)`` bytes in all, so
-    the values round-trip bit for bit."""
+    """Write model format v3: the ASCII line ``SOCREC-MODEL v3 K M N B``,
+    then ``B`` bytes of UTF-8 ids, the M user ids and then the N item ids
+    one per line, then the user rows, the item rows (both row-major) and
+    the train mean as little-endian IEEE float64, ``8 * ((M + N) * K + 1)``
+    bytes, so the values round-trip bit for bit. The ids are
+    ``model.ids``, or the dense indices when that is None."""
+    m, n, ids = model.num_users, model.num_items, model.ids
+    if ids is not None and (ids.num_users, ids.num_items) != (m, n):
+        raise ValueError(f"model.ids holds {ids.num_users} user and {ids.num_items} "
+                         f"item ids for {m} user and {n} item rows")
+    users = map(str, range(m)) if ids is None else map(ids.user_id, range(m))
+    items = map(str, range(n)) if ids is None else map(ids.item_id, range(n))
+    names = [*users, *items]
+    text = "\n".join(names) + "\n"
+    if text.split() != names:
+        # load_model splits the block on whitespace
+        raise ValueError("every id must be non-empty and hold no whitespace")
+    block = text.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(f"{MODEL_HEADER} {model.k} {model.num_users} {model.num_items}\n"
-                 .encode("ascii"))
-        for block in (model.user_factors, model.item_factors, model.global_mean):
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        fh.write(f"{MODEL_HEADER} {model.k} {m} {n} {len(block)}\n".encode("ascii"))
+        fh.write(block)
+        for values in (model.user_factors, model.item_factors, model.global_mean):
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def load_model(path) -> FactorModel:
-    """Read a saved model, format v2 or the v1 text of earlier versions (a
-    leading UTF-8 BOM is skipped). Raises DataFileError on any format
-    violation or non-finite value, and when the file cannot be read; a v2
-    body must be exactly the size its header gives, which is checked
-    before the body is read."""
+    """Read a model of format v3, ids included (a leading UTF-8 BOM is
+    skipped). Raises DataFileError on a file of another format, any format
+    violation, a repeated id or a non-finite value, and when the file
+    cannot be read; the file must be exactly the size its header gives,
+    which is checked before anything else is read."""
     with reading(path), open(path, "rb") as fh:
         head = fh.readline(_HEADER_LIMIT)
         fields = head.removeprefix(codecs.BOM_UTF8).split()
         if fields[:2] != MODEL_HEADER.encode().split():
-            return _load_model_v1(path)
-        if len(fields) != 5 or not head.endswith(b"\n"):
+            raise DataFileError(f"{path}:1: not a {MODEL_HEADER} file; models written "
+                                "by earlier versions must be trained again")
+        if len(fields) != 6 or not head.endswith(b"\n"):
             raise DataFileError(f"{path}:1: bad model header")
         try:
-            k, m, n = (int(x) for x in fields[2:])
+            k, m, n, b = (int(x) for x in fields[2:])
         except ValueError:
             raise DataFileError(f"{path}:1: bad model dimensions") from None
-        if k < 1 or m < 1 or n < 1:
-            raise DataFileError(f"{path}:1: model dimensions must be >= 1")
+        if k < 1 or m < 1 or n < 1 or b < 0:
+            raise DataFileError(f"{path}:1: model dimensions must be >= 1 "
+                                "and its id block size >= 0")
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         need = 8 * ((m + n) * k + 1)
-        if size != need:
-            raise DataFileError(f"{path}: model body has {size} bytes, "
-                                f"header {k} {m} {n} needs {need}")
+        if size != b + need:
+            raise DataFileError(f"{path}: model has {size} bytes after its header, "
+                                f"header {k} {m} {n} {b} needs {b + need}")
+        names = fh.read(b).decode("utf-8").split()
+        if len(names) != m + n:
+            raise DataFileError(f"{path}: id block holds {len(names)} ids, "
+                                f"header {k} {m} {n} {b} needs {m + n}")
         body = np.empty(need // 8, dtype="<f8")
         if fh.readinto(body) != need:
             raise DataFileError(f"{path}: model file shrank while being read")
+    ids = IdMap()
+    for kind, add, part in (("user", ids.add_users, names[:m]),
+                            ("item", ids.add_items, names[m:])):
+        repeated = np.flatnonzero(add(part) != np.arange(len(part)))
+        if repeated.size:
+            raise DataFileError(f"{path}: {kind} id {part[repeated[0]]!r} listed twice")
     body = body.astype(np.float64, copy=False)
     finite = np.isfinite(body)
     if not finite.all():
@@ -378,49 +405,4 @@ def load_model(path) -> FactorModel:
                  f"item row {row - m}" if row < m + n else "global mean")
         raise DataFileError(f"{path}: non-finite value in {where}")
     return FactorModel(body[:m * k].reshape(m, k), body[m * k:-1].reshape(n, k),
-                       k, float(body[-1]))
-
-
-def _load_model_v1(path) -> FactorModel:
-    """Parse the v1 text format: header ``SOCREC-MODEL v1 K M N``, then one
-    line of K values per user row and per item row, then the train mean."""
-    with reading(path), open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFileError(f"{path}: empty model file")
-    head = lines[0].split()
-    if len(head) != 5 or " ".join(head[:2]) != V1_HEADER:
-        raise DataFileError(f"{path}:1: bad model header")
-    try:
-        k, m, n = (int(x) for x in head[2:])
-    except ValueError:
-        raise DataFileError(f"{path}:1: bad model dimensions") from None
-    if k < 1 or m < 1 or n < 1 or len(lines) != 1 + m + n + 1:
-        raise DataFileError(f"{path}: model body does not match header")
-
-    def parse_rows(rows, count, offset):
-        if len(rows[0]) < k:  # cannot hold k values; fail before allocating
-            raise DataFileError(f"{path}:{offset}: expected {k} values")
-        out = np.empty((count, k))
-        for r, line in enumerate(rows):
-            parts = line.split()
-            if len(parts) != k:
-                raise DataFileError(f"{path}:{offset + r}: expected {k} values")
-            try:
-                out[r] = [float(p) for p in parts]
-            except ValueError:
-                raise DataFileError(f"{path}:{offset + r}: non-numeric factor") from None
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if bad.size:
-            raise DataFileError(f"{path}:{offset + bad[0]}: non-finite factor")
-        return out
-
-    user_f = parse_rows(lines[1:1 + m], m, 2)
-    item_f = parse_rows(lines[1 + m:1 + m + n], n, 2 + m)
-    try:
-        mean = float(lines[1 + m + n])
-    except ValueError:
-        raise DataFileError(f"{path}:{2 + m + n}: non-numeric global mean") from None
-    if not np.isfinite(mean):
-        raise DataFileError(f"{path}:{2 + m + n}: non-finite global mean")
-    return FactorModel(user_f, item_f, k, mean)
+                       k, float(body[-1]), ids)

@@ -171,21 +171,19 @@ def line_save_ratings(path, triples, user_ids=None, item_ids=None):
             fh.write(f"{uid}\t{iid}\t{r:.17g}\n")
 
 
-def line_save_model(path, header, user_rows, item_rows, mean):
-    """A model file written one factor row at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header} {len(user_rows[0])} {len(user_rows)} {len(item_rows)}\n")
-        for row in user_rows + item_rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(f"{mean:.17g}\n")
-
-
-def struct_save_model(path, user_rows, item_rows, mean):
-    """A v2 model file: the header line, then every value packed one at a
-    time as a little-endian IEEE double."""
+def struct_save_model(path, user_rows, item_rows, mean, user_ids=None, item_ids=None):
+    """A v3 model file: the header line, the id block written one id per
+    line (dense indices unless ids are given), then every value packed one
+    at a time as a little-endian IEEE double."""
+    if user_ids is None:
+        user_ids = [str(u) for u in range(len(user_rows))]
+    if item_ids is None:
+        item_ids = [str(i) for i in range(len(item_rows))]
+    block = b"".join(f"{name}\n".encode("utf-8") for name in list(user_ids) + list(item_ids))
     with open(path, "wb") as fh:
-        fh.write(f"SOCREC-MODEL v2 {len(user_rows[0])} {len(user_rows)} "
-                 f"{len(item_rows)}\n".encode("ascii"))
+        fh.write(f"SOCREC-MODEL v3 {len(user_rows[0])} {len(user_rows)} {len(item_rows)} "
+                 f"{len(block)}\n".encode("ascii"))
+        fh.write(block)
         for row in user_rows + item_rows:
             for v in row:
                 fh.write(struct.pack("<d", v))

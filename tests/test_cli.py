@@ -19,20 +19,18 @@ from socrec import (
     run_cold_start,
     run_comparison,
     run_similarity_ablation,
-    save_model,
     toydata,
 )
 from socrec import evaluation
 from socrec.cli import (
     _OPTIONS,
-    _ids_sidecar_path,
     build_parser,
     main,
     read_config_file,
     resolve_config,
 )
 
-from oracles import line_save_model
+from oracles import struct_save_model
 
 
 TOY_RATINGS = str(toydata.ratings_path())
@@ -62,15 +60,18 @@ def csv_body(path):
 
 class TestTrainCommand:
     def test_basic_mf_writes_model(self, tmp_path, capsys):
+        """train writes the model, its ids inside, and the report; no other file."""
         out = tmp_path / "model.txt"
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
                        "--k", "4", "--max-epochs", "30", "--out", str(out))
         assert code == 0
-        assert out.exists()
-        assert (tmp_path / "model.txt.ids").exists()
-        assert (tmp_path / "model.txt.report.json").exists()
+        assert sorted(tmp_path.iterdir()) == [out, tmp_path / "model.txt.report.json"]
         model = load_model(out)
         assert model.k == 4 and model.num_users == 20
+        _, _, ids = load_dataset(TOY_RATINGS)
+        for count, model_id, data_id in ((ids.num_users, model.ids.user_id, ids.user_id),
+                                         (ids.num_items, model.ids.item_id, ids.item_id)):
+            assert [model_id(x) for x in range(count)] == [data_id(x) for x in range(count)]
 
     def test_social_without_trust_is_usage_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "social", "--ratings", TOY_RATINGS,
@@ -139,11 +140,15 @@ class TestTrainCommand:
     @pytest.mark.parametrize("argv", [("train", "--method", "mf"),
                                       ("experiment", "--which", "compare")])
     def test_negative_seed_is_config_error_before_any_file(self, tmp_path, capsys, argv):
+        """train refuses a negative --seed; experiment takes no --seed at all,
+        because each experiment trains with its split's seed."""
         missing = str(tmp_path / "missing.tsv")
         code = run_cli(*argv, "--seed", "-1", "--ratings", missing, "--trust", missing,
                        "--out" if argv[0] == "train" else "--out-dir", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err == "socrec: error: --seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == ("socrec: error: --seed must be >= 0, got -1\n"
+                                           if argv[0] == "train" else
+                                           "socrec: error: unrecognized arguments: --seed -1\n")
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
@@ -191,67 +196,53 @@ class TestPredictCommand:
         expected = float(np.clip(model.global_mean, 1.0, 5.0))
         assert float(captured.out.strip()) == pytest.approx(expected, abs=5e-5)
 
-    def test_model_and_sidecar_with_byte_order_marks(self, model_path, capsys):
+    def test_model_with_byte_order_mark(self, model_path, capsys):
         argv = ("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
         assert run_cli(*argv) == 0
         expected = capsys.readouterr().out
-        for path in (model_path, _ids_sidecar_path(model_path)):
-            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        model_path.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("index,fault", [
-        ("-1", "outside"),
-        ("99999", "outside"),
-        ("zz", "non-integer"),
-    ])
-    def test_bad_sidecar_index_is_data_error(self, model_path, capsys, index, fault):
-        sidecar = _ids_sidecar_path(model_path)
-        lines = sidecar.read_text(encoding="utf-8").splitlines()
-        kind, uid, _ = lines[0].split("\t")
-        lines[0] = f"{kind}\t{uid}\t{index}"
-        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = run_cli("predict", "--model", str(model_path), "--user", uid, "--item", "m01")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{sidecar}:1:" in err and fault in err
+    def test_ids_travel_inside_the_model(self, model_path, tmp_path, capsys):
+        """A model copied on its own predicts as it did where it was written."""
+        argv = ("predict", "--user", "u07", "--item", "m03")
+        assert run_cli(*argv, "--model", str(model_path)) == 0
+        expected = capsys.readouterr().out
+        copy = tmp_path / "elsewhere" / "copy.bin"
+        copy.parent.mkdir()
+        copy.write_bytes(model_path.read_bytes())
+        assert run_cli(*argv, "--model", str(copy)) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("target,value", [("factor", "nan"), ("mean", "inf")])
     def test_non_finite_model_is_data_error(self, model_path, capsys, target, value):
-        """One non-finite value in a v1 text model or in a v2 model is a data
-        error naming where it sits, whether or not the prediction uses it."""
-        def check(message):
-            for user in ("u01", "nobody"):
-                code = run_cli("predict", "--model", str(model_path), "--user", user,
-                               "--item", "m01")
-                assert code == 2
-                captured = capsys.readouterr()
-                assert captured.out == "" and message in captured.err
-
-        model = load_model(model_path)
-        line_save_model(model_path, "SOCREC-MODEL v1", model.user_factors.tolist(),
-                        model.item_factors.tolist(), model.global_mean)
-        lines = model_path.read_text(encoding="utf-8").splitlines()
-        lineno = 2 if target == "factor" else len(lines)
-        fields = lines[lineno - 1].split()
-        fields[0] = value
-        lines[lineno - 1] = " ".join(fields)
-        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        check(f"{model_path}:{lineno}: non-finite")
-
-        save_model(model, model_path)
+        """One non-finite value in a model is a data error naming where it
+        sits, whether or not the prediction uses it."""
         data = bytearray(model_path.read_bytes())
-        offset = data.index(b"\n") + 1 if target == "factor" else len(data) - 8
+        head = data.index(b"\n") + 1
+        offset = (head + int(data[:head].split()[-1]) if target == "factor"
+                  else len(data) - 8)
         data[offset:offset + 8] = struct.pack("<d", float(value))
         model_path.write_bytes(bytes(data))
         where = "user row 0" if target == "factor" else "global mean"
-        check(f"{model_path}: non-finite value in {where}")
+        for user in ("u01", "nobody"):
+            code = run_cli("predict", "--model", str(model_path), "--user", user,
+                           "--item", "m01")
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{model_path}: non-finite value in {where}" in captured.err
 
-    def test_header_claiming_huge_model_is_data_error(self, model_path, capsys):
-        model_path.write_bytes(b"SOCREC-MODEL v2 10 100000000000 5\n".ljust(100, b"\0"))
+    @pytest.mark.parametrize("head,needs", [
+        (b"SOCREC-MODEL v3 10 100000000000 5 0\n", "needs 8000000000408"),
+        (b"SOCREC-MODEL v3 2 2 3 100000000000000\n", "needs 100000000000088"),
+    ], ids=["rows", "id-block"])
+    def test_header_claiming_huge_model_is_data_error(self, model_path, capsys, head, needs):
+        model_path.write_bytes(head.ljust(100, b"\0"))
         code = run_cli("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
         assert code == 2
-        assert "needs 8000000000408" in capsys.readouterr().err
+        assert needs in capsys.readouterr().err
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -259,15 +250,29 @@ class TestPredictCommand:
         code = run_cli("predict", "--model", str(bad), "--user", "a", "--item", "b")
         assert code == 2
 
-    def test_repeated_sidecar_id_is_data_error(self, model_path, capsys):
-        sidecar = _ids_sidecar_path(model_path)
-        lines = sidecar.read_text(encoding="utf-8").splitlines()
-        kind, uid, _ = lines[0].split("\t")
-        lines.append(f"{kind}\t{uid}\t1")
-        sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = run_cli("predict", "--model", str(model_path), "--user", uid, "--item", "m01")
+    @pytest.mark.parametrize("head", [b"SOCREC-MODEL v2 4 20 15\n", b"SOCREC-MODEL v1 4 20 15\n"],
+                             ids=["v2", "v1"])
+    def test_model_of_an_earlier_version_must_be_trained_again(self, model_path, capsys, head):
+        """A v2 model (binary body) or v1 model (text) exits 2 naming the format."""
+        model_path.write_bytes(head + b"\0" * (8 * (35 * 4 + 1)))
+        code = run_cli("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
         assert code == 2
-        assert f"{sidecar}:{len(lines)}: user id {uid!r} listed twice" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"socrec: data error: {model_path}:1: not a SOCREC-MODEL v3 file; models "
+            "written by earlier versions must be trained again\n")
+
+    @pytest.mark.parametrize("kind", ["user", "item"])
+    def test_repeated_id_is_data_error(self, model_path, capsys, kind):
+        model = load_model(model_path)
+        users = [model.ids.user_id(u) for u in range(model.num_users)]
+        items = [model.ids.item_id(i) for i in range(model.num_items)]
+        ids = users if kind == "user" else items
+        ids[-1] = ids[0]
+        struct_save_model(model_path, model.user_factors.tolist(),
+                          model.item_factors.tolist(), model.global_mean, users, items)
+        code = run_cli("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
+        assert code == 2
+        assert f"{model_path}: {kind} id {ids[0]!r} listed twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", ["not-utf8", "directory"])
@@ -292,19 +297,18 @@ class TestUnreadableInputs:
                    "--trust", str(path), "--out", str(tmp_path / "m.txt"))
 
     def test_model(self, tmp_path, capsys, fault):
+        """The model's text part is its id block: one that is not UTF-8 makes
+        the model unreadable."""
         path = tmp_path / "model.txt"
-        make_unreadable(path, fault)
+        if fault == "directory":
+            make_unreadable(path, fault)
+        else:
+            assert run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                           "--max-epochs", "5", "--out", str(path)) == 0
+            data = path.read_bytes()
+            at = data.index(b"\nu01\n") + 1
+            path.write_bytes(data[:at] + b"\xff\xfe\x00" + data[at + 3:])
         self.check(capsys, path, "predict", "--model", str(path), "--user", "u01",
-                   "--item", "m01")
-
-    def test_id_sidecar(self, tmp_path, capsys, fault):
-        model = tmp_path / "model.txt"
-        assert run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
-                       "--max-epochs", "5", "--out", str(model)) == 0
-        sidecar = _ids_sidecar_path(model)
-        sidecar.unlink()
-        make_unreadable(sidecar, fault)
-        self.check(capsys, sidecar, "predict", "--model", str(model), "--user", "u01",
                    "--item", "m01")
 
 
@@ -542,6 +546,15 @@ class TestConfigFile:
         cfg.write_text("# comment\n\nseed = 4\n", encoding="utf-8")
         assert read_config_file(cfg) == {"seed": 4}
 
+    def test_experiment_accepts_a_shared_config_s_seed(self, tmp_path):
+        """A config file shared with train may set seed; experiment, which
+        takes no --seed, accepts it and leaves it unread."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 4\n", encoding="utf-8")
+        resolved = resolve_config(build_parser().parse_args(
+            ["experiment", "--which", "compare", "--config", str(cfg)]))
+        assert resolved.hyperparams.seed == 4
+
     def test_paths_can_come_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -643,6 +656,18 @@ class TestOptionTable:
         table = {f"--{name.replace('_', '-')}"
                  for name, (_, _, commands, _) in _OPTIONS.items() if command in commands}
         assert listed == table | HAND_WRITTEN[command]
+
+
+def test_unexpected_error_propagates(tmp_path, monkeypatch):
+    """An exception the CLI does not map to an exit code is a bug: it
+    escapes main with its traceback instead of passing for a usage error."""
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(socrec.cli, "run_comparison", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["experiment", "--which", "compare", "--ratings", TOY_RATINGS,
+              "--trust", TOY_TRUST, "--out-dir", str(tmp_path / "res")])
 
 
 class TestInstalledEntryPoint:

@@ -15,6 +15,7 @@ import socrec.data as data_module
 from socrec import (
     DataFileError,
     FactorModel,
+    IdMap,
     TrustGraph,
     load_model,
     load_ratings,
@@ -147,12 +148,34 @@ _ROUND_TRIP = settings(max_examples=100, deadline=None,
                        suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+# an id as the loaders can produce one: non-empty, without whitespace
+_MODEL_ID = st.text(st.characters(exclude_categories=("Cs",)), min_size=1,
+                    max_size=4).filter(lambda text: text.split() == [text])
+
+
+def _unique_ids(count):
+    return st.lists(_MODEL_ID, min_size=count, max_size=count, unique=True)
+
+
 @st.composite
 def _models(draw):
+    """A model, with external ids or without (saved as dense indices)."""
     k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    ids = None
+    if draw(st.booleans()):
+        ids = IdMap()
+        ids.add_users(draw(_unique_ids(m)))
+        ids.add_items(draw(_unique_ids(n)))
     return FactorModel(draw(arrays(np.float64, (m, k), elements=_FINITE)),
                        draw(arrays(np.float64, (n, k), elements=_FINITE)),
-                       k, draw(_FINITE))
+                       k, draw(_FINITE), ids)
+
+
+def _id_lists(model):
+    if model.ids is None:
+        return [str(u) for u in range(model.num_users)], [str(i) for i in range(model.num_items)]
+    return ([model.ids.user_id(u) for u in range(model.num_users)],
+            [model.ids.item_id(i) for i in range(model.num_items)])
 
 
 class TestRoundTrips:
@@ -167,3 +190,4 @@ class TestRoundTrips:
         assert _bits(loaded.user_factors) == _bits(model.user_factors)
         assert _bits(loaded.item_factors) == _bits(model.item_factors)
         assert _bits(loaded.global_mean) == _bits(model.global_mean)
+        assert _id_lists(loaded) == _id_lists(model)

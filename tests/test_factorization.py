@@ -9,6 +9,7 @@ from socrec import (
     DivergenceError,
     FactorModel,
     Hyperparams,
+    IdMap,
     SimilarityTable,
     SparseRatings,
     TrustGraph,
@@ -35,7 +36,6 @@ from oracles import (
     brute_objective_basic,
     brute_objective_social,
     central_differences,
-    line_save_model,
     struct_save_model,
 )
 
@@ -476,44 +476,73 @@ class TestFactorBlock:
         assert (tmp_path / "block.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
 
 
+def _id_map(users, items):
+    ids = IdMap()
+    ids.add_users(users)
+    ids.add_items(items)
+    return ids
+
+
+def _ids_of(ids):
+    return ([ids.user_id(u) for u in range(ids.num_users)],
+            [ids.item_id(i) for i in range(ids.num_items)])
+
+
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         model = random_model(rng, 7, 5, 3)
         model.global_mean = 3.2502
-        path = tmp_path / "model.txt"
+        model.ids = _id_map([f"u{u}" for u in range(7)], ["m1", "\ufeffb", "ü", "#x", "0"])
+        path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.k == 3
         assert loaded.global_mean == model.global_mean
         np.testing.assert_array_equal(loaded.user_factors, model.user_factors)
         np.testing.assert_array_equal(loaded.item_factors, model.item_factors)
+        assert _ids_of(loaded.ids) == _ids_of(model.ids)
 
-    def test_bytes_match_line_writer(self, tmp_path):
-        """save_model writes the bytes of a value-by-value v2 writer, and
-        load_model reads the v1 text of the line writer bit for bit."""
+    def test_model_without_ids_is_saved_with_dense_indices(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(random_model(np.random.default_rng(12), 3, 2, 2), path)
+        assert _ids_of(load_model(path).ids) == (["0", "1", "2"], ["0", "1"])
+
+    def test_bytes_match_value_writer(self, tmp_path):
+        """save_model writes the bytes of a value-by-value v3 writer."""
         rng = np.random.default_rng(11)
         model = random_model(rng, 6, 4, 3)
         model.user_factors *= 10.0 ** rng.integers(-30, 30, model.user_factors.shape)
         model.user_factors[0, :2] = [-0.0, 5e-324]
         model.global_mean = 3.2502
-        rows = (model.user_factors.tolist(), model.item_factors.tolist(), model.global_mean)
+        users, items = ["a", "b", "ü1", "\ufeffd", "e", "f"], ["i1", "i2", "u3000", "a"]
+        model.ids = _id_map(users, items)
         save_model(model, tmp_path / "fast.bin")
-        struct_save_model(tmp_path / "packed.bin", *rows)
+        struct_save_model(tmp_path / "packed.bin", model.user_factors.tolist(),
+                          model.item_factors.tolist(), model.global_mean, users, items)
         assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
-        line_save_model(tmp_path / "lines.txt", "SOCREC-MODEL v1", *rows)
-        loaded = load_model(tmp_path / "lines.txt")
-        assert loaded.k == 3 and loaded.global_mean == model.global_mean
-        assert loaded.user_factors.tobytes() == model.user_factors.tobytes()
-        assert loaded.item_factors.tobytes() == model.item_factors.tobytes()
 
     def test_header_format(self, tmp_path):
         model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2)
         path = tmp_path / "model.bin"
         save_model(model, path)
-        head, _, body = path.read_bytes().partition(b"\n")
-        assert head == b"SOCREC-MODEL v2 2 2 3"
-        assert len(body) == 8 * ((2 + 3) * 2 + 1)
+        head, _, rest = path.read_bytes().partition(b"\n")
+        assert head == b"SOCREC-MODEL v3 2 2 3 10"
+        assert rest[:10] == b"0\n1\n0\n1\n2\n"
+        assert len(rest) == 10 + 8 * ((2 + 3) * 2 + 1)
+
+    @pytest.mark.parametrize("users,items,fault", [
+        (["a"], ["x", "y", "z"], "holds 1 user and 3 item ids for 2 user and 3 item rows"),
+        (["a", "b"], ["x", "y"], "holds 2 user and 2 item ids for 2 user and 3 item rows"),
+        (["a", "b c"], ["x", "y", "z"], "non-empty and hold no whitespace"),
+        (["a", "b"], ["x", "", "z"], "non-empty and hold no whitespace"),
+        (["a", "b"], ["x", "y\u3000", "z"], "non-empty and hold no whitespace"),
+    ])
+    def test_ids_the_file_cannot_hold_are_refused(self, tmp_path, users, items, fault):
+        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2, ids=_id_map(users, items))
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            save_model(model, tmp_path / "model.bin")
+        assert not (tmp_path / "model.bin").exists()
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -521,83 +550,113 @@ class TestModelFile:
         with pytest.raises(DataFileError):
             load_model(path)
 
-    @pytest.mark.parametrize("line,value,where", [
-        (2, "nan", "factor"), (3, "-inf", "factor"), (5, "inf", "factor"),
-        (6, "nan", "global mean"), (6, "-inf", "global mean"),
-    ])
-    def test_non_finite_value_rejected_with_line(self, tmp_path, line, value, where):
-        path = tmp_path / "model.txt"
-        line_save_model(path, "SOCREC-MODEL v1", [[1.0, 1.0]] * 2, [[1.0, 1.0]] * 2, 3.0)
-        lines = path.read_text().splitlines()
-        fields = lines[line - 1].split()
-        fields[-1] = value
-        lines[line - 1] = " ".join(fields)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFileError, match=re.escape(f"{path}:{line}: non-finite {where}")):
-            load_model(path)
 
-    def test_truncated_body_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        line_save_model(path, "SOCREC-MODEL v1", [[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2, 0.0)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
-        with pytest.raises(DataFileError, match="model body does not match header"):
-            load_model(path)
-
-    def test_v1_header_too_wide_for_its_rows(self, tmp_path):
-        """A v1 header claiming 10**11 columns fails on the first row, before
-        a factor matrix of that width is allocated."""
-        path = tmp_path / "model.txt"
-        path.write_text("SOCREC-MODEL v1 100000000000 1 1\n1\n1\n3\n", encoding="utf-8")
-        with pytest.raises(DataFileError, match=re.escape(f"{path}:2: expected 100000000000")):
-            load_model(path)
+# the header, id block and body size of _v3_file's model
+_HEAD = b"SOCREC-MODEL v3 2 2 3 10\n"
+_IDS = b"0\n1\n0\n1\n2\n"
+_BODY = 88
 
 
-def _v2_file(path, m=2, n=3, k=2):
-    """A v2 model of ones with train mean 3, written by the library."""
-    save_model(FactorModel(np.ones((m, k)), np.ones((n, k)), k=k, global_mean=3.0), path)
+def _v3_file(path, m=2, n=3, k=2, **ids):
+    """A v3 model of ones with train mean 3, written by the value writer;
+    ``user_ids`` and ``item_ids`` may replace the dense indices."""
+    struct_save_model(path, [[1.0] * k] * m, [[1.0] * k] * n, 3.0, **ids)
     return path
 
 
-class TestModelFileV2:
-    """Format v2: header, exact-size body, and which value is non-finite."""
+class TestModelFileV3:
+    """Format v3: header, id block, exact file size, and which value is
+    non-finite."""
 
     @pytest.mark.parametrize("cut,fault", [(-1, "truncated"), (1, "one extra byte")])
-    def test_body_size_must_match_header(self, tmp_path, cut, fault):
-        path = _v2_file(tmp_path / "model.bin")
+    def test_file_size_must_match_header(self, tmp_path, cut, fault):
+        path = _v3_file(tmp_path / "model.bin")
         data = path.read_bytes()
         path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
         with pytest.raises(DataFileError, match=re.escape(
-                f"{path}: model body has {len(data) - 22 + cut} bytes, header 2 2 3 needs 88")):
+                f"{path}: model has {98 + cut} bytes after its header, "
+                "header 2 2 3 10 needs 98")):
             load_model(path)
 
-    @pytest.mark.parametrize("dims", ["0 2 3", "2 0 3", "2 2 -1"])
+    @pytest.mark.parametrize("dims", ["0 2 3 10", "2 0 3 10", "2 2 -1 10", "2 2 3 -1"])
     def test_dimension_below_one(self, tmp_path, dims):
         path = tmp_path / "model.bin"
-        path.write_bytes(f"SOCREC-MODEL v2 {dims}\n".encode() + b"\0" * 88)
-        with pytest.raises(DataFileError, match=re.escape(f"{path}:1: model dimensions must be >= 1")):
+        path.write_bytes(f"SOCREC-MODEL v3 {dims}\n".encode() + _IDS + b"\0" * _BODY)
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}:1: model dimensions must be >= 1 and its id block size >= 0")):
             load_model(path)
 
-    @pytest.mark.parametrize("dims", ["2.0 2 3", "2 x 3", "2 2 3e0"])
+    @pytest.mark.parametrize("dims", ["2.0 2 3 10", "2 x 3 10", "2 2 3e0 10", "2 2 3 1e1"])
     def test_non_integer_dimension(self, tmp_path, dims):
         path = tmp_path / "model.bin"
-        path.write_bytes(f"SOCREC-MODEL v2 {dims}\n".encode() + b"\0" * 88)
+        path.write_bytes(f"SOCREC-MODEL v3 {dims}\n".encode() + _IDS + b"\0" * _BODY)
         with pytest.raises(DataFileError, match=re.escape(f"{path}:1: bad model dimensions")):
             load_model(path)
 
-    @pytest.mark.parametrize("head", [b"SOCREC-MODEL v3 2 2 3\n", b"SOCREC-MODEL v2 2 2\n",
-                                      b"SOCREC-MODEL v2 2 2 3 4\n",
-                                      b"SOCREC-MODEL v2 2 2 3" + b" " * 300 + b"\n"])
+    @pytest.mark.parametrize("head", [b"SOCREC-MODEL v3 2 2 3\n", b"SOCREC-MODEL v3 2 2 3 10 4\n",
+                                      b"SOCREC-MODEL v3 2 2 3 10" + b" " * 300 + b"\n"],
+                             ids=["five-fields", "seven-fields", "overlong"])
     def test_bad_header(self, tmp_path, head):
         path = tmp_path / "model.bin"
-        path.write_bytes(head + b"\0" * 88)
+        path.write_bytes(head + _IDS + b"\0" * _BODY)
         with pytest.raises(DataFileError, match=re.escape(f"{path}:1: bad model header")):
             load_model(path)
 
-    def test_huge_header_fails_before_allocating(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"SOCREC-MODEL v2 2 2 3\n" + b"\0" * _BODY,
+        b"SOCREC-MODEL v1 1 1 1\n1\n1\n3\n",
+        b"SOCREC-MODEL v4 2 2 3 10\n" + _IDS + b"\0" * _BODY,
+        b"not a model\n",
+        b"",
+    ], ids=["v2", "v1", "v4", "text", "empty"])
+    def test_other_formats_must_be_trained_again(self, tmp_path, content):
         path = tmp_path / "model.bin"
-        path.write_bytes(b"SOCREC-MODEL v2 10 100000000000 5\n".ljust(100, b"\0"))
-        with pytest.raises(DataFileError, match="header 10 100000000000 5 needs 8000000000408"):
+        path.write_bytes(content)
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}:1: not a SOCREC-MODEL v3 file; models written by earlier "
+                "versions must be trained again")):
+            load_model(path)
+
+    @pytest.mark.parametrize("head,needs", [
+        (b"SOCREC-MODEL v3 10 100000000000 5 0\n", "header 10 100000000000 5 0 needs 8000000000408"),
+        (b"SOCREC-MODEL v3 2 2 3 100000000000000\n", "header 2 2 3 100000000000000 needs "
+                                                       "100000000000088"),
+    ], ids=["rows", "id-block"])
+    def test_huge_header_fails_before_allocating(self, tmp_path, head, needs):
+        path = tmp_path / "model.bin"
+        path.write_bytes(head.ljust(100, b"\0"))
+        with pytest.raises(DataFileError, match=needs):
+            load_model(path)
+
+    @pytest.mark.parametrize("ids,count", [
+        (dict(user_ids=["a"]), 4), (dict(user_ids=["a", "b c"]), 6),
+        (dict(item_ids=["x", "y", "z", "w"]), 6), (dict(item_ids=["x", "y", "\u3000"]), 4),
+    ])
+    def test_id_count_must_match_header(self, tmp_path, ids, count):
+        path = _v3_file(tmp_path / "model.bin", **ids)
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}: id block holds {count} ids, header 2 2 3 ")):
+            load_model(path)
+
+    @pytest.mark.parametrize("ids,fault", [
+        (dict(user_ids=["a", "a"]), "user id 'a' listed twice"),
+        (dict(item_ids=["x", "y", "x"]), "item id 'x' listed twice"),
+        (dict(user_ids=["x", "y"], item_ids=["x", "y", "z"]), None),
+    ])
+    def test_repeated_id_is_named(self, tmp_path, ids, fault):
+        """An id may name a user and an item, but only one of each."""
+        path = _v3_file(tmp_path / "model.bin", **ids)
+        if fault is None:
+            assert _ids_of(load_model(path).ids) == (["x", "y"], ["x", "y", "z"])
+            return
+        with pytest.raises(DataFileError, match=re.escape(f"{path}: {fault}")):
+            load_model(path)
+
+    def test_id_block_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        path = _v3_file(tmp_path / "model.bin", user_ids=["a", "\xff"])
+        data = path.read_bytes()
+        path.write_bytes(data.replace("\xff".encode("utf-8"), b"\xff\xfe"))
+        with pytest.raises(DataFileError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
             load_model(path)
 
     @pytest.mark.parametrize("index,where", [
@@ -606,22 +665,23 @@ class TestModelFileV2:
     ])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_named(self, tmp_path, index, where, value):
-        path = _v2_file(tmp_path / "model.bin")
+        path = _v3_file(tmp_path / "model.bin")
         data = bytearray(path.read_bytes())
-        offset = data.index(b"\n") + 1 + 8 * index
+        offset = len(_HEAD) + len(_IDS) + 8 * index
         data[offset:offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
         with pytest.raises(DataFileError, match=re.escape(f"{path}: non-finite value in {where}")):
             load_model(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
-        path = _v2_file(tmp_path / "model.bin")
+        path = _v3_file(tmp_path / "model.bin")
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         loaded = load_model(path)
         assert (loaded.num_users, loaded.num_items, loaded.global_mean) == (2, 3, 3.0)
+        assert _ids_of(loaded.ids) == (["0", "1"], ["0", "1", "2"])
 
     def test_loaded_factors_are_writable_native_arrays(self, tmp_path):
-        loaded = load_model(_v2_file(tmp_path / "model.bin"))
+        loaded = load_model(_v3_file(tmp_path / "model.bin"))
         for factors in (loaded.user_factors, loaded.item_factors):
             assert factors.dtype == np.float64 and factors.dtype.isnative
             assert factors.flags.writeable and factors.flags.c_contiguous

@@ -148,3 +148,14 @@ def test_readme_defaults_are_the_option_table_s():
         assert convert(text) == default, key
     out = re.search(r"`train --out` defaults to\s+`([^`]+)`", readme)
     assert out and out.group(1) == _OPTIONS["out"][1]
+
+
+def test_readme_model_format_names_the_header_save_model_writes():
+    """The README's model-format paragraph gives the header line that
+    factorization.MODEL_HEADER begins."""
+    from socrec.factorization import MODEL_HEADER
+
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- Model \(.*?(?=^\S|\Z)", readme, re.M | re.S)
+    assert bullet, "the README's '- Model (...' file-format bullet is gone"
+    assert f"`{MODEL_HEADER} K M N B`" in " ".join(bullet.group(0).split())
