@@ -9,6 +9,7 @@ keys. Exit codes: 0 success, 1 usage/config error, 2 data error,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -183,8 +184,8 @@ class RunConfig:
             raise ConfigError("--seeds must not be empty")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"--seeds must be >= 0, got {self.seeds}")
-        if not self.alphas or any(a < 0.0 for a in self.alphas):
-            raise ConfigError(f"--alphas must be >= 0, got {self.alphas}")
+        if not self.alphas or any(not 0.0 <= a < math.inf for a in self.alphas):
+            raise ConfigError(f"--alphas must be >= 0 and finite, got {self.alphas}")
         if not self.kinds:
             raise ConfigError("--kinds must not be empty")
         if self.cold_start_threshold < 2:

@@ -568,6 +568,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("flag,value,named", [
         ("--fractions", "1.5", "--fractions must lie in (0, 1)"),
         ("--alphas", "0,-1", "--alphas must be >= 0"),
+        ("--alphas", "0,nan", "--alphas must be >= 0 and finite"),
+        ("--alphas", "inf", "--alphas must be >= 0 and finite"),
+        ("--alphas", "1e999", "--alphas must be >= 0 and finite"),
         ("--seeds", ",", "--seeds must not be empty"),
         ("--cold-start-threshold", "1", "--cold-start-threshold must be >= 2"),
         ("--min-out-degree", "0", "--min-out-degree must be >= 1"),
@@ -585,7 +588,9 @@ class TestConfigFile:
     ])
     def test_out_of_range_values_name_the_field(self, tmp_path, capsys,
                                                 flag, value, named):
-        code = run_cli("experiment", "--which", "compare",
+        # alpha-sweep is the one runner that reads --alphas, so a value the
+        # validation let through would reach it
+        code = run_cli("experiment", "--which", "alpha-sweep",
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                        flag, value, "--out-dir", str(tmp_path / "res"))
         assert code == 1

@@ -7,7 +7,8 @@ no other exception to an exit code, so ``load_model`` may raise nothing but
 ``DataFileError``. ``train --method social`` and
 every ``experiment --which`` read damaged ratings, trust and config files:
 a ratings or trust fault must end in exit 0 or 2, a config fault in exit 0,
-1 (a bad value) or 3 (a damaged learning rate can diverge)."""
+1 (a bad value) or 3 (a damaged learning rate can diverge). Flags set to
+edge values (nan, inf, -0, subnormal, past int64) end in exit 0, 1 or 3."""
 
 import tempfile
 from pathlib import Path
@@ -128,3 +129,38 @@ def test_damaged_inputs_give_a_result_or_the_fault_s_exit_code(data, command, ta
                      "--trust", str(paths["trust"]), "--config", str(paths["config"]),
                      "--k", "2", "--max-epochs", "3"])
     assert code in _EXIT_CODES[target]
+
+
+# option values at the edges of what the converters accept
+_EDGE_FLOATS = ["nan", "-nan", "inf", "-inf", "1e999", "-0", "0", "5e-324", "1e300", "-1"]
+_EDGE_INTS = ["-1", "0", "1", str(2 ** 63), str(10 ** 30)]
+# option -> (the command that reads it, the texts one value is drawn from)
+_EDGE_OPTIONS = {
+    "fractions": (("experiment", "--which", "compare"), _EDGE_FLOATS),
+    "alphas": (("experiment", "--which", "alpha-sweep"), _EDGE_FLOATS),
+    "seeds": (("experiment", "--which", "compare"), _EDGE_INTS),
+    "kinds": (("experiment", "--which", "ablation"), [f"random:{n}" for n in _EDGE_INTS]),
+    "cold-start-threshold": (("experiment", "--which", "cold-start"), _EDGE_INTS),
+    "min-out-degree": (("experiment", "--which", "sim-study"), _EDGE_INTS),
+    **{name: (("train", "--method", "social"), _EDGE_FLOATS)
+       for name in ("lambda", "alpha", "learning-rate", "tolerance", "init-scale")},
+}
+_LIST_OPTIONS = {"fractions", "alphas", "seeds", "kinds"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), option=st.sampled_from(sorted(_EDGE_OPTIONS)))
+def test_edge_option_values_give_a_result_or_a_config_error(data, option):
+    """A value the validation lets through must not reach a library check:
+    each run ends in a result (0), a config error (1) or divergence (3)."""
+    command, texts = _EDGE_OPTIONS[option]
+    count = data.draw(st.integers(1, 2)) if option in _LIST_OPTIONS else 1
+    value = ",".join(data.draw(st.lists(st.sampled_from(texts), min_size=count,
+                                        max_size=count)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = ["--out", str(Path(tmp) / "model.bin")] if command[0] == "train" else [
+            "--out-dir", str(Path(tmp) / "res"), "--fractions", "0.9", "--seeds", "1"]
+        code = main([*command, *out, "--ratings", str(toydata.ratings_path()),
+                     "--trust", str(toydata.trust_path()), "--k", "2", "--max-epochs", "3",
+                     f"--{option}", value])
+    assert code in (0, 1, 3)
