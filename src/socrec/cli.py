@@ -1,18 +1,21 @@
 """Command-line front end.
 
-Subcommands: ``train``, ``predict``, ``experiment``. Values are resolved
-with the precedence flags > config file > defaults; the config file is
-plain ``key = value`` text with ``#`` comments and kebab- or snake-case
-keys. Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numerical divergence.
+Subcommands: ``train``, ``predict``, ``experiment``. A run is ``train
+--method mf|social`` or ``experiment --which <name>``; it reads its own
+options and refuses a flag that it does not read. Values are resolved with
+the precedence flags > config file > defaults; the config file is plain
+``key = value`` text with ``#`` comments and kebab- or snake-case keys, and
+may hold keys for other runs. Exit codes: 0 success, 1 usage/config error,
+2 data error, 3 numerical divergence.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,47 +50,92 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _float_list(text):
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-def _int_list(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _list(parse):
+    """A converter of comma- or space-separated values."""
+    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
 
 
 def _kind_list(text):
     return tuple(SimilarityKind.parse(x) for x in text.split(","))
 
 
-_TRAIN, _EXPERIMENT, _BOTH = ("train",), ("experiment",), ("train", "experiment")
+def _checked(parse, ok, rule):
+    """A converter: ``parse`` the text, then refuse a value that ``ok``
+    rejects, giving ``rule`` as the reason."""
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return convert
 
-# the one declaration of each option: name -> (converter, default, commands
-# that take it, help); the flag is --<name in kebab case>, the config key is
-# the name in either case, and flag and config text go through one converter
+
+def _hyperparam(field, parse):
+    """A converter: ``parse`` the text, then Hyperparams' own check of ``field``."""
+    return lambda text: getattr(Hyperparams(**{field: parse(text)}), field)
+
+
+_EXPERIMENTS = ("compare", "alpha-sweep", "ablation", "cold-start", "sim-study")
+_RUNS = {"train": ("mf", "social"), "experiment": _EXPERIMENTS}
+_ALL = (*_RUNS["train"], *_EXPERIMENTS)
+_TRAINING = tuple(run for run in _ALL if run != "sim-study")
+
+# the one declaration of each option: name -> (converter, default, runs that
+# read it, help); the flag is --<name in kebab case>, the config key is the
+# name in either case, and flag and config text go through one converter,
+# which also checks the value's range
 _OPTIONS = {
-    "ratings": (str, None, _BOTH, "ratings file (user item rating per line)"),
-    "trust": (str, None, _BOTH, "trust file (truster trustee per line)"),
-    "out": (str, "socrec-model.bin", _TRAIN, "model output path"),
-    "out_dir": (str, "socrec-results", _EXPERIMENT, "directory for result CSVs"),
-    "k": (int, 10, _BOTH, "latent dimension"),
-    "lambda": (float, 3.0, _BOTH, "L2 regularization weight"),
-    "alpha": (float, 0.01, _BOTH, "social regularization weight"),
-    "learning_rate": (float, 0.001, _BOTH, "gradient step size"),
-    "max_epochs": (int, 300, _BOTH, "epoch budget of each training"),
-    "tolerance": (float, 1e-5, _BOTH, "relative objective change that stops training"),
-    "init_scale": (float, 0.1, _BOTH, "initial factors are uniform on [0, init-scale]"),
+    "ratings": (str, None, _ALL, "ratings file (user item rating per line)"),
+    "trust": (str, None, ("social", *_EXPERIMENTS), "trust file (truster trustee per line)"),
+    "out": (str, "socrec-model.bin", _RUNS["train"], "model output path"),
+    "out_dir": (str, "socrec-results", _EXPERIMENTS, "directory for result CSVs"),
+    "k": (_hyperparam("k", int), 10, _TRAINING, "latent dimension"),
+    "lambda": (_hyperparam("lam", float), 3.0, _TRAINING, "L2 regularization weight"),
+    # alpha-sweep reads --alphas in its place
+    "alpha": (_hyperparam("alpha", float), 0.01, ("social", "compare", "ablation", "cold-start"),
+              "social regularization weight"),
+    "learning_rate": (_hyperparam("learning_rate", float), 0.001, _TRAINING, "gradient step size"),
+    "max_epochs": (_hyperparam("max_epochs", int), 300, _TRAINING, "epoch budget of a training"),
+    "tolerance": (_hyperparam("tolerance", float), 1e-5, _TRAINING,
+                  "relative objective change that stops training"),
+    "init_scale": (_hyperparam("init_scale", float), 0.1, _TRAINING,
+                   "initial factors are uniform on [0, init-scale]"),
     # each experiment trains with its split's seed
-    "seed": (int, 1, _TRAIN, "factor initialization seed"),
-    "fractions": (_float_list, (0.9, 0.8), _EXPERIMENT, "train fractions, e.g. 0.9,0.8"),
-    "seeds": (_int_list, DEFAULT_SEEDS, _EXPERIMENT, "split seeds, e.g. 1,2,3,4,5"),
-    "alphas": (_float_list, DEFAULT_ALPHAS, _EXPERIMENT, "alpha-sweep grid, e.g. 0,0.01,0.1"),
-    "kinds": (_kind_list, _kind_list("constant,random,vss,pcc"), _EXPERIMENT,
+    "seed": (_hyperparam("seed", int), 1, _RUNS["train"], "factor initialization seed"),
+    "fractions": (_checked(_list(float), lambda v: v and all(0.0 < f < 1.0 for f in v),
+                           "must be one or more values in (0, 1)"), (0.9, 0.8),
+                  ("compare", "alpha-sweep", "ablation"), "train fractions, e.g. 0.9,0.8"),
+    "seeds": (_checked(_list(int), lambda v: v and min(v) >= 0, "must be one or more values >= 0"),
+              DEFAULT_SEEDS, _EXPERIMENTS, "split seeds, e.g. 1,2,3,4,5"),
+    "alphas": (_checked(_list(float), lambda v: v and all(0.0 <= a < math.inf for a in v),
+                        "must be one or more finite values >= 0"),
+               DEFAULT_ALPHAS, ("alpha-sweep",), "alpha-sweep grid, e.g. 0,0.01,0.1"),
+    "kinds": (_kind_list, _kind_list("constant,random,vss,pcc"), ("ablation",),
               "ablation kinds, e.g. constant,random:7,vss,pcc"),
-    "cold_start_threshold": (int, 5, _EXPERIMENT, "users with fewer ratings are cold"),
-    "min_out_degree": (int, 5, _EXPERIMENT, "sim-study: users need more friends than this"),
-    # per-command default: pcc for training, vss for the study
-    "similarity": (SimilarityKind.parse, None, _BOTH, "pcc | vss | constant | random[:seed]"),
+    "cold_start_threshold": (_checked(int, lambda v: v >= 2, "must be >= 2"), 5, ("cold-start",),
+                             "users with fewer ratings are cold"),
+    "min_out_degree": (_checked(int, lambda v: v >= 1, "must be >= 1"), 5, ("sim-study",),
+                       "users need more friends than this"),
+    # the study's own rule and default are _STUDY_SIMILARITY
+    "similarity": (SimilarityKind.parse, SimilarityKind.pcc(),
+                   ("social", "compare", "alpha-sweep", "cold-start", "sim-study"),
+                   "pcc | vss | constant | random[:seed]"),
 }
+# the similarity study compares vss with pcc
+_STUDY_SIMILARITY = (_checked(SimilarityKind.parse, lambda kind: kind.tag in STUDY_KINDS,
+                              f"the similarity study supports {' or '.join(STUDY_KINDS)}"),
+                     SimilarityKind.vss())
+# option name -> Hyperparams field
+_HYPERPARAMS = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(Hyperparams)}
+
+
+def _option(name, run):
+    """The converter and default of an option in ``run``."""
+    return _STUDY_SIMILARITY if (name, run) == ("similarity", "sim-study") else _OPTIONS[name][:2]
+
+
+def _flag(name):
+    return f"--{name.replace('_', '-')}"
 
 
 def build_parser() -> _Parser:
@@ -95,7 +143,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit a factor model and save it")
-    p_train.add_argument("--method", choices=("mf", "social"), default="mf")
+    p_train.add_argument("--method", choices=_RUNS["train"], default="mf")
 
     p_pred = sub.add_parser("predict", help="predict one rating from a saved model")
     p_pred.add_argument("--model", required=True, help="model file written by train")
@@ -103,21 +151,33 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--item", required=True, help="external item id")
 
     p_exp = sub.add_parser("experiment", help="run an experiment and write CSVs")
-    p_exp.add_argument("--which", choices=(*_RUNNERS, "sim-study"), required=True)
+    p_exp.add_argument("--which", choices=_EXPERIMENTS, required=True)
 
-    parsers = {"train": p_train, "experiment": p_exp}
-    for p in parsers.values():
+    for command, p in (("train", p_train), ("experiment", p_exp)):
         p.add_argument("--config", help="key = value config file")
-    for name, (_, _, commands, help_text) in _OPTIONS.items():
-        for command in commands:
-            # no type=: _resolve converts flag text as it converts config text
-            parsers[command].add_argument(f"--{name.replace('_', '-')}", dest=name,
-                                          help=help_text)
+        for name, (_, _, runs, help_text) in _OPTIONS.items():
+            readers = [run for run in runs if run in _RUNS[command]]
+            if readers:
+                # no type=: resolve_config converts flag text as it converts config text
+                p.add_argument(_flag(name), dest=name,
+                               help=f"{help_text} ({', '.join(readers)})")
     return parser
 
 
-def read_config_file(path) -> dict:
-    """Parse a plain 'key = value' file into converted option values."""
+def _convert(name, run, text, where):
+    """``text`` through the option's converter for ``run``; text it refuses
+    is a ConfigError that opens with ``where``."""
+    try:
+        return _option(name, run)[0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {text!r}: {exc}") from None
+
+
+def read_config_file(path, run=None) -> dict:
+    """Parse a plain 'key = value' file into option values, each converted
+    and checked as ``run`` takes it. A key that ``run`` does not read is
+    checked too, and left for the caller to ignore: one file may serve
+    several runs."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
@@ -134,109 +194,55 @@ def read_config_file(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _OPTIONS[key][0](value.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: bad value for {key}: {value.strip()!r}: {exc}"
-            ) from None
+        values[key] = _convert(key, run, value.strip(), f"{path}:{lineno}: bad value for {key}:")
     return values
 
 
-def _resolve(args, config, name):
-    """Option precedence: flag > config file > built-in default. Flag text
-    goes through its option's converter, as config text does; a value it
-    refuses is a ConfigError naming the flag."""
-    convert, default = _OPTIONS[name][:2]
+def _resolve(args, config, name, run):
+    """Option precedence: flag > config file > the run's default. Flag text
+    goes through the option's converter, as config text does."""
     flag = getattr(args, name, None)
     if flag is None:
-        return config.get(name, default)
-    try:
-        return convert(flag)
-    except ValueError as exc:
-        raise ConfigError(f"--{name.replace('_', '-')} {flag!r}: {exc}") from None
+        return config.get(name, _option(name, run)[1])
+    return _convert(name, run, flag, _flag(name))
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved options: paths, hyperparameters and experiment
-    selectors, validated before any data is loaded or compute starts."""
-
-    ratings: str | None
-    trust: str | None
-    out: str
-    out_dir: str
-    hyperparams: Hyperparams
-    fractions: tuple
-    seeds: tuple
-    alphas: tuple
-    kinds: tuple
-    cold_start_threshold: int
-    min_out_degree: int
-    similarity: SimilarityKind | None
-
-    def validate(self, study: bool = False) -> "RunConfig":
-        """Check value ranges; ``study`` also applies the similarity study's
-        rule that ``--similarity`` is vss or pcc."""
-        if not self.fractions or any(not 0.0 < f < 1.0 for f in self.fractions):
-            raise ConfigError(f"--fractions must lie in (0, 1), got {self.fractions}")
-        if not self.seeds:
-            raise ConfigError("--seeds must not be empty")
-        if any(seed < 0 for seed in self.seeds):
-            raise ConfigError(f"--seeds must be >= 0, got {self.seeds}")
-        if not self.alphas or any(not 0.0 <= a < math.inf for a in self.alphas):
-            raise ConfigError(f"--alphas must be >= 0 and finite, got {self.alphas}")
-        if not self.kinds:
-            raise ConfigError("--kinds must not be empty")
-        if self.cold_start_threshold < 2:
-            raise ConfigError(
-                f"--cold-start-threshold must be >= 2, got {self.cold_start_threshold}"
-            )
-        if self.min_out_degree < 1:
-            raise ConfigError(
-                f"--min-out-degree must be >= 1, got {self.min_out_degree}"
-            )
-        if study and self.similarity and self.similarity.tag not in STUDY_KINDS:
-            raise ConfigError(f"--similarity {self.similarity.label()!r}: the similarity "
-                              f"study supports {' or '.join(STUDY_KINDS)}")
-        return self
+def resolve_config(args) -> SimpleNamespace:
+    """The selected run's options from its flags, its --config file and the
+    table's defaults, converted and checked before any data is loaded. A
+    flag the run does not read is a ConfigError; an option it does not read
+    is None, and so is ``hyperparams`` for a run that trains nothing."""
+    run = args.method if args.command == "train" else args.which
+    reads = [name for name, (_, _, runs, _) in _OPTIONS.items() if run in runs]
+    for name in _OPTIONS:
+        flag = getattr(args, name, None)
+        if flag is not None and name not in reads:
+            raise ConfigError(f"{_flag(name)} {flag!r}: {run} does not read it")
+    config = read_config_file(args.config, run) if args.config else {}
+    hp = {field: _resolve(args, config, name, run)
+          for name, field in _HYPERPARAMS.items() if name in reads}
+    return SimpleNamespace(run=run, hyperparams=Hyperparams(**hp) if hp else None, **{
+        name: _resolve(args, config, name, run) if name in reads else None
+        for name in _OPTIONS if name not in _HYPERPARAMS})
 
 
-def resolve_config(args) -> RunConfig:
-    """The command's options from its flags, its --config file and the
-    table's defaults, converted and validated."""
-    config = read_config_file(args.config) if args.config else {}
-    # converted outside the try below: a ConfigError is a ValueError too
-    hp_values = {f.name: _resolve(args, config, "lambda" if f.name == "lam" else f.name)
-                 for f in fields(Hyperparams)}
-    try:
-        hp = Hyperparams(**hp_values)
-    except ValueError as exc:
-        # each Hyperparams message opens with its option's name, in snake case
-        label, _, fault = str(exc).partition(" ")
-        raise ConfigError(f"--{label.replace('_', '-')} {fault}") from None
-    return RunConfig(hyperparams=hp, **{f.name: _resolve(args, config, f.name)
-                                        for f in fields(RunConfig) if f.name != "hyperparams"}
-                     ).validate(study=getattr(args, "which", None) == "sim-study")
-
-
-def _load(cfg: RunConfig, need_trust: bool):
+def _load(cfg):
     if not cfg.ratings:
         raise ConfigError("--ratings is required")
-    if need_trust and not cfg.trust:
-        raise ConfigError("--trust is required for this command")
+    if cfg.run in _OPTIONS["trust"][2] and not cfg.trust:
+        raise ConfigError(f"--trust is required for {cfg.run}")
     return load_dataset(cfg.ratings, cfg.trust)
 
 
-def cmd_train(args, cfg: RunConfig) -> int:
+def cmd_train(cfg) -> int:
     out = Path(cfg.out)
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"--out {out}: not a file in an existing directory")
-    method = args.method
-    ratings, graph, ids = _load(cfg, need_trust=(method == "social"))
+    method = cfg.run
+    ratings, graph, ids = _load(cfg)
     hp = cfg.hyperparams
     if method == "social":
-        sim = build_similarity_table(ratings, graph, cfg.similarity or SimilarityKind.pcc())
+        sim = build_similarity_table(ratings, graph, cfg.similarity)
         model, report = train(ratings, hp, graph, sim)
     else:
         model, report = train(ratings, hp)
@@ -306,23 +312,22 @@ def _write_similarity_study(study, rows_path, summary_path):
 # the sweeps and the ablation take the first --fractions and --seeds value
 _RUNNERS = {
     "compare": lambda ratings, graph, cfg: run_comparison(
-        ratings, graph, cfg.fractions, cfg.seeds, cfg.hyperparams,
-        sim_kind=cfg.similarity or SimilarityKind.pcc()),
+        ratings, graph, cfg.fractions, cfg.seeds, cfg.hyperparams, sim_kind=cfg.similarity),
     "alpha-sweep": lambda ratings, graph, cfg: run_alpha_sweep(
         ratings, graph, cfg.alphas, cfg.hyperparams, train_fraction=cfg.fractions[0],
-        seed=cfg.seeds[0], sim_kind=cfg.similarity or SimilarityKind.pcc()),
+        seed=cfg.seeds[0], sim_kind=cfg.similarity),
     "ablation": lambda ratings, graph, cfg: run_similarity_ablation(
         ratings, graph, cfg.kinds, cfg.hyperparams,
         train_fraction=cfg.fractions[0], seed=cfg.seeds[0]),
     "cold-start": lambda ratings, graph, cfg: run_cold_start(
         ratings, graph, cfg.cold_start_threshold, cfg.hyperparams, seeds=cfg.seeds,
-        sim_kind=cfg.similarity or SimilarityKind.pcc()),
+        sim_kind=cfg.similarity),
 }
 
 
-def cmd_experiment(args, cfg: RunConfig) -> int:
-    which = args.which
-    ratings, graph, _ = _load(cfg, need_trust=True)
+def cmd_experiment(cfg) -> int:
+    which = cfg.run
+    ratings, graph, _ = _load(cfg)
     if which == "cold-start" and ratings.user_counts().max(initial=0) <= 1:
         # each cold-start user holds out one rating, so one rating per user
         # leaves no train set at any threshold: the file, not an option, is at fault
@@ -338,12 +343,8 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
     summary_path = out_dir / f"{which}-summary.csv"
 
     if which == "sim-study":
-        study = run_similarity_study(
-            ratings, graph,
-            min_out_degree=cfg.min_out_degree,
-            seed=cfg.seeds[0],
-            kind=cfg.similarity.tag if cfg.similarity else "vss",
-        )
+        study = run_similarity_study(ratings, graph, min_out_degree=cfg.min_out_degree,
+                                     seed=cfg.seeds[0], kind=cfg.similarity.tag)
         _write_similarity_study(study, rows_path, summary_path)
     else:
         results = _RUNNERS[which](ratings, graph, cfg)
@@ -371,9 +372,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(args)
         cfg = resolve_config(args)
-        if args.command == "train":
-            return cmd_train(args, cfg)
-        return cmd_experiment(args, cfg)
+        return cmd_train(cfg) if args.command == "train" else cmd_experiment(cfg)
     except ConfigError as exc:
         print(f"socrec: error: {exc}", file=sys.stderr)
         return 1

@@ -121,7 +121,8 @@ def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
         raise ValueError("need at least one user and one item")
     rng = np.random.default_rng(hp.seed)
     try:
-        factors = rng.uniform(0.0, hp.init_scale, size=(num_users + num_items, hp.k))
+        # abs: numpy refuses a high of -0.0 (high - low < 0), which is a scale of 0
+        factors = rng.uniform(0.0, abs(hp.init_scale), size=(num_users + num_items, hp.k))
     except ValueError:
         # numpy refuses a block whose byte size or k it cannot even index
         raise MemoryError(f"a ({num_users + num_items}, {hp.k}) float64 factor "

@@ -23,7 +23,10 @@ from socrec import (
 )
 from socrec import evaluation
 from socrec.cli import (
+    _HYPERPARAMS,
     _OPTIONS,
+    _RUNS,
+    _flag,
     build_parser,
     main,
     read_config_file,
@@ -73,6 +76,25 @@ class TestTrainCommand:
                                          (ids.num_items, model.ids.item_id, ids.item_id)):
             assert [model_id(x) for x in range(count)] == [data_id(x) for x in range(count)]
 
+    def test_mf_reads_no_trust_file(self, tmp_path, capsys):
+        """A config file's trust key is left unread by mf: a user known only
+        to the trust file gets no untrained factor row, so predict falls
+        back to the global mean for it."""
+        trust = tmp_path / "trust.tsv"
+        trust.write_text("u01 stranger\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"trust = {trust}\n", encoding="utf-8")
+        out = tmp_path / "m.bin"
+        assert run_cli("train", "--method", "mf", "--config", str(cfg), "--ratings", TOY_RATINGS,
+                       "--max-epochs", "30", "--out", str(out)) == 0
+        model = load_model(out)
+        assert model.num_users == 20
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(out), "--user", "stranger", "--item", "m01") == 0
+        captured = capsys.readouterr()
+        assert "unknown user" in captured.err
+        assert float(captured.out) == pytest.approx(np.clip(model.global_mean, 1, 5), abs=5e-5)
+
     def test_social_without_trust_is_usage_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "social", "--ratings", TOY_RATINGS,
                        "--out", str(tmp_path / "m.txt"))
@@ -119,12 +141,12 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("argv", [
         ("train", "--method", "social", "--similarity", "random:x"),
-        ("train", "--method", "mf", "--similarity", "cosine"),
+        ("experiment", "--which", "cold-start", "--similarity", "cosine"),
         ("experiment", "--which", "sim-study", "--similarity", "constant"),
         ("experiment", "--which", "sim-study", "--similarity", "random:1"),
         ("train", "--method", "social", "--similarity", "pcc:5"),
         ("experiment", "--which", "sim-study", "--similarity", "vss:3"),
-        ("experiment", "--which", "ablation", "--similarity", "constant:0"),
+        ("experiment", "--which", "compare", "--similarity", "constant:0"),
         ("train", "--method", "social", "--similarity", "random:-1"),
         ("train", "--method", "social", "--similarity", ""),
     ])
@@ -143,12 +165,12 @@ class TestTrainCommand:
         """train refuses a negative --seed; experiment takes no --seed at all,
         because each experiment trains with its split's seed."""
         missing = str(tmp_path / "missing.tsv")
-        code = run_cli(*argv, "--seed", "-1", "--ratings", missing, "--trust", missing,
-                       "--out" if argv[0] == "train" else "--out-dir", str(tmp_path / "out"))
+        where = (("--out",) if argv[0] == "train" else ("--trust", missing, "--out-dir"))
+        code = run_cli(*argv, "--seed", "-1", "--ratings", missing, *where, str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err == ("socrec: error: --seed must be >= 0, got -1\n"
-                                           if argv[0] == "train" else
-                                           "socrec: error: unrecognized arguments: --seed -1\n")
+        assert capsys.readouterr().err == (
+            "socrec: error: --seed '-1': seed must be >= 0, got -1\n" if argv[0] == "train"
+            else "socrec: error: unrecognized arguments: --seed -1\n")
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf", "--ratings", TOY_RATINGS,
@@ -413,8 +435,12 @@ class TestExperimentCommand:
             assert line.startswith(f"{which},{r.method},{r.train_fraction:.10g},"
                                    f"{r.mean.mae:.10g},{r.mean.rmse:.10g},")
 
-    @pytest.mark.parametrize("which", ["compare", "alpha-sweep", "cold-start"])
-    def test_similarity_reaches_the_experiment(self, tmp_path, monkeypatch, which):
+    @pytest.mark.parametrize("which,flags", [
+        ("compare", ["--fractions", "0.9", "--seeds", "1"]),
+        ("alpha-sweep", ["--fractions", "0.9", "--seeds", "1", "--alphas", "0.1"]),
+        ("cold-start", ["--seeds", "1"]),
+    ])
+    def test_similarity_reaches_the_experiment(self, tmp_path, monkeypatch, which, flags):
         """Every similarity table the experiment builds is of the --similarity
         kind. The toy CSVs cannot show this: every kind gives the same rows."""
         asked = []
@@ -426,8 +452,7 @@ class TestExperimentCommand:
 
         monkeypatch.setattr(evaluation, "build_similarity_table", record)
         assert run_cli("experiment", "--which", which, "--ratings", TOY_RATINGS,
-                       "--trust", TOY_TRUST, "--similarity", "constant",
-                       "--fractions", "0.9", "--seeds", "1", "--alphas", "0.1",
+                       "--trust", TOY_TRUST, "--similarity", "constant", *flags,
                        "--max-epochs", "5", "--out-dir", str(tmp_path / "res")) == 0
         assert asked and set(asked) == {SimilarityKind.constant()}
 
@@ -460,7 +485,8 @@ class TestExperimentCommand:
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                        "--seeds", "1,-1", "--out-dir", str(out_dir))
         assert code == 1
-        assert capsys.readouterr().err == "socrec: error: --seeds must be >= 0, got (1, -1)\n"
+        assert capsys.readouterr().err == (
+            "socrec: error: --seeds '1,-1': must be one or more values >= 0\n")
         assert not out_dir.exists()
 
     def test_cold_start_on_one_rating_per_user_is_data_error_naming_the_file(
@@ -551,9 +577,9 @@ class TestConfigFile:
         takes no --seed, accepts it and leaves it unread."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 4\n", encoding="utf-8")
-        resolved = resolve_config(build_parser().parse_args(
-            ["experiment", "--which", "compare", "--config", str(cfg)]))
-        assert resolved.hyperparams.seed == 4
+        argv = ["experiment", "--which", "compare"]
+        shared = resolve_config(build_parser().parse_args([*argv, "--config", str(cfg)]))
+        assert shared == resolve_config(build_parser().parse_args(argv))
 
     def test_paths_can_come_from_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -565,32 +591,37 @@ class TestConfigFile:
                        "--out", str(out))
         assert code == 0 and out.exists()
 
-    @pytest.mark.parametrize("flag,value,named", [
-        ("--fractions", "1.5", "--fractions must lie in (0, 1)"),
-        ("--alphas", "0,-1", "--alphas must be >= 0"),
-        ("--alphas", "0,nan", "--alphas must be >= 0 and finite"),
-        ("--alphas", "inf", "--alphas must be >= 0 and finite"),
-        ("--alphas", "1e999", "--alphas must be >= 0 and finite"),
-        ("--seeds", ",", "--seeds must not be empty"),
-        ("--cold-start-threshold", "1", "--cold-start-threshold must be >= 2"),
-        ("--min-out-degree", "0", "--min-out-degree must be >= 1"),
-        ("--alpha", "-0.5", "--alpha"),
-        ("--lambda", "nan", "--lambda"),
-        ("--kinds", "random:-1", "--kinds 'random:-1': seed must be >= 0, got -1\n"),
-        ("--seeds", "1,x", "--seeds '1,x': invalid literal for int() with base 10: 'x'\n"),
-        ("--fractions", "0.5,abc",
+    @pytest.mark.parametrize("which,flag,value,named", [
+        ("alpha-sweep", "--fractions", "1.5",
+         "--fractions '1.5': must be one or more values in (0, 1)\n"),
+        ("alpha-sweep", "--alphas", "0,-1",
+         "--alphas '0,-1': must be one or more finite values >= 0\n"),
+        ("alpha-sweep", "--alphas", "0,nan",
+         "--alphas '0,nan': must be one or more finite values >= 0\n"),
+        ("alpha-sweep", "--alphas", "inf", "--alphas 'inf': must be one or more finite"),
+        ("alpha-sweep", "--alphas", "1e999", "--alphas '1e999': must be one or more finite"),
+        ("alpha-sweep", "--seeds", ",", "--seeds ',': must be one or more values >= 0\n"),
+        ("cold-start", "--cold-start-threshold", "1",
+         "--cold-start-threshold '1': must be >= 2\n"),
+        ("sim-study", "--min-out-degree", "0", "--min-out-degree '0': must be >= 1\n"),
+        ("compare", "--alpha", "-0.5", "--alpha '-0.5': alpha must be >= 0, got -0.5\n"),
+        ("alpha-sweep", "--lambda", "nan", "--lambda 'nan': lambda must be finite, got nan\n"),
+        ("ablation", "--kinds", "random:-1", "--kinds 'random:-1': seed must be >= 0, got -1\n"),
+        ("alpha-sweep", "--seeds", "1,x",
+         "--seeds '1,x': invalid literal for int() with base 10: 'x'\n"),
+        ("alpha-sweep", "--fractions", "0.5,abc",
          "--fractions '0.5,abc': could not convert string to float: 'abc'\n"),
-        ("--k", "x", "--k 'x': invalid literal for int() with base 10: 'x'\n"),
-        ("--max-epochs", "1.5",
+        ("alpha-sweep", "--k", "x", "--k 'x': invalid literal for int() with base 10: 'x'\n"),
+        ("alpha-sweep", "--max-epochs", "1.5",
          "--max-epochs '1.5': invalid literal for int() with base 10: '1.5'\n"),
-        ("--cold-start-threshold", "x",
+        ("cold-start", "--cold-start-threshold", "x",
          "--cold-start-threshold 'x': invalid literal for int() with base 10: 'x'\n"),
     ])
     def test_out_of_range_values_name_the_field(self, tmp_path, capsys,
-                                                flag, value, named):
-        # alpha-sweep is the one runner that reads --alphas, so a value the
-        # validation let through would reach it
-        code = run_cli("experiment", "--which", "alpha-sweep",
+                                                which, flag, value, named):
+        """Each case runs under an experiment that reads the flag, so a value
+        the converter let through would reach that experiment's runner."""
+        code = run_cli("experiment", "--which", which,
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                        flag, value, "--out-dir", str(tmp_path / "res"))
         assert code == 1
@@ -599,16 +630,22 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,value,reason", [
         ("kinds", "pcc,random:-1", "seed must be >= 0, got -1"),
         ("similarity", "pcc:5", "only the random kind takes a seed, got 'pcc:5'"),
+        ("k", "0", "k must be >= 1, got 0"),
+        ("fractions", "1.5", "must be one or more values in (0, 1)"),
+        ("cold-start-threshold", "1", "must be >= 2"),
+        ("min-out-degree", "0", "must be >= 1"),
     ])
     def test_bad_config_value_gives_the_reason(self, tmp_path, capsys, key, value, reason):
+        """A config value is checked as a flag is, and its fault names the
+        file and line, whether or not the run reads the key."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         code = run_cli("experiment", "--which", "ablation", "--config", str(cfg),
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                        "--out-dir", str(tmp_path / "res"))
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"socrec: error: {cfg}:1: bad value for {key}: {value!r}: {reason}\n")
+        assert capsys.readouterr().err == (f"socrec: error: {cfg}:1: bad value for "
+                                           f"{key.replace('-', '_')}: {value!r}: {reason}\n")
 
 
 # a value other than the default for each option in cli._OPTIONS
@@ -625,42 +662,81 @@ HAND_WRITTEN = {
     "predict": {"--help", "--model", "--user", "--item"},
     "experiment": {"--help", "--config", "--which"},
 }
-COMMAND_ARGV = {"train": ["train"], "experiment": ["experiment", "--which", "compare"]}
+RUN_ARGV = {run: [command, "--method" if command == "train" else "--which", run]
+            for command, runs in _RUNS.items() for run in runs}
+READ = [(name, run) for name, (_, _, runs, _) in _OPTIONS.items() for run in runs]
+UNREAD = [(name, run) for name in _OPTIONS for run in RUN_ARGV if (name, run) not in READ]
 
 
 def _option_value(cfg, name):
-    if name == "lambda":
-        return cfg.hyperparams.lam
-    return getattr(cfg.hyperparams, name, getattr(cfg, name, None))
+    if name in _HYPERPARAMS:
+        return getattr(cfg.hyperparams, _HYPERPARAMS[name])
+    return getattr(cfg, name)
 
 
 class TestOptionTable:
     """cli._OPTIONS is the one declaration of every option's flag, config
-    key, converter and default."""
+    key, converter, default and the runs that read it."""
 
-    @pytest.mark.parametrize("name,command", [
-        (name, command) for name, (_, _, commands, _) in _OPTIONS.items()
-        for command in commands
-    ])
-    def test_flag_and_config_key_give_the_same_value(self, tmp_path, name, command):
-        argv = COMMAND_ARGV[command]
-        text = OPTION_SAMPLES[name]
+    @pytest.mark.parametrize("name,run", READ)
+    def test_flag_and_config_key_give_the_same_value(self, tmp_path, name, run):
+        # vss is the study's default similarity, so the study gets pcc
+        text = "pcc" if (name, run) == ("similarity", "sim-study") else OPTION_SAMPLES[name]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{name.replace('_', '-')} = {text}\n", encoding="utf-8")
         by_flag, by_config, by_default = (
-            _option_value(resolve_config(build_parser().parse_args([*argv, *extra])), name)
-            for extra in ([f"--{name.replace('_', '-')}", text], ["--config", str(cfg)], []))
+            _option_value(resolve_config(build_parser().parse_args([*RUN_ARGV[run], *extra])),
+                          name)
+            for extra in ([_flag(name), text], ["--config", str(cfg)], []))
         assert by_flag == by_config != by_default
+
+    @pytest.mark.parametrize("name,run", UNREAD)
+    def test_a_flag_the_run_does_not_read_is_refused_before_any_file(
+            self, tmp_path, capsys, name, run):
+        """The run's command may take the flag for another run: then the run
+        refuses it by name; else the command's parser does not know it."""
+        argv = RUN_ARGV[run]
+        out_dir = tmp_path / "res"
+        text = OPTION_SAMPLES[name]
+        code = run_cli(*argv, _flag(name), text, "--ratings", str(tmp_path / "missing.tsv"),
+                       *(("--out-dir", str(out_dir)) if argv[0] == "experiment" else
+                         ("--out", str(tmp_path / "m.bin"))))
+        assert code == 1
+        known = any(r in _RUNS[argv[0]] for r in _OPTIONS[name][2])
+        assert capsys.readouterr().err == (
+            f"socrec: error: {_flag(name)} {text!r}: {run} does not read it\n" if known else
+            f"socrec: error: unrecognized arguments: {_flag(name)} {text}\n")
+        assert not out_dir.exists()
+
+    def test_a_config_key_the_run_does_not_read_is_left_unread(self, tmp_path):
+        """One config file can serve every run: each run resolves what it
+        would resolve without the keys it does not read."""
+        def resolved(run, names):
+            cfg = tmp_path / f"{run}-{len(names)}.cfg"
+            cfg.write_text("".join(f"{name} = {OPTION_SAMPLES[name]}\n" for name in names),
+                           encoding="utf-8")
+            return resolve_config(build_parser().parse_args([*RUN_ARGV[run], "--config",
+                                                             str(cfg)]))
+
+        for run in RUN_ARGV:
+            own = [name for name in _OPTIONS if (name, run) in READ]
+            assert resolved(run, list(_OPTIONS)) == resolved(run, own)
 
     @pytest.mark.parametrize("command", ["train", "predict", "experiment"])
     def test_help_lists_the_table_s_flags(self, capsys, command):
+        """Each flag's help ends with the runs of the command that read it."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
         assert exit_info.value.code == 0
-        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-        table = {f"--{name.replace('_', '-')}"
-                 for name, (_, _, commands, _) in _OPTIONS.items() if command in commands}
-        assert listed == table | HAND_WRITTEN[command]
+        out = capsys.readouterr().out
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        readers = {name: [r for r in runs if r in _RUNS.get(command, ())]
+                   for name, (_, _, runs, _) in _OPTIONS.items()}
+        assert listed == {_flag(name) for name in _OPTIONS if readers[name]} | HAND_WRITTEN[command]
+        packed = "".join(out.split())
+        for name, runs in readers.items():
+            if runs:
+                assert "".join(f"{_OPTIONS[name][3]} ({', '.join(runs)})".split()) in packed
 
 
 def test_unexpected_error_propagates(tmp_path, monkeypatch):

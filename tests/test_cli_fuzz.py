@@ -7,9 +7,14 @@ no other exception to an exit code, so ``load_model`` may raise nothing but
 ``DataFileError``. ``train --method social`` and
 every ``experiment --which`` read damaged ratings, trust and config files:
 a ratings or trust fault must end in exit 0 or 2, a config fault in exit 0,
-1 (a bad value) or 3 (a damaged learning rate can diverge). Flags set to
-edge values (nan, inf, -0, subnormal, past int64) end in exit 0, 1 or 3."""
+1 (a bad value) or 3 (a damaged learning rate can diverge). Each (run,
+option) pair of the option table is fuzzed too: a flag the run does not
+read exits 1, and option text at the edges (nan, inf, -0, subnormal, past
+int64), as a flag or a config line, exits 1 if its converter refuses it and
+0 or 3 if not."""
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -21,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socrec import load_model, toydata
-from socrec.cli import main
+from socrec.cli import _OPTIONS, _RUNS, _flag, _option, main
 
 
 @pytest.fixture(scope="module")
@@ -125,42 +130,72 @@ def test_damaged_inputs_give_a_result_or_the_fault_s_exit_code(data, command, ta
             paths[name].write_bytes(content)
         out = ["--out", str(Path(tmp) / "model.bin")] if command[0] == "train" else [
             "--out-dir", str(Path(tmp) / "res")]
+        # the study trains nothing, so it takes no training flag
+        small = [] if command[-1] == "sim-study" else ["--k", "2", "--max-epochs", "3"]
         code = main([*command, *out, "--ratings", str(paths["ratings"]),
-                     "--trust", str(paths["trust"]), "--config", str(paths["config"]),
-                     "--k", "2", "--max-epochs", "3"])
+                     "--trust", str(paths["trust"]), "--config", str(paths["config"]), *small])
     assert code in _EXIT_CODES[target]
 
 
-# option values at the edges of what the converters accept
+# option value texts at and just past the edges of what the converters accept
 _EDGE_FLOATS = ["nan", "-nan", "inf", "-inf", "1e999", "-0", "0", "5e-324", "1e300", "-1"]
-_EDGE_INTS = ["-1", "0", "1", str(2 ** 63), str(10 ** 30)]
-# option -> (the command that reads it, the texts one value is drawn from)
-_EDGE_OPTIONS = {
-    "fractions": (("experiment", "--which", "compare"), _EDGE_FLOATS),
-    "alphas": (("experiment", "--which", "alpha-sweep"), _EDGE_FLOATS),
-    "seeds": (("experiment", "--which", "compare"), _EDGE_INTS),
-    "kinds": (("experiment", "--which", "ablation"), [f"random:{n}" for n in _EDGE_INTS]),
-    "cold-start-threshold": (("experiment", "--which", "cold-start"), _EDGE_INTS),
-    "min-out-degree": (("experiment", "--which", "sim-study"), _EDGE_INTS),
-    **{name: (("train", "--method", "social"), _EDGE_FLOATS)
-       for name in ("lambda", "alpha", "learning-rate", "tolerance", "init-scale")},
+_EDGE_INTS = ["-1", "0", "1", str(2 ** 63), str(10 ** 30), "x", ""]
+# --k and --max-epochs stay small: the huge-k tests cover overflow, and no
+# draw may allocate gigabytes or train for long
+_SMALL_INTS = ["-1", "0", "1", "2", "1.5", ""]
+_KIND_TEXTS = ["pcc", "vss", "constant", "random", "cosine", "pcc:5", "",
+               *(f"random:{n}" for n in _EDGE_INTS)]
+_EDGE_TEXTS = {
+    "k": _SMALL_INTS, "max_epochs": _SMALL_INTS,
+    **dict.fromkeys(["seed", "seeds", "cold_start_threshold", "min_out_degree"], _EDGE_INTS),
+    **dict.fromkeys(["lambda", "alpha", "learning_rate", "tolerance", "init_scale",
+                     "fractions", "alphas"], _EDGE_FLOATS),
+    "kinds": _KIND_TEXTS, "similarity": _KIND_TEXTS,
 }
 _LIST_OPTIONS = {"fractions", "alphas", "seeds", "kinds"}
+# the flags that keep a run small, wherever the run reads them
+_SMALL_RUN = {"k": "2", "max_epochs": "3", "fractions": "0.9", "seeds": "1"}
+_RUN_ARGV = {run: [command, "--method" if command == "train" else "--which", run]
+             for command, runs in _RUNS.items() for run in runs}
+# every (run, option) pair but a path option the run reads, which the
+# damaged-input tests above cover
+_PAIRS = [(run, name) for run in _RUN_ARGV for name in _OPTIONS
+          if name in _EDGE_TEXTS or run not in _OPTIONS[name][2]]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), option=st.sampled_from(sorted(_EDGE_OPTIONS)))
-def test_edge_option_values_give_a_result_or_a_config_error(data, option):
-    """A value the validation lets through must not reach a library check:
-    each run ends in a result (0), a config error (1) or divergence (3)."""
-    command, texts = _EDGE_OPTIONS[option]
-    count = data.draw(st.integers(1, 2)) if option in _LIST_OPTIONS else 1
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), pair=st.sampled_from(_PAIRS))
+def test_edge_option_values_give_a_result_or_a_config_error(data, pair):
+    """A flag the run does not read exits 1 naming it. Text for an option
+    the run reads, given as a flag or a config line, exits 1 naming the flag
+    or the file and line if the option's converter refuses it; else the run
+    ends in a result (0) or divergence (3), never in a library check."""
+    run, name = pair
+    reads = run in _OPTIONS[name][2]
+    texts = _EDGE_TEXTS.get(name, ["x.tsv"])
+    count = data.draw(st.integers(1, 2)) if name in _LIST_OPTIONS else 1
     value = ",".join(data.draw(st.lists(st.sampled_from(texts), min_size=count,
                                         max_size=count)))
+    as_flag = not reads or data.draw(st.booleans())
     with tempfile.TemporaryDirectory() as tmp:
-        out = ["--out", str(Path(tmp) / "model.bin")] if command[0] == "train" else [
-            "--out-dir", str(Path(tmp) / "res"), "--fractions", "0.9", "--seeds", "1"]
-        code = main([*command, *out, "--ratings", str(toydata.ratings_path()),
-                     "--trust", str(toydata.trust_path()), "--k", "2", "--max-epochs", "3",
-                     f"--{option}", value])
-    assert code in (0, 1, 3)
+        base = {"ratings": str(toydata.ratings_path()), "trust": str(toydata.trust_path()),
+                "out": str(Path(tmp) / "model.bin"), "out_dir": str(Path(tmp) / "res"),
+                **_SMALL_RUN}
+        argv = [arg for other, text in base.items()
+                if other != name and run in _OPTIONS[other][2] for arg in (_flag(other), text)]
+        config = Path(tmp) / "run.cfg"
+        config.write_text(f"{name} = {value}\n", encoding="utf-8")
+        where = [_flag(name), value] if as_flag else ["--config", str(config)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*_RUN_ARGV[run], *argv, *where])
+    if not reads:
+        assert code == 1 and _flag(name) in err.getvalue()
+        return
+    try:
+        _option(name, run)[0](value.strip())
+    except ValueError:
+        assert code == 1
+        assert (_flag(name) if as_flag else f"{config}:1: ") in err.getvalue()
+    else:
+        assert code in (0, 3), err.getvalue()

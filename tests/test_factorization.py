@@ -78,8 +78,9 @@ class TestInitModel:
         np.testing.assert_array_equal(a.user_factors, b.user_factors)
         np.testing.assert_array_equal(a.item_factors, b.item_factors)
 
-    def test_zero_scale_gives_zero_predictions(self):
-        model = init_model(3, 3, tiny_hp(init_scale=0.0))
+    @pytest.mark.parametrize("scale", [0.0, -0.0])
+    def test_zero_scale_gives_zero_predictions(self, scale):
+        model = init_model(3, 3, tiny_hp(init_scale=scale))
         assert np.all(model.user_factors == 0.0)
         assert predict(model, 1, 2) == 0.0
 

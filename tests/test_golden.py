@@ -39,18 +39,19 @@ from socrec.synthetic import clustered_dataset
 from test_acceptance import PLANTED
 
 GOLDEN = Path(__file__).with_name("golden")
-TRAIN_FLAGS = ["--k", "8", "--lambda", "0.1", "--learning-rate", "0.01",
-               "--alpha", "0.5", "--max-epochs", "200"]
+# every run that trains reads these; alpha-sweep reads --alphas in place of --alpha
+TRAIN_FLAGS = ["--k", "8", "--lambda", "0.1", "--learning-rate", "0.01", "--max-epochs", "200"]
+ALPHA = ["--alpha", "0.5"]
 EXPERIMENTS = {
     # not the default similarity, so a run that ignores --similarity differs
     "compare": ["--fractions", "0.9,0.8", "--seeds", "1,2,3", "--similarity", "vss",
-                *TRAIN_FLAGS],
+                *TRAIN_FLAGS, *ALPHA],
     "alpha-sweep": ["--fractions", "0.8", "--seeds", "2", "--alphas", "0,0.1,0.5,1",
                     *TRAIN_FLAGS],
     "ablation": ["--fractions", "0.8", "--seeds", "2",
-                 "--kinds", "constant,random:42,vss,pcc", *TRAIN_FLAGS],
+                 "--kinds", "constant,random:42,vss,pcc", *TRAIN_FLAGS, *ALPHA],
     # every planted user has 5 ratings, so threshold 6 makes every user cold
-    "cold-start": ["--seeds", "1,2,3", "--cold-start-threshold", "6", *TRAIN_FLAGS],
+    "cold-start": ["--seeds", "1,2,3", "--cold-start-threshold", "6", *TRAIN_FLAGS, *ALPHA],
     "sim-study": ["--seeds", "3", "--min-out-degree", "5"],
 }
 # CSV columns that hold a measured value; every other field is a label,
@@ -93,7 +94,7 @@ def run_train_predict(data_flags, work: Path) -> dict:
     """Digests of a social model and its report, and ``predict``'s output
     for each pair of ``PREDICT``."""
     out = work / "model.bin"
-    assert main(["train", "--method", "social", *data_flags, *TRAIN_FLAGS,
+    assert main(["train", "--method", "social", *data_flags, *TRAIN_FLAGS, *ALPHA,
                  "--seed", "3", "--out", str(out)]) == 0
     model = load_model(out)
     report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))

@@ -150,6 +150,34 @@ def test_readme_defaults_are_the_option_table_s():
     assert out and out.group(1) == _OPTIONS["out"][1]
 
 
+def test_readme_names_each_run_s_flags_as_the_option_table_does():
+    """The README's train sentences and its "Each experiment ... reads"
+    list name exactly the flags that cli._OPTIONS gives each run, with "the
+    training flags" standing for the flags the README defines by that name."""
+    from socrec.cli import _OPTIONS
+
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    paragraphs = [" ".join(p.split()) for p in readme.split("\n\n")]
+    at = [i for i, p in enumerate(paragraphs) if "The training flags are" in p]
+    assert at, "the README's paragraph that defines 'The training flags' is gone"
+    runs_text, bullets = paragraphs[at[0]], paragraphs[at[0] + 1]
+
+    def flags(text):
+        named = set(re.findall(r"`(--[a-z-]+)`", text))
+        return named | training if "the training flags" in text else named
+
+    training = flags(re.search(r"The training flags are (.*?)\.", runs_text).group(1))
+    stated = {run: flags(text) for run, text in
+              re.findall(r"`train --method (\w+)` reads (.*?)[.;]", runs_text)}
+    common = re.search(r"Each experiment .*? reads (.*?) and:$", runs_text)
+    assert common, "the README's 'Each experiment ... reads ... and:' sentence is gone"
+    stated |= {run: flags(common.group(1)) | flags(text)
+               for run, text in re.findall(r"- `([\w-]+)`: (.*?)[.;]", bullets)}
+    table = {run for _, _, runs, _ in _OPTIONS.values() for run in runs}
+    assert stated == {run: {f"--{name.replace('_', '-')}" for name, (_, _, runs, _)
+                            in _OPTIONS.items() if run in runs} for run in table}
+
+
 def test_readme_model_format_names_the_header_save_model_writes():
     """The README's model-format paragraph gives the header line that
     factorization.MODEL_HEADER begins."""
