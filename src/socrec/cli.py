@@ -30,7 +30,7 @@ from .evaluation import (
     run_comparison,
     run_similarity_ablation,
     run_similarity_study,
-    write_metric_column_csv,
+    write_csv,
     write_rows_csv,
     write_summary_csv,
 )
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
 def _list(parse):
     """A converter of comma- or space-separated values."""
     return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
-
-
-def _kind_list(text):
-    return tuple(SimilarityKind.parse(x) for x in text.split(","))
 
 
 def _checked(parse, ok, rule):
@@ -110,7 +106,8 @@ _OPTIONS = {
     "alphas": (_checked(_list(float), lambda v: v and all(0.0 <= a < math.inf for a in v),
                         "must be one or more finite values >= 0"),
                DEFAULT_ALPHAS, ("alpha-sweep",), "alpha-sweep grid, e.g. 0,0.01,0.1"),
-    "kinds": (_kind_list, _kind_list("constant,random,vss,pcc"), ("ablation",),
+    "kinds": (_checked(_list(SimilarityKind.parse), bool, "must be one or more kinds"),
+              tuple(map(SimilarityKind, ("constant", "random", "vss", "pcc"))), ("ablation",),
               "ablation kinds, e.g. constant,random:7,vss,pcc"),
     "cold_start_threshold": (_checked(int, lambda v: v >= 2, "must be >= 2"), 5, ("cold-start",),
                              "users with fewer ratings are cold"),
@@ -289,25 +286,6 @@ def _print_summary(rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
-def _write_similarity_study(study, rows_path, summary_path):
-    """The study's per-user and summary CSVs, and its one-line summary."""
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        fh.write("user,friend_sim_mean,random_sim_mean\n")
-        for u, f_mean, r_mean in zip(
-            study.user_indices, study.friend_sim_means, study.random_sim_means
-        ):
-            fh.write(f"{u},{f_mean:.10g},{r_mean:.10g}\n")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("fraction_positive,users_evaluated,users_skipped,min_out_degree,seed\n")
-        fh.write(
-            f"{study.fraction_positive:.10g},{study.user_indices.size},"
-            f"{len(study.skipped_users)},{study.min_out_degree},{study.seed}\n"
-        )
-    print(f"fraction_positive = {study.fraction_positive:.4f} "
-          f"({study.user_indices.size} users evaluated, "
-          f"{len(study.skipped_users)} skipped)")
-
-
 # each training experiment's runner: (ratings, graph, cfg) -> [ExperimentResult];
 # the sweeps and the ablation take the first --fractions and --seeds value
 _RUNNERS = {
@@ -345,7 +323,16 @@ def cmd_experiment(cfg) -> int:
     if which == "sim-study":
         study = run_similarity_study(ratings, graph, min_out_degree=cfg.min_out_degree,
                                      seed=cfg.seeds[0], kind=cfg.similarity.tag)
-        _write_similarity_study(study, rows_path, summary_path)
+        write_csv(rows_path, ("user", "friend_sim_mean", "random_sim_mean"),
+                  zip(study.user_indices.tolist(), study.friend_sim_means.tolist(),
+                      study.random_sim_means.tolist()))
+        write_csv(summary_path, ("fraction_positive", "users_evaluated", "users_skipped",
+                                 "min_out_degree", "seed"),
+                  [(study.fraction_positive, study.user_indices.size,
+                    len(study.skipped_users), study.min_out_degree, study.seed)])
+        print(f"fraction_positive = {study.fraction_positive:.4f} "
+              f"({study.user_indices.size} users evaluated, "
+              f"{len(study.skipped_users)} skipped)")
     else:
         results = _RUNNERS[which](ratings, graph, cfg)
         write_rows_csv(rows_path, which, [
@@ -356,9 +343,8 @@ def cmd_experiment(cfg) -> int:
         write_summary_csv(summary_path, which, summary)
         if which == "alpha-sweep":
             for column in ("mae", "rmse"):
-                write_metric_column_csv(
-                    out_dir / f"alpha-sweep-{column}.csv", which, column,
-                    [(a, getattr(r.mean, column)) for a, r in zip(cfg.alphas, results)])
+                write_csv(out_dir / f"alpha-sweep-{column}.csv", ("alpha", column),
+                          [(a, getattr(r.mean, column)) for a, r in zip(cfg.alphas, results)])
         _print_summary(summary)
 
     print(f"results written to {out_dir}")

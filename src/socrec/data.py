@@ -9,10 +9,10 @@ and lines whose first field starts with ``#`` are skipped. Ratings:
 The loaders read blocks of whole lines, about ``TEXT_BLOCK`` code points
 each (``_data_blocks``). numpy finds each line's field count and comment
 flag from the block's code points, so a fault names its line, and one
-``str.split`` of the block gives its tokens. ``dict.setdefault``, mapped
-in C over a token column, gives ids first-seen indices; only the ids a
-column adds are renumbered in Python (``_add_ids``). Ratings are converted
-with ``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
+``str.split`` of the block gives its tokens. A column's unseen ids, in
+first-seen order from ``dict.fromkeys``, get the next indices, and a lookup
+mapped in C indexes the column (``_add_ids``). Ratings are converted with
+``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
 num_users + dst``) drops repeats and self-loops and yields canonical order.
 ``SparseRatings`` keeps (user, item) order with a per-user index
 (``user_ptr``), ``TrustGraph`` (source, destination) order with an
@@ -22,7 +22,7 @@ sorts input that is already in order.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, filterfalse
 
 import numpy as np
 
@@ -101,18 +101,17 @@ class IdMap:
 
 
 def _add_ids(index, names, ids):
-    known = len(index)
-    # an unseen id first gets its token's position past ``known``, so one
-    # C-level map does the lookups; only the ids it added are renumbered
-    out = np.fromiter(map(index.setdefault, ids, count(known)), np.int64, len(ids))
-    added = list(islice(reversed(index), len(index) - known))[::-1]
-    if added:
-        first_seen = np.fromiter(map(index.__getitem__, added), np.int64, len(added))
-        new = out >= known
-        out[new] = known + np.searchsorted(first_seen, out[new])
-        index.update(zip(added, count(known)))
-        names.extend(added)
-    return out
+    try:
+        # a column of known ids, the common case once a file's first blocks
+        # are read, is one C-level map
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        pass
+    # the unseen ids, in first-seen order, get the next indices
+    added = list(filterfalse(index.__contains__, dict.fromkeys(ids)))
+    index.update(zip(added, count(len(index))))
+    names.extend(added)
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
 def _read_only(array):

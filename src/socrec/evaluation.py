@@ -4,15 +4,14 @@ and the friends-vs-random-peers similarity analysis.
 
 The four training experiments return one shape, a list of
 ``ExperimentResult`` (a variant's metrics per seed under one train
-fraction), in the order of their input grid. Every experiment cell is
-deterministic given its seed; results can be written as CSV (one row per
-variant and seed, plus a summary file with means and paired t-test
-p-values).
+fraction), in the order of their input grid, from one scoring loop over
+the seeds' splits. Every experiment cell is deterministic given its seed;
+results are written as CSV by ``write_csv`` (one row per variant and seed,
+plus a summary file with means and paired t-test p-values).
 """
 
 import logging
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from functools import partial
 
 import numpy as np
@@ -123,40 +122,45 @@ def evaluate(predictor, split: DatasetSplit, train: SparseRatings) -> MetricPair
     return _metrics(split.test_values, np.clip(preds, RATING_MIN, RATING_MAX))
 
 
-def _fit_and_score(split, graph, sim_kind, hp):
-    """Train and evaluate every method of METHODS on one split. Returns
-    {method: MetricPair}."""
-    if graph is None:
+def _score(make_split, seeds, graph, hp, train_fraction, variants) -> list:
+    """One ExperimentResult per variant, in order, over the splits
+    ``make_split(seed)``.
+
+    A variant is ``(name, model)``: ``model`` is a baseline predictor of the
+    split's means (``predict_user_mean`` or ``predict_item_mean``), None for
+    basic MF, or ``(similarity kind, alpha)`` for social MF. Each split
+    builds its means once and one table per run of variants of a kind (so
+    an ablation holds one table at a time), from its own train side, and
+    every model trains with the split's seed.
+    """
+    if graph is None and any(isinstance(model, tuple) for _, model in variants):
         raise ValueError("social_mf requires a trust graph")
-    train_set = split.train
-    means = build_means(train_set)
-    basic, _ = train(train_set, hp)
-    social, _ = train(train_set, hp, graph, build_similarity_table(train_set, graph, sim_kind))
-    return {
-        "user_mean": evaluate(partial(predict_user_mean, means), split, train_set),
-        "item_mean": evaluate(partial(predict_item_mean, means), split, train_set),
-        "basic_mf": evaluate(basic, split, train_set),
-        "social_mf": evaluate(social, split, train_set),
-    }
-
-
-def _score_seeds(make_split, seeds, graph, sim_kind, hp, train_fraction, label):
-    """One ExperimentResult per method over the splits ``make_split(seed)``."""
-    per_method = {m: [] for m in METHODS}
+    per_seed = [[] for _ in variants]
     for seed in seeds:
-        cell = _fit_and_score(make_split(seed), graph, sim_kind, hp.with_seed(seed))
-        for method, pair in cell.items():
-            per_method[method].append(pair)
-        logger.info("%s seed=%s done", label, seed)
-    return [
-        ExperimentResult(
-            method=method,
-            train_fraction=train_fraction,
-            seeds=tuple(seeds),
-            per_seed=per_method[method],
-        )
-        for method in METHODS
-    ]
+        split = make_split(seed)
+        train_set, hp_seed = split.train, hp.with_seed(seed)
+        means = table_kind = table = None
+        for scores, (name, model) in zip(per_seed, variants):
+            if model is None:
+                predictor, _ = train(train_set, hp_seed)
+            elif isinstance(model, tuple):
+                kind, alpha = model
+                if kind != table_kind:
+                    table_kind, table = kind, build_similarity_table(train_set, graph, kind)
+                predictor, _ = train(train_set, replace(hp_seed, alpha=alpha), graph, table)
+            else:
+                if means is None:
+                    means = build_means(train_set)
+                predictor = partial(model, means)
+            scores.append(evaluate(predictor, split, train_set))
+            logger.info("%s fraction=%g seed=%s done", name, train_fraction, seed)
+    return [ExperimentResult(name, train_fraction, tuple(seeds), scores)
+            for (name, _), scores in zip(variants, per_seed)]
+
+
+def _methods(sim_kind, alpha) -> list:
+    """The variants of METHODS, in order."""
+    return list(zip(METHODS, (predict_user_mean, predict_item_mean, None, (sim_kind, alpha))))
 
 
 def run_comparison(
@@ -167,7 +171,7 @@ def run_comparison(
     hp: Hyperparams,
     sim_kind: SimilarityKind = SimilarityKind.pcc(),
 ) -> list:
-    """Split x seed sweep of all four methods; per-split PCC similarity.
+    """Split x seed sweep of all four methods; per-split ``sim_kind`` table.
 
     Each (fraction, seed) cell re-splits the data, rebuilds the similarity
     table from the train side and retrains; results are aggregated per
@@ -175,11 +179,9 @@ def run_comparison(
     """
     if not fractions or not seeds:
         raise ValueError("need at least one fraction and one seed")
-    results = []
-    for fraction in fractions:
-        results += _score_seeds(partial(split_ratings, ratings, fraction), seeds, graph,
-                                sim_kind, hp, fraction, f"comparison fraction={fraction}")
-    return results
+    return [result for fraction in fractions
+            for result in _score(partial(split_ratings, ratings, fraction), seeds, graph, hp,
+                                 fraction, _methods(sim_kind, hp.alpha))]
 
 
 def run_alpha_sweep(
@@ -200,15 +202,8 @@ def run_alpha_sweep(
     """
     if not alphas:
         raise ValueError("need at least one alpha")
-    split = split_ratings(ratings, train_fraction, seed)
-    sim = build_similarity_table(split.train, graph, sim_kind)
-    out = []
-    for alpha in alphas:
-        model, _ = train(split.train, replace(hp, alpha=float(alpha), seed=seed), graph, sim)
-        out.append(ExperimentResult(f"alpha={alpha:g}", train_fraction, (seed,),
-                                    [evaluate(model, split, split.train)]))
-        logger.info("alpha sweep alpha=%s done", alpha)
-    return out
+    return _score(partial(split_ratings, ratings, train_fraction), (seed,), graph, hp,
+                  train_fraction, [(f"alpha={a:g}", (sim_kind, float(a))) for a in alphas])
 
 
 def run_similarity_ablation(
@@ -223,16 +218,8 @@ def run_similarity_ablation(
     one ExperimentResult per kind in input order, labelled by the kind."""
     if not kinds:
         raise ValueError("need at least one similarity kind")
-    split = split_ratings(ratings, train_fraction, seed)
-    hp_run = hp.with_seed(seed)
-    out = []
-    for kind in kinds:
-        sim = build_similarity_table(split.train, graph, kind)
-        model, _ = train(split.train, hp_run, graph, sim)
-        out.append(ExperimentResult(kind.label(), train_fraction, (seed,),
-                                    [evaluate(model, split, split.train)]))
-        logger.info("ablation kind=%s done", kind.label())
-    return out
+    return _score(partial(split_ratings, ratings, train_fraction), (seed,), graph, hp,
+                  train_fraction, [(kind.label(), (kind, hp.alpha)) for kind in kinds])
 
 
 def run_cold_start(
@@ -255,8 +242,8 @@ def run_cold_start(
     if not np.any((counts >= 1) & (counts < threshold)):
         logger.warning("no cold-start users below threshold %d; nothing to do", threshold)
         return []
-    return _score_seeds(partial(cold_start_split, ratings, threshold), seeds, graph,
-                        sim_kind, hp, float("nan"), "cold-start")
+    return _score(partial(cold_start_split, ratings, threshold), seeds, graph, hp,
+                  float("nan"), _methods(sim_kind, hp.alpha))
 
 
 # Generator.choice(n, d, replace=False) shuffles the tail of arange(n) when
@@ -469,46 +456,33 @@ def paired_t_pvalue(sample_a, sample_b):
     return None if np.isnan(p) else p
 
 
-def _timestamp_header(experiment):
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# socrec {experiment} generated {stamp}\n"
+def write_csv(path, header, rows):
+    """A CSV file: the ``header`` names on one line, then one line per row.
+    A float is written as ``.10g``, None as an empty field and any other
+    value as its ``str``; the file holds nothing else, so a rerun with the
+    same inputs writes the same bytes."""
+    def field(value):
+        return "" if value is None else f"{value:.10g}" if isinstance(value, float) else str(value)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(field, row)) + "\n" for row in rows)
 
 
 def write_rows_csv(path, experiment, rows):
     """Rows of (variant, seed, train_fraction, MetricPair), one CSV line each."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_timestamp_header(experiment))
-        fh.write("experiment,variant,seed,train_fraction,mae,rmse\n")
-        for variant, seed, fraction, pair in rows:
-            fh.write(
-                f"{experiment},{variant},{seed},{fraction:.10g},"
-                f"{pair.mae:.10g},{pair.rmse:.10g}\n"
-            )
+    write_csv(path, ("experiment", "variant", "seed", "train_fraction", "mae", "rmse"),
+              ((experiment, variant, seed, fraction, pair.mae, pair.rmse)
+               for variant, seed, fraction, pair in rows))
 
 
 def write_summary_csv(path, experiment, rows):
-    """Rows of (variant, train_fraction, mae, rmse, p_mae, p_rmse)."""
-
-    def fmt_p(p):
-        return f"{p:.6g}" if p is not None else ""
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_timestamp_header(experiment))
-        fh.write("experiment,variant,train_fraction,mae,rmse,p_mae,p_rmse\n")
-        for variant, fraction, mae, rmse, p_mae, p_rmse in rows:
-            fh.write(
-                f"{experiment},{variant},{fraction:.10g},{mae:.10g},{rmse:.10g},"
-                f"{fmt_p(p_mae)},{fmt_p(p_rmse)}\n"
-            )
-
-
-def write_metric_column_csv(path, experiment, column, pairs):
-    """Two-column CSV (e.g. alpha,mae) for external plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_timestamp_header(experiment))
-        fh.write(f"alpha,{column}\n")
-        for alpha, value in pairs:
-            fh.write(f"{alpha:.10g},{value:.10g}\n")
+    """Rows of (variant, train_fraction, mae, rmse, p_mae, p_rmse); the
+    p-values are written as ``.6g``."""
+    write_csv(path, ("experiment", "variant", "train_fraction", "mae", "rmse", "p_mae", "p_rmse"),
+              ((experiment, variant, fraction, mae, rmse,
+                *(None if p is None else f"{p:.6g}" for p in (p_mae, p_rmse)))
+               for variant, fraction, mae, rmse, p_mae, p_rmse in rows))
 
 
 def comparison_summary(results):

@@ -28,12 +28,15 @@ from .similarity import SimilarityTable
 
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite factors (learning rate too high)."""
+    """Training left the finite range: the factors of an epoch (learning
+    rate too high), or, given the ``init_scale`` at fault, the objective of
+    the initial factors at epoch 0."""
 
-    def __init__(self, epoch: int):
-        super().__init__(
-            f"non-finite factors at epoch {epoch}; lower the learning rate"
-        )
+    def __init__(self, epoch: int, init_scale: float | None = None):
+        super().__init__(f"non-finite factors at epoch {epoch}; lower the learning rate"
+                         if init_scale is None else
+                         f"non-finite objective at epoch {epoch}, from initial factors on "
+                         f"[0, {init_scale:g}]; lower the initial scale")
         self.epoch = epoch
 
 
@@ -306,11 +309,13 @@ def train(
     # the model's factors are views of the block init_model drew
     epoch = _Epoch(model.user_factors.base, ratings, hp, graph, sim)
     report = TrainReport()
-    data, l2, social = epoch.terms()
-    previous = data + l2 + social
     eta = hp.learning_rate
     # overflow to inf/nan is detected and raised as DivergenceError below
     with np.errstate(over="ignore", invalid="ignore"):
+        data, l2, social = epoch.terms()
+        previous = data + l2 + social
+        if not math.isfinite(previous):
+            raise DivergenceError(0, hp.init_scale)
         for n in range(1, hp.max_epochs + 1):
             epoch.step(eta)
             if not np.isfinite(epoch.factors).all():

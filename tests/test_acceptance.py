@@ -288,8 +288,8 @@ def test_criterion_8_metric_identities():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    """Each CLI experiment, run twice with one config, writes identical CSV
-    bodies (only the timestamp header line may differ)."""
+    """Each CLI experiment, run twice with one config, writes byte-identical
+    CSV files."""
     ratings = str(toydata.ratings_path())
     trust = str(toydata.trust_path())
     runs = {
@@ -314,11 +314,8 @@ def test_criterion_9_cli_determinism(tmp_path):
                 "--out-dir", str(out_dir), *extra,
             ])
             assert code == 0
-            body = {}
-            for csv_file in sorted(out_dir.glob("*.csv")):
-                lines = csv_file.read_text(encoding="utf-8").splitlines()
-                body[csv_file.name] = [l for l in lines if not l.startswith("#")]
-            bodies.append(body)
+            bodies.append({csv_file.name: csv_file.read_bytes()
+                           for csv_file in sorted(out_dir.glob("*.csv"))})
         same = bodies[0] == bodies[1]
         all_same = all_same and same
         detail.append(f"{which}:{'ok' if same else 'DIFF'}")

@@ -38,6 +38,7 @@ from oracles import struct_save_model
 
 TOY_RATINGS = str(toydata.ratings_path())
 TOY_TRUST = str(toydata.trust_path())
+GOLDEN = Path(__file__).with_name("golden")
 # --k values whose factor block numpy refuses without touching memory: a
 # 14.6 TiB allocation, a byte size past the largest array and a k past int64
 HUGE_K = ["100000000000", "4611686018427387904", "100000000000000000000"]
@@ -45,6 +46,15 @@ HUGE_K = ["100000000000", "4611686018427387904", "100000000000000000000"]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_installed(*argv):
+    """``python -m socrec.cli`` in a child process, which imports the package
+    these tests import, installed or not."""
+    src = str(Path(socrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "socrec.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def make_unreadable(path, fault):
@@ -55,10 +65,8 @@ def make_unreadable(path, fault):
         path.write_bytes(b"u01 m01 \xff\xfe\n")
 
 
-def csv_body(path):
-    """CSV content with the timestamp comment line stripped."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return "\n".join(line for line in lines if not line.startswith("#"))
+def csv_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 class TestTrainCommand:
@@ -130,6 +138,18 @@ class TestTrainCommand:
                        "--learning-rate", "50", "--max-epochs", "50",
                        "--out", str(tmp_path / "m.txt"))
         assert code == 3
+
+    def test_divergence_at_the_initial_factors_names_the_initial_scale(self, tmp_path):
+        """Factors of scale 1e300 overflow the objective before any step: the
+        run exits 3 with one line naming the initial scale, and numpy's
+        overflow warning is not printed."""
+        out = run_installed("train", "--method", "mf", "--ratings", TOY_RATINGS,
+                            "--init-scale", "1e300", "--max-epochs", "3",
+                            "--out", str(tmp_path / "m.bin"))
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == [
+            "socrec: divergence: non-finite objective at epoch 0, from initial factors "
+            "on [0, 1e+300]; lower the initial scale"]
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_out_outside_a_directory_is_usage_error(self, tmp_path, capsys, where):
@@ -342,7 +362,7 @@ class TestExperimentCommand:
                        "--fractions", "0.9", "--seeds", "1,2",
                        "--max-epochs", "40", "--out-dir", str(out_dir))
         assert code == 0
-        body = csv_body(out_dir / "compare.csv").splitlines()
+        body = csv_lines(out_dir / "compare.csv")
         assert body[0] == "experiment,variant,seed,train_fraction,mae,rmse"
         assert len(body) == 1 + 4 * 2  # 4 methods x 2 seeds
         assert (out_dir / "compare-summary.csv").exists()
@@ -355,23 +375,26 @@ class TestExperimentCommand:
                        "--alphas", "0,0.01,0.1", "--max-epochs", "40",
                        "--out-dir", str(out_dir))
         assert code == 0
-        body = csv_body(out_dir / "alpha-sweep.csv").splitlines()
+        body = csv_lines(out_dir / "alpha-sweep.csv")
         assert len(body) == 1 + 3
-        mae_body = csv_body(out_dir / "alpha-sweep-mae.csv").splitlines()
+        mae_body = csv_lines(out_dir / "alpha-sweep-mae.csv")
         assert mae_body[0] == "alpha,mae"
         assert len(mae_body) == 1 + 3
 
-    def test_ablation_covers_all_kinds(self, tmp_path):
+    # --kinds splits on commas and whitespace, like every list flag
+    @pytest.mark.parametrize("kinds,variants", [
+        ("constant,random:7,vss,pcc", ["constant", "random:7", "vss", "pcc"]),
+        ("pcc vss", ["pcc", "vss"]),
+    ])
+    def test_ablation_covers_all_kinds(self, tmp_path, kinds, variants):
         out_dir = tmp_path / "res"
         code = run_cli("experiment", "--which", "ablation",
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
-                       "--fractions", "0.9", "--seeds", "1",
-                       "--kinds", "constant,random:7,vss,pcc",
+                       "--fractions", "0.9", "--seeds", "1", "--kinds", kinds,
                        "--max-epochs", "40", "--out-dir", str(out_dir))
         assert code == 0
-        body = csv_body(out_dir / "ablation.csv").splitlines()
-        variants = [line.split(",")[1] for line in body[1:]]
-        assert variants == ["constant", "random:7", "vss", "pcc"]
+        body = csv_lines(out_dir / "ablation.csv")
+        assert [line.split(",")[1] for line in body[1:]] == variants
 
     def test_cold_start_runs_on_toy_data(self, tmp_path):
         out_dir = tmp_path / "res"
@@ -380,7 +403,7 @@ class TestExperimentCommand:
                        "--seeds", "1,2", "--cold-start-threshold", "5",
                        "--max-epochs", "40", "--out-dir", str(out_dir))
         assert code == 0
-        body = csv_body(out_dir / "cold-start.csv").splitlines()
+        body = csv_lines(out_dir / "cold-start.csv")
         assert len(body) == 1 + 4 * 2
 
     def test_no_cold_users_writes_headers_and_reports_once(self, tmp_path, capsys, caplog):
@@ -393,10 +416,10 @@ class TestExperimentCommand:
                            "--ratings", TOY_RATINGS, "--trust", TOY_TRUST,
                            "--cold-start-threshold", "2", "--out-dir", str(out_dir))
         assert code == 0
-        assert csv_body(out_dir / "cold-start.csv") == (
-            "experiment,variant,seed,train_fraction,mae,rmse")
-        assert csv_body(out_dir / "cold-start-summary.csv") == (
-            "experiment,variant,train_fraction,mae,rmse,p_mae,p_rmse")
+        assert csv_lines(out_dir / "cold-start.csv") == [
+            "experiment,variant,seed,train_fraction,mae,rmse"]
+        assert csv_lines(out_dir / "cold-start-summary.csv") == [
+            "experiment,variant,train_fraction,mae,rmse,p_mae,p_rmse"]
         out, err = capsys.readouterr()
         shown = out + err + "".join(r.getMessage() for r in caplog.records)
         assert shown.count("no cold-start users") == 1
@@ -423,13 +446,13 @@ class TestExperimentCommand:
                        "--out-dir", str(out_dir), *flags) == 0
         ratings, graph, _ = load_dataset(TOY_RATINGS, TOY_TRUST)
         results = run(ratings, graph, Hyperparams(k=3, max_epochs=30))
-        body = csv_body(out_dir / f"{which}.csv").splitlines()[1:]
+        body = csv_lines(out_dir / f"{which}.csv")[1:]
         assert body == [
             f"{which},{r.method},{seed},{r.train_fraction:.10g},{pair.mae:.10g},{pair.rmse:.10g}"
             for r in results for seed, pair in zip(r.seeds, r.per_seed)
         ]
         assert len(body) == rows
-        summary = csv_body(out_dir / f"{which}-summary.csv").splitlines()[1:]
+        summary = csv_lines(out_dir / f"{which}-summary.csv")[1:]
         assert len(summary) == len(results) == rows // len(results[0].seeds)
         for line, r in zip(summary, results):
             assert line.startswith(f"{which},{r.method},{r.train_fraction:.10g},"
@@ -467,6 +490,21 @@ class TestExperimentCommand:
         assert "fraction_positive = 1.0000" in capsys.readouterr().out
         summary = (out_dir / "sim-study-summary.csv").read_text().splitlines()
         assert summary[1].startswith("1,")
+
+    @pytest.mark.parametrize("which", _RUNS["experiment"])
+    def test_every_csv_opens_with_its_column_header(self, tmp_path, which):
+        """Result CSVs carry no comment line, so reruns are byte-identical:
+        each file's first line is the column header its golden file holds."""
+        out_dir = tmp_path / "res"
+        epochs = [] if which == "sim-study" else ["--max-epochs", "5"]
+        assert run_cli("experiment", "--which", which, "--ratings", TOY_RATINGS,
+                       "--trust", TOY_TRUST, "--seeds", "1", *epochs,
+                       "--out-dir", str(out_dir)) == 0
+        golden = GOLDEN / which
+        names = sorted(path.name for path in golden.glob("*.csv"))
+        assert sorted(path.name for path in out_dir.iterdir()) == names
+        for name in names:
+            assert csv_lines(out_dir / name)[0] == csv_lines(golden / name)[0], name
 
     @pytest.mark.parametrize("k", HUGE_K)
     def test_huge_k_is_usage_error(self, tmp_path, capsys, k):
@@ -753,11 +791,6 @@ def test_unexpected_error_propagates(tmp_path, monkeypatch):
 
 class TestInstalledEntryPoint:
     def test_console_script_help(self):
-        # the child imports the package these tests import, installed or not
-        src = str(Path(socrec.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-m", "socrec.cli", "--help"],
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=path))
+        out = run_installed("--help")
         assert out.returncode == 0
         assert "train" in out.stdout and "experiment" in out.stdout

@@ -76,11 +76,10 @@ def write_planted(directory: Path):
 
 
 def run_experiment(which, data_flags, out_dir: Path) -> dict:
-    """The experiment's CSVs, each as its lines without the timestamp line."""
+    """The experiment's CSVs, each as its lines."""
     assert main(["experiment", "--which", which, *data_flags, "--out-dir", str(out_dir),
                  *EXPERIMENTS[which]]) == 0
-    return {path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
-                        if not line.startswith("#")]
+    return {path.name: path.read_text(encoding="utf-8").splitlines()
             for path in sorted(out_dir.glob("*.csv"))}
 
 
