@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ._choice import choices, draw_bounds, picks_from_draws
 from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph
 
 
@@ -47,57 +48,157 @@ def clustered_dataset(
     rating range). Trust targets are drawn per edge from the user's own
     cluster with probability ``intra_fraction``, else from the rest.
     Returns (ratings, graph, cluster_labels).
+
+    The stream is that of a per-user loop (``tests/oracles.py``): per user,
+    ``rng.choice(num_items, ratings_per_user, replace=False)`` and
+    ``rng.normal``, then per edge attempt ``rng.random()`` and
+    ``rng.integers`` over the chosen pool, until the user has
+    ``out_degree`` distinct targets or has made ``50 * out_degree``
+    attempts.
     """
     if num_users < num_clusters * 2:
         raise ValueError("need at least two users per cluster")
+    if not 0 <= ratings_per_user <= num_items:
+        raise ValueError(f"ratings_per_user must be in [0, num_items], got {ratings_per_user}")
+    if out_degree < 0:
+        raise ValueError(f"out_degree must be >= 0, got {out_degree}")
+    if not 0.0 <= intra_fraction <= 1.0:
+        raise ValueError(f"intra_fraction must be in [0, 1], got {intra_fraction}")
+    if not noise_sd >= 0.0:
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     labels = np.arange(num_users) % num_clusters
     prototypes = rng.uniform(RATING_MIN, RATING_MAX, size=(num_clusters, num_items))
 
-    users, items, values = [], [], []
+    # choice's bounded draws, one integers call per user, interleaved with
+    # the user's normal draws; the picks follow from all the draws at once
+    bounds = draw_bounds([ratings_per_user], [num_items])
+    draws = np.empty((num_users, bounds.size), dtype=np.int64)
+    noise = np.empty((num_users, ratings_per_user))
     for u in range(num_users):
-        rated = rng.choice(num_items, size=ratings_per_user, replace=False)
-        noisy = prototypes[labels[u], rated] + rng.normal(0.0, noise_sd, rated.size)
-        users.extend([u] * rated.size)
-        items.extend(rated.tolist())
-        values.extend(np.clip(noisy, RATING_MIN, RATING_MAX).tolist())
-    ratings = SparseRatings(num_users, num_items, users, items, values)
+        draws[u] = rng.integers(0, bounds)
+        noise[u] = rng.normal(0.0, noise_sd, ratings_per_user)
+    picks = picks_from_draws(draws.ravel(), np.full(num_users, ratings_per_user),
+                             np.full(num_users, num_items)).reshape(num_users, ratings_per_user)
+    # each user's row in item order: the canonical order of SparseRatings
+    order = np.argsort(picks, axis=1)
+    items = np.take_along_axis(picks, order, axis=1)
+    values = prototypes[labels[:, None], items] + np.take_along_axis(noise, order, axis=1)
+    np.clip(values, RATING_MIN, RATING_MAX, out=values)
+    ratings = SparseRatings(num_users, num_items,
+                            np.repeat(np.arange(num_users), ratings_per_user),
+                            items.ravel(), values.ravel())
+    return ratings, _clustered_graph(rng, labels, num_clusters, out_degree, intra_fraction), labels
 
-    edges = set()
-    member_lists = [np.nonzero(labels == c)[0] for c in range(num_clusters)]
-    other_lists = [np.nonzero(labels != c)[0] for c in range(num_clusters)]
-    for u in range(num_users):
-        own = member_lists[labels[u]]
-        own = own[own != u]
-        others = other_lists[labels[u]]
+
+def _clustered_graph(rng, labels, num_clusters, out_degree, intra_fraction):
+    """The trust edges of ``clustered_dataset``, drawn last from ``rng``.
+
+    A user's pools are its cluster mates (``own`` of them) and the users of
+    other clusters, so a draw r from the second pool is kept as own + r: the
+    keys of distinct targets are distinct, and map to users at the end.
+    """
+    num_users = labels.size
+    sizes = np.bincount(labels, minlength=num_clusters).tolist()
+    stream = _RawStream(rng)
+    random, integers = stream.random, stream.integers
+    keys, counts = [], []
+    limit = 50 * out_degree
+    for c in labels.tolist():
+        own, rest = sizes[c] - 1, num_users - sizes[c]
         targets = set()
         guard = 0
-        while len(targets) < out_degree and guard < 50 * out_degree:
+        while len(targets) < out_degree and guard < limit:
             guard += 1
-            pool = own if rng.random() < intra_fraction else others
-            # draws what rng.choice(pool) draws, without its per-call checks
-            targets.add(int(pool[rng.integers(pool.size)]))
-        edges.update((u, t) for t in targets)
-    graph = TrustGraph.from_edges(num_users, edges)
-    return ratings, graph, labels
+            if random() < intra_fraction:
+                targets.add(integers(own))
+            else:
+                targets.add(own + integers(rest))
+        keys.extend(targets)
+        counts.append(len(targets))
+
+    src = np.repeat(np.arange(num_users), counts)
+    key = np.array(keys, dtype=np.int64)
+    c = labels[src]
+    own = np.take(sizes, c) - 1
+    # user v of cluster c is member v // num_clusters of c; a user's own
+    # pool skips the user itself
+    member = key + (key >= src // num_clusters)
+    # the other clusters' users: each block of num_clusters users holds one
+    # user of cluster c, at offset c (a single cluster has no such users)
+    block, offset = np.divmod(key - own, max(num_clusters - 1, 1))
+    dst = np.where(key < own, c + member * num_clusters,
+                   block * num_clusters + offset + (offset >= c))
+    return _sorted_graph(num_users, src, dst)
+
+
+def _sorted_graph(num_users, src, dst):
+    """The graph of these distinct, loop-free edges, put in (source,
+    destination) order by one sort of a combined key."""
+    edge = np.sort(src * num_users + dst)
+    return TrustGraph(num_users, edge // num_users, edge % num_users, validate=False)
+
+
+_RAW_WORDS = 1 << 14  # words per bulk draw
+
+
+class _RawStream:
+    """``rng.random()`` and ``rng.integers(n)`` calls replayed from the raw
+    64-bit words of ``rng``'s bit generator, drawn in bulk. It draws words
+    ahead of its calls, so nothing may draw from ``rng`` after it.
+
+    ``random()`` is ``(w >> 11) * 2**-53``. ``integers(n)`` for 1 < n < 2**32
+    is Lemire's bounded 32-bit draw; a 32-bit draw takes the low half of a
+    fresh word and keeps the high half for the next one, and the generator
+    may hold such a half when the stream starts. ``integers(1)`` draws
+    nothing.
+    """
+
+    def __init__(self, rng):
+        state = rng.bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words = _raw_words(rng.bit_generator)
+
+    def random(self):
+        return (next(self._words) >> 11) * 2.0 ** -53
+
+    def _next_uint32(self):
+        if self._half is not None:
+            x, self._half = self._half, None
+            return x
+        w = next(self._words)
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n):
+        if n <= 1:
+            if n == 1:
+                return 0
+            raise ValueError("high <= 0")
+        m = self._next_uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next_uint32() * n
+        return m >> 32
+
+
+def _raw_words(bit_generator):
+    while True:
+        yield from bit_generator.random_raw(_RAW_WORDS).tolist()
 
 
 def shuffled_graph(graph: TrustGraph, seed=0) -> TrustGraph:
     """Rewire every user's out-links to uniform random targets.
 
     Out-degrees are preserved; any planted edge structure is destroyed.
-    Used as the no-homophily control in the similarity study.
+    Used as the no-homophily control in the similarity study. User u's
+    targets are ``rng.choice(eligible, d, replace=False)`` in user order,
+    where ``eligible`` is every user but u, so rank r is user r + (r >= u).
     """
     rng = np.random.default_rng(seed)
-    edges = set()
+    num_users = graph.num_users
     degrees = graph.out_degrees()
-    candidates = np.arange(graph.num_users, dtype=np.int64)
-    for u in range(graph.num_users):
-        d = int(degrees[u])
-        if d == 0:
-            continue
-        eligible = candidates[candidates != u]
-        targets = rng.choice(eligible, size=d, replace=False)
-        for t in targets:
-            edges.add((u, int(t)))
-    return TrustGraph.from_edges(graph.num_users, edges)
+    src = np.repeat(np.arange(num_users), degrees)
+    rank = choices(rng, degrees, np.full(num_users, num_users - 1))
+    return _sorted_graph(num_users, src, rank + (rank >= src))

@@ -233,6 +233,22 @@ def loop_clustered_dataset(num_users, num_items, num_clusters, ratings_per_user,
     return users, items, values, edges, labels
 
 
+def loop_shuffled_graph(num_users, out_ptr, seed):
+    """The rewired control graph with one ``rng.choice`` per user over an
+    ``eligible`` array of every other user, in user order: the set of
+    edges. Users without out-links draw nothing."""
+    rng = np.random.default_rng(seed)
+    users = np.arange(num_users)
+    edges = set()
+    for u in range(num_users):
+        d = int(out_ptr[u + 1] - out_ptr[u])
+        if d == 0:
+            continue
+        eligible = users[users != u]
+        edges.update((u, int(t)) for t in rng.choice(eligible, size=d, replace=False))
+    return edges
+
+
 def loop_similarity_study(num_users, out_ptr, edge_dst, min_out_degree, seed,
                           similarity):
     """The similarity study's peer draws as one loop iteration per user

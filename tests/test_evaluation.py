@@ -19,7 +19,8 @@ from socrec import (
     run_similarity_study,
     split_ratings,
 )
-from socrec.evaluation import _DEEP_USERS, _peer_ranks, comparison_summary, paired_t_pvalue
+from socrec._choice import _DEEP_USERS, choices
+from socrec.evaluation import comparison_summary, paired_t_pvalue
 from socrec.similarity import pair_similarities
 from socrec.synthetic import clustered_dataset, shuffled_graph
 
@@ -291,13 +292,13 @@ def choice_loop(rng, deg, num_eligible):
 
 
 class TestPeerRanks:
-    """``_peer_ranks`` gives the ranks of a per-user ``rng.choice`` loop on
+    """``_choice.choices`` gives the ranks of a per-user ``rng.choice`` loop on
     the installed numpy, bit for bit, and leaves the generator where the
     loop leaves it, on each of choice's branches."""
 
     def assert_matches_loop(self, deg, num_eligible, seed=0):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _peer_ranks(got_rng, np.asarray(deg), np.asarray(num_eligible))
+        got = choices(got_rng, np.asarray(deg), np.asarray(num_eligible))
         np.testing.assert_array_equal(got, choice_loop(want_rng, deg, num_eligible))
         assert got.dtype == np.int64
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
