@@ -13,11 +13,11 @@ flag from the block's code points, so a fault names its line, and one
 first-seen order from ``dict.fromkeys``, get the next indices, and a lookup
 mapped in C indexes the column (``_add_ids``). Ratings are converted with
 ``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
-num_users + dst``) drops repeats and self-loops and yields canonical order.
-``SparseRatings`` keeps (user, item) order with a per-user index
-(``user_ptr``), ``TrustGraph`` (source, destination) order with an
-out-link index (``out_ptr``); neither has a per-item or in-link index, nor
-sorts input that is already in order.
+num_users + dst``) collapses repeats (a rating's last line wins) and yields
+canonical order; the trust loader drops self-loops first. A store's
+constructor refuses input that breaks its invariants with ValueError, and
+sorts only input not yet in order (``_canonical``). Neither store has a
+per-item or in-link index.
 """
 
 from contextlib import contextmanager
@@ -124,26 +124,27 @@ RATING_MAX = 5.0
 
 
 class SparseRatings:
-    """User-item rating matrix stored as triples in canonical (user, item)
-    order. ``user_ptr`` is the row pointer of the CSR matrix whose column
+    """User-item rating matrix stored as triples: distinct (user, item) pairs
+    in strictly increasing order, indices in range, ratings in [1, 5] (so
+    finite). ``user_ptr`` is the row pointer of the CSR matrix whose column
     indices and data are ``items`` and ``values``. Immutable after
     construction, so the per-user means, the per-item counts and the global
     mean are computed on first use and kept, the arrays read-only.
     """
 
-    def __init__(self, num_users, num_items, users, items, values, validate=True):
+    def __init__(self, num_users, num_items, users, items, values):
         users = np.ascontiguousarray(users, dtype=np.int64)
         items = np.ascontiguousarray(items, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape):
             raise ValueError("users, items and values must have equal length")
-
-        self.users, self.items, self.values = _canonical(users, items, values)
+        bad = _first_outside_rating_range(values)
+        if bad is not None:
+            raise ValueError(f"rating {values[bad]:g} outside [{RATING_MIN:g}, {RATING_MAX:g}]")
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-
-        if validate:
-            self._check_invariants()
+        self.users, self.items, self.values = _canonical(
+            ("user", "item"), (self.num_users, self.num_items), users, items, values)
 
         self.user_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.user_ptr[1:])
@@ -151,21 +152,6 @@ class SparseRatings:
         self._user_means = None
         self._item_counts = None
         self._global_mean = None
-
-    def _check_invariants(self):
-        if self.users.size:
-            if self.users.min() < 0 or self.users.max() >= self.num_users:
-                raise ValueError("user index out of range")
-            if self.items.min() < 0 or self.items.max() >= self.num_items:
-                raise ValueError("item index out of range")
-            if self.values.min() < RATING_MIN or self.values.max() > RATING_MAX:
-                raise ValueError(
-                    f"rating outside [{RATING_MIN:g}, {RATING_MAX:g}]"
-                )
-            same_user = self.users[1:] == self.users[:-1]
-            same_item = self.items[1:] == self.items[:-1]
-            if np.any(same_user & same_item):
-                raise ValueError("duplicate (user, item) entry")
 
     @property
     def num_entries(self) -> int:
@@ -206,10 +192,7 @@ class SparseRatings:
         """Same entries over a wider user index space (extra users rate nothing)."""
         if num_users < self.num_users:
             raise ValueError("cannot shrink the user index space")
-        return SparseRatings(
-            num_users, self.num_items, self.users, self.items, self.values,
-            validate=False,
-        )
+        return SparseRatings(num_users, self.num_items, self.users, self.items, self.values)
 
     def triples(self):
         """Iterate entries as (user, item, rating) in canonical order."""
@@ -218,34 +201,26 @@ class SparseRatings:
 
 
 class TrustGraph:
-    """Directed user-user trust graph with out-link adjacency.
-
-    Edges are unweighted, deduplicated, free of self-loops, and stored in
-    lexicographic (source, destination) order; ``edge_src``/``edge_dst`` is
-    simultaneously the flattened out-link CSR. Immutable after construction.
+    """Directed user-user trust graph with out-link adjacency: unweighted,
+    distinct edges with endpoints in range and without self-loops, in
+    strictly increasing (source, destination) order, so ``edge_src``/
+    ``edge_dst`` is also the flattened out-link CSR. Immutable after
+    construction.
     """
 
-    def __init__(self, num_users, edge_src, edge_dst, validate=True):
+    def __init__(self, num_users, edge_src, edge_dst):
         edge_src = np.ascontiguousarray(edge_src, dtype=np.int64)
         edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
-        self.edge_src, self.edge_dst = _canonical(edge_src, edge_dst)
+        if edge_src.shape != edge_dst.shape:
+            raise ValueError("edge_src and edge_dst must have equal length")
+        if np.any(edge_src == edge_dst):
+            raise ValueError("self-loop edge")
         self.num_users = int(num_users)
-
-        if validate:
-            self._check_invariants()
+        self.edge_src, self.edge_dst = _canonical(
+            ("source", "destination"), (self.num_users, self.num_users), edge_src, edge_dst)
 
         self.out_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_src, minlength=self.num_users), out=self.out_ptr[1:])
-
-    def _check_invariants(self):
-        _check_endpoints(self.num_users, self.edge_src, self.edge_dst)
-        if np.any(self.edge_src == self.edge_dst):
-            raise ValueError("self-loop edge")
-        same = (self.edge_src[1:] == self.edge_src[:-1]) & (
-            self.edge_dst[1:] == self.edge_dst[:-1]
-        )
-        if np.any(same):
-            raise ValueError("duplicate edge")
 
     @classmethod
     def from_edges(cls, num_users, edges) -> "TrustGraph":
@@ -254,9 +229,8 @@ class TrustGraph:
         Self-loops are dropped and duplicate edges collapsed.
         """
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        _check_endpoints(num_users, pairs[:, 0], pairs[:, 1])
-        return cls(num_users, *_unique_edges(num_users, pairs[:, 0], pairs[:, 1]),
-                   validate=False)
+        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        return cls(num_users, pairs[:, 0], pairs[:, 1])
 
     @property
     def num_edges(self) -> int:
@@ -270,18 +244,34 @@ class TrustGraph:
         return np.diff(self.out_ptr)
 
 
-def _canonical(major, minor, *rest):
-    """The arrays in lexicographic (major, minor) order, sorted only if not yet."""
-    step = np.diff(major)
-    if np.all((step > 0) | ((step == 0) & (np.diff(minor) >= 0))):
-        return (major, minor, *rest)
-    order = np.lexsort((minor, major))
-    return tuple(a[order] for a in (major, minor, *rest))
+def _canonical(names, spans, major, minor, *rest):
+    """The arrays in strictly increasing lexicographic (major, minor) order,
+    sorted only if not yet in order. Raises ValueError for a repeated pair
+    and for an index outside ``[0, span)``; ``names`` name the two indices."""
+    if not _strictly_increasing(major, minor):
+        order = np.lexsort((minor, major))
+        major, minor, *rest = (a[order] for a in (major, minor, *rest))
+        if not _strictly_increasing(major, minor):
+            raise ValueError("duplicate ({}, {}) pair".format(*names))
+    # major is in order now, so its ends bound it
+    if major.size and (major[0] < 0 or major[-1] >= spans[0]):
+        raise ValueError(f"{names[0]} index out of range")
+    if minor.size and (minor.min() < 0 or minor.max() >= spans[1]):
+        raise ValueError(f"{names[1]} index out of range")
+    return (major, minor, *rest)
 
 
-def _check_endpoints(num_users, *ends):
-    if any(end.size and (end.min() < 0 or end.max() >= num_users) for end in ends):
-        raise ValueError("edge endpoint out of range")
+def _strictly_increasing(major, minor):
+    later, earlier = major[1:], major[:-1]
+    return bool(((later > earlier) | ((later == earlier) & (minor[1:] > minor[:-1]))).all())
+
+
+def _first_outside_rating_range(values):
+    """Index of the first value that is not a rating in [1, 5], NaN
+    included, or None; sought only when one of two reductions fails."""
+    if values.size == 0 or (values.min() >= RATING_MIN and values.max() <= RATING_MAX):
+        return None
+    return int(np.argmin((values >= RATING_MIN) & (values <= RATING_MAX)))
 
 
 def _last_of_each_pair(major, minor, span):
@@ -292,13 +282,6 @@ def _last_of_each_pair(major, minor, span):
         return major, minor, np.arange(keys.size)
     unique, first_from_end = np.unique(keys[::-1], return_index=True)
     return unique // span, unique % span, keys.size - 1 - first_from_end
-
-
-def _unique_edges(num_users, src, dst):
-    """Edges without self-loops or repeats, in (source, destination) order."""
-    keep = src != dst
-    src, dst, _ = _last_of_each_pair(src[keep], dst[keep], num_users)
-    return src, dst
 
 
 @dataclass
@@ -313,16 +296,10 @@ class DatasetSplit:
     test_users: np.ndarray
     test_items: np.ndarray
     test_values: np.ndarray
-    seed: int
-    train_fraction: float
 
     @property
     def num_test(self) -> int:
         return self.test_users.size
-
-    def test_triples(self):
-        for u, i, r in zip(self.test_users, self.test_items, self.test_values):
-            yield int(u), int(i), float(r)
 
 
 def _data_blocks(path, width):
@@ -382,10 +359,9 @@ def _parse_ratings(path, linenos, tokens):
         _parse_ratings(path, linenos[:bad], tokens[:bad])
         raise DataFileError(
             f"{path}:{linenos[bad]}: non-numeric rating {tokens[bad]!r}") from None
-    outside = np.flatnonzero(~((values >= RATING_MIN) & (values <= RATING_MAX)))
-    if outside.size:
-        n = outside[0]
-        raise DataFileError(f"{path}:{linenos[n]}: rating {values[n]:g} outside [1, 5]")
+    bad = _first_outside_rating_range(values)
+    if bad is not None:
+        raise DataFileError(f"{path}:{linenos[bad]}: rating {values[bad]:g} outside [1, 5]")
     return values
 
 
@@ -417,8 +393,7 @@ def load_ratings(path) -> tuple[SparseRatings, IdMap]:
         raise DataFileError(f"{path}: no ratings")
     users, items, last = _last_of_each_pair(
         np.concatenate(users), np.concatenate(items), ids.num_items)
-    matrix = SparseRatings(ids.num_users, ids.num_items, users, items, values[last],
-                           validate=False)
+    matrix = SparseRatings(ids.num_users, ids.num_items, users, items, values[last])
     return matrix, ids
 
 
@@ -451,8 +426,9 @@ def load_trust(path, ids: IdMap) -> TrustGraph:
     for _, tokens in _data_blocks(path, 2):
         ends.append(ids.add_users(tokens))
     pairs = np.concatenate(ends).reshape(-1, 2)
-    return TrustGraph(ids.num_users, *_unique_edges(ids.num_users, pairs[:, 0], pairs[:, 1]),
-                      validate=False)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    src, dst, _ = _last_of_each_pair(pairs[:, 0], pairs[:, 1], ids.num_users)
+    return TrustGraph(ids.num_users, src, dst)
 
 
 def load_dataset(ratings_path, trust_path=None):
@@ -469,27 +445,33 @@ def load_dataset(ratings_path, trust_path=None):
     return ratings, graph, ids
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """numpy's default generator for ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def split_ratings(ratings: SparseRatings, train_fraction: float, seed: int) -> DatasetSplit:
     """Uniform entry-level train/test partition, driven solely by the seed."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = ratings.num_entries
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = seeded_generator(seed).permutation(n)
     n_train = int(round(train_fraction * n))
     if n >= 2:
         n_train = min(max(n_train, 1), n - 1)
-    return _partition(ratings, perm[n_train:], seed, train_fraction)
+    return _partition(ratings, perm[n_train:])
 
 
-def _partition(ratings: SparseRatings, held_out, seed, train_fraction) -> DatasetSplit:
+def _partition(ratings: SparseRatings, held_out) -> DatasetSplit:
     test_mask = np.zeros(ratings.num_entries, dtype=bool)
     test_mask[held_out] = True
     train, test = np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
     train_set = SparseRatings(ratings.num_users, ratings.num_items, ratings.users[train],
-                              ratings.items[train], ratings.values[train], validate=False)
+                              ratings.items[train], ratings.values[train])
     return DatasetSplit(train_set, ratings.users[test], ratings.items[test],
-                        ratings.values[test], seed, train_fraction)
+                        ratings.values[test])
 
 
 def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> DatasetSplit:
@@ -501,11 +483,9 @@ def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> D
     """
     if threshold < 2:
         raise ValueError(f"threshold must be >= 2, got {threshold}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     counts = ratings.user_counts()
     cold = np.flatnonzero((counts >= 1) & (counts < threshold))
     # one draw per cold user, in user order: the stream of a scalar
     # rng.integers(lo, hi) call per user
-    held_out = rng.integers(ratings.user_ptr[cold], ratings.user_ptr[cold + 1])
-    return _partition(ratings, held_out, seed,
-                      (ratings.num_entries - cold.size) / max(ratings.num_entries, 1))
+    return _partition(ratings, rng.integers(ratings.user_ptr[cold], ratings.user_ptr[cold + 1]))

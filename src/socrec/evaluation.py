@@ -25,6 +25,7 @@ from .data import (
     SparseRatings,
     TrustGraph,
     cold_start_split,
+    seeded_generator,
     split_ratings,
 )
 from .factorization import Hyperparams, train
@@ -271,7 +272,7 @@ def run_similarity_study(
         raise ValueError(f"min_out_degree must be >= 1, got {min_out_degree}")
     if kind not in STUDY_KINDS:
         raise ValueError("similarity study supports 'vss' or 'pcc'")
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     num_users = graph.num_users
     degrees = graph.out_degrees()
     users = np.nonzero(degrees > min_out_degree)[0]

@@ -83,13 +83,23 @@ class Hyperparams:
 @dataclass
 class FactorModel:
     """User and item latent factors plus the training-set mean rating, and
-    the external ids of the rows when they are known."""
+    the external ids of the rows when they are known. The factors are
+    non-empty 2-D arrays of one width, ``k``; others raise ValueError."""
 
     user_factors: np.ndarray  # (num_users, k)
     item_factors: np.ndarray  # (num_items, k)
-    k: int
     global_mean: float = 0.0
     ids: IdMap | None = None
+
+    def __post_init__(self):
+        users, items = np.shape(self.user_factors), np.shape(self.item_factors)
+        if len(users) != 2 or len(items) != 2 or users[1] != items[1] or 0 in users + items:
+            raise ValueError("user and item factors must be non-empty 2-D arrays of one "
+                             f"width, got shapes {users} and {items}")
+
+    @property
+    def k(self) -> int:
+        return self.user_factors.shape[1]
 
     @property
     def num_users(self) -> int:
@@ -105,11 +115,14 @@ class FactorModel:
 
 @dataclass
 class TrainReport:
-    """Objective trajectory of one training run."""
+    """Objective trajectory of one training run, one value per epoch run."""
 
     objective_per_epoch: list[float] = field(default_factory=list)
-    epochs_run: int = 0
     converged: bool = False
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.objective_per_epoch)
 
 
 def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
@@ -130,7 +143,7 @@ def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
         # numpy refuses a block whose byte size or k it cannot even index
         raise MemoryError(f"a ({num_users + num_items}, {hp.k}) float64 factor "
                           "block is larger than numpy can address") from None
-    return FactorModel(factors[:num_users], factors[num_users:], hp.k)
+    return FactorModel(factors[:num_users], factors[num_users:])
 
 
 def predict(model: FactorModel, u, i):
@@ -326,7 +339,6 @@ def train(
             if not math.isfinite(current):
                 raise DivergenceError(n)
             report.objective_per_epoch.append(current)
-            report.epochs_run = n
             if abs(current - previous) / max(1.0, previous) < hp.tolerance:
                 report.converged = True
                 break
@@ -411,4 +423,4 @@ def load_model(path) -> FactorModel:
                  f"item row {row - m}" if row < m + n else "global mean")
         raise DataFileError(f"{path}: non-finite value in {where}")
     return FactorModel(body[:m * k].reshape(m, k), body[m * k:-1].reshape(n, k),
-                       k, float(body[-1]), ids)
+                       float(body[-1]), ids)

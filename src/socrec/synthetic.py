@@ -3,7 +3,7 @@
 import numpy as np
 
 from ._choice import choices, draw_bounds, picks_from_draws
-from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph
+from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph, seeded_generator
 
 
 def low_rank_ratings(num_users, num_items, rank, seed=0, keep_fraction=1.0):
@@ -13,7 +13,9 @@ def low_rank_ratings(num_users, num_items, rank, seed=0, keep_fraction=1.0):
     rating range. Returns (ratings, user_factors, item_factors); set
     ``keep_fraction`` below 1 to observe only a random subset of cells.
     """
-    rng = np.random.default_rng(seed)
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    rng = seeded_generator(seed)
     low, high = np.sqrt(RATING_MIN / rank), np.sqrt(RATING_MAX / rank)
     user_f = rng.uniform(low, high, size=(num_users, rank))
     item_f = rng.uniform(low, high, size=(num_items, rank))
@@ -56,6 +58,9 @@ def clustered_dataset(
     ``out_degree`` distinct targets or has made ``50 * out_degree``
     attempts.
     """
+    if num_clusters < 1 or (num_clusters == 1 and intra_fraction < 1.0):
+        raise ValueError(f"num_clusters must be >= 1, and 1 only with intra_fraction 1 "
+                         f"(no other cluster to trust), got {num_clusters}, {intra_fraction}")
     if num_users < num_clusters * 2:
         raise ValueError("need at least two users per cluster")
     if not 0 <= ratings_per_user <= num_items:
@@ -66,7 +71,7 @@ def clustered_dataset(
         raise ValueError(f"intra_fraction must be in [0, 1], got {intra_fraction}")
     if not noise_sd >= 0.0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     labels = np.arange(num_users) % num_clusters
     prototypes = rng.uniform(RATING_MIN, RATING_MAX, size=(num_clusters, num_items))
 
@@ -136,7 +141,7 @@ def _sorted_graph(num_users, src, dst):
     """The graph of these distinct, loop-free edges, put in (source,
     destination) order by one sort of a combined key."""
     edge = np.sort(src * num_users + dst)
-    return TrustGraph(num_users, edge // num_users, edge % num_users, validate=False)
+    return TrustGraph(num_users, edge // num_users, edge % num_users)
 
 
 _RAW_WORDS = 1 << 14  # words per bulk draw
@@ -196,7 +201,7 @@ def shuffled_graph(graph: TrustGraph, seed=0) -> TrustGraph:
     targets are ``rng.choice(eligible, d, replace=False)`` in user order,
     where ``eligible`` is every user but u, so rank r is user r + (r >= u).
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_generator(seed)
     num_users = graph.num_users
     degrees = graph.out_degrees()
     src = np.repeat(np.arange(num_users), degrees)

@@ -36,7 +36,6 @@ def random_model(rng, num_users, num_items, k, scale=1.0):
     return FactorModel(
         user_factors=rng.uniform(0.0, scale, (num_users, k)),
         item_factors=rng.uniform(0.0, scale, (num_items, k)),
-        k=k,
     )
 
 
@@ -67,4 +66,4 @@ def split_of(train, triples):
     (user, item, rating) triples, in order."""
     test = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
     return DatasetSplit(train, test[:, 0].astype(np.int64), test[:, 1].astype(np.int64),
-                        test[:, 2], 0, float("nan"))
+                        test[:, 2])

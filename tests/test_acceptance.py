@@ -71,10 +71,10 @@ def trim_to_two_train_ratings(ratings, seed):
     train_set = SparseRatings(
         ratings.num_users, ratings.num_items,
         ratings.users[train_idx], ratings.items[train_idx],
-        ratings.values[train_idx], validate=False,
+        ratings.values[train_idx],
     )
     return DatasetSplit(train_set, ratings.users[test_idx], ratings.items[test_idx],
-                        ratings.values[test_idx], seed, float("nan"))
+                        ratings.values[test_idx])
 
 
 def test_criterion_1_gradient_oracle():

@@ -109,6 +109,12 @@ class TestSparseRatings:
         with pytest.raises(ValueError, match="out of range"):
             SparseRatings(2, 2, [0, 2], [0, 1], [3.0, 4.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.nextafter(1.0, 0.0), np.nextafter(5.0, 6.0)])
+    def test_rating_outside_range_rejected(self, value):
+        with pytest.raises(ValueError, match="outside"):
+            SparseRatings(2, 2, [0, 1], [0, 1], [value, 3.0])
+
     def test_row_and_column_indexes_agree(self):
         rng = np.random.default_rng(8)
         ratings = random_ratings(rng, 10, 7)
@@ -132,6 +138,24 @@ class TestSparseRatings:
             assert not stat().flags.writeable
         assert ratings.item_counts().tolist() == [2, 1, 0]
         assert ratings.global_mean() == ratings.global_mean() == 11.0 / 3.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: SparseRatings(2, 2, [0, 0], [1, 1], [3.0, 4.0], **kw),
+    lambda **kw: SparseRatings(2, 2, [0, 1], [0, 5], [3.0, 4.0], **kw),
+    lambda **kw: SparseRatings(2, 2, [-1, 1], [0, 1], [3.0, 4.0], **kw),
+    lambda **kw: TrustGraph(3, [0, 0], [1, 1], **kw),
+    lambda **kw: TrustGraph(3, [0, 1], [1, 3], **kw),
+    lambda **kw: TrustGraph(3, [0, 2], [1, 2], **kw),
+], ids=["repeated-rating", "item-too-large", "negative-user", "repeated-edge",
+        "endpoint-too-large", "self-loop"])
+def test_no_store_skips_its_checks(build):
+    """Repeated pairs, out-of-range indices and self-loops raise on every
+    construction: no keyword turns the checks off."""
+    with pytest.raises(ValueError):
+        build()
+    with pytest.raises(TypeError):
+        build(validate=False)
 
 
 class TestIdMap:
@@ -235,7 +259,8 @@ class TestSplitRatings:
         ratings = random_ratings(rng, 15, 8)
         split = split_ratings(ratings, 0.7, seed=4)
         train = set(split.train.triples())
-        test = set(split.test_triples())
+        test = set(zip(split.test_users.tolist(), split.test_items.tolist(),
+                       split.test_values.tolist()))
         assert train | test == set(ratings.triples())
         assert train & test == set()
 

@@ -16,6 +16,7 @@ from socrec import (
     DataFileError,
     FactorModel,
     IdMap,
+    SparseRatings,
     TrustGraph,
     load_model,
     load_ratings,
@@ -134,6 +135,108 @@ class TestBlockLoadersMatchLineLoaders:
                                                 for u in range(6)]
 
 
+# one fault or none put into otherwise valid store input
+_RATING_FAULTS = [None, "nan", "inf", "-inf", "below 1", "above 5", "negative index",
+                  "index too large", "repeated pair"]
+_EDGE_FAULTS = [None, "negative index", "index too large", "repeated pair", "self-loop"]
+
+
+def _with_fault(draw, faults, rows, span):
+    """``rows`` ([major, minor, ...] lists, in any order) with one drawn
+    fault, and its name: an index outside ``[0, span)``, a repeated (major,
+    minor) pair, a self-loop, or a rating that is not in [1, 5]."""
+    fault = draw(st.sampled_from(faults)) if rows else None
+    if fault is None:
+        return rows, None
+    at = draw(st.integers(0, len(rows) - 1))
+    row = list(rows[at])
+    column = draw(st.integers(0, 1))
+    if fault == "negative index":
+        row[column] = -1 - draw(st.integers(0, 3))
+    elif fault == "index too large":
+        row[column] = span[column] + draw(st.integers(0, 3))
+    elif fault == "repeated pair":
+        rows.insert(draw(st.integers(0, len(rows))), row)
+        return rows, fault
+    elif fault == "self-loop":
+        row[1 - column] = row[column]
+    else:
+        row[2] = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+                  "below 1": np.nextafter(1.0, 0.0), "above 5": np.nextafter(5.0, 6.0)}[fault]
+    rows[at] = row
+    return rows, fault
+
+
+@st.composite
+def _rating_input(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                          unique=True, max_size=12))
+    rows = [[u, i, draw(st.floats(1.0, 5.0))] for u, i in pairs]
+    return (m, n, *_with_fault(draw, _RATING_FAULTS, rows, (m, n)))
+
+
+@st.composite
+def _edge_input(draw):
+    m = draw(st.integers(2, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+                          .filter(lambda e: e[0] != e[1]), unique=True, max_size=12))
+    return (m, *_with_fault(draw, _EDGE_FAULTS, [list(e) for e in edges], (m, m)))
+
+
+def _columns(rows, width):
+    return list(np.array(rows, dtype=np.float64).reshape(-1, width).T)
+
+
+class TestStoresHoldTheirInvariants:
+    """Each constructor returns a store holding every invariant of its
+    class, or raises ValueError when its input breaks one; input in any
+    order is accepted."""
+
+    @given(case=_rating_input())
+    def test_ratings(self, case):
+        m, n, rows, fault = case
+        if fault is not None:
+            with pytest.raises(ValueError):
+                SparseRatings(m, n, *_columns(rows, 3))
+            return
+        store = SparseRatings(m, n, *_columns(rows, 3))
+        assert list(store.triples()) == sorted(map(tuple, rows))
+        users, items = store.users.tolist(), store.items.tolist()
+        assert all(a < b for a, b in zip(zip(users, items), zip(users[1:], items[1:])))
+        assert all(0 <= u < m for u in users) and all(0 <= i < n for i in items)
+        assert np.isfinite(store.values).all()
+        assert ((store.values >= 1.0) & (store.values <= 5.0)).all()
+        assert store.user_ptr.tolist() == [sum(u < v for u in users) for v in range(m + 1)]
+
+    @given(case=_edge_input())
+    def test_graph(self, case):
+        m, rows, fault = case
+        if fault is not None:
+            with pytest.raises(ValueError):
+                TrustGraph(m, *_columns(rows, 2))
+            return
+        graph = TrustGraph(m, *_columns(rows, 2))
+        edges = list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+        assert edges == sorted(map(tuple, rows))
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert all(s != t and 0 <= s < m and 0 <= t < m for s, t in edges)
+        assert graph.out_ptr.tolist() == [sum(s < v for s, _ in edges) for v in range(m + 1)]
+
+    @given(user_shape=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           item_shape=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    def test_model(self, user_shape, item_shape):
+        user_f, item_f = np.ones(user_shape), np.zeros(item_shape)
+        if (len(user_shape) == len(item_shape) == 2 and user_shape[1] == item_shape[1]
+                and 0 not in user_shape + item_shape):
+            model = FactorModel(user_f, item_f)
+            assert [model.num_users, model.k] == user_shape
+            assert [model.num_items, model.k] == item_shape
+        else:
+            with pytest.raises(ValueError):
+                FactorModel(user_f, item_f)
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -168,7 +271,7 @@ def _models(draw):
         ids.add_items(draw(_unique_ids(n)))
     return FactorModel(draw(arrays(np.float64, (m, k), elements=_FINITE)),
                        draw(arrays(np.float64, (n, k), elements=_FINITE)),
-                       k, draw(_FINITE), ids)
+                       draw(_FINITE), ids)
 
 
 def _id_lists(model):

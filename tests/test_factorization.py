@@ -12,6 +12,7 @@ from socrec import (
     IdMap,
     SimilarityTable,
     SparseRatings,
+    TrainReport,
     TrustGraph,
     gradients_social,
     init_model,
@@ -94,17 +95,32 @@ class TestInitModel:
             assert arr.min() >= 0.0 and arr.max() <= 0.25
 
 
+class TestDerivedFields:
+    def test_factors_of_different_widths_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            FactorModel(np.zeros((1, 2)), np.ones((1, 3)))
+
+    def test_k_is_the_factor_width(self, tmp_path):
+        model = FactorModel(np.zeros((1, 3)), np.ones((2, 3)))
+        save_model(model, tmp_path / "m.bin")
+        assert model.k == load_model(tmp_path / "m.bin").k == 3
+
+    def test_epochs_run_counts_the_objective_trace(self):
+        assert TrainReport().epochs_run == 0
+        assert TrainReport([3.0, 2.0, 1.5]).epochs_run == 3
+
+
 class TestPredict:
     def test_zero_vectors(self):
-        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), k=2)
+        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         assert predict(model, 0, 0) == 0.0
 
     def test_hand_inner_product(self):
-        model = FactorModel(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), k=2)
+        model = FactorModel(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
         assert predict(model, 0, 0) == 11.0
 
     def test_orthogonal_vectors(self):
-        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), k=2)
+        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         assert predict(model, 0, 0) == 0.0
 
     def test_vectorized_matches_scalar(self):
@@ -120,14 +136,14 @@ class TestPredict:
 class TestObjectiveBasic:
     def test_single_entry_zero_factors(self):
         train_set = SparseRatings(1, 1, [0], [0], [3.0])
-        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), k=2)
+        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         assert objective_basic(model, train_set, tiny_hp()) == 4.5
 
     def test_regularizer_only(self):
         # no ratings; lam=1 with squared Frobenius norms 2 and 4 gives 3
         empty = SparseRatings(2, 2, [], [], [])
         model = FactorModel(np.array([[1.0, 1.0], [0.0, 0.0]]),
-                            np.array([[2.0, 0.0], [0.0, 0.0]]), k=2)
+                            np.array([[2.0, 0.0], [0.0, 0.0]]))
         assert objective_basic(model, empty, tiny_hp(lam=1.0)) == 3.0
 
     def test_matches_brute_force_on_random_instances(self):
@@ -160,7 +176,7 @@ class TestObjectiveSocial:
         # (2/2) * ||(1,-1)||^2 = 2
         empty = SparseRatings(2, 1, [], [], [])
         model = FactorModel(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                            np.zeros((1, 2)), k=2)
+                            np.zeros((1, 2)))
         graph = TrustGraph.from_edges(2, [(0, 1)])
         sim = SimilarityTable(graph, np.ones(1))
         hp = tiny_hp(alpha=2.0)
@@ -186,7 +202,7 @@ class TestObjectiveSocial:
 class TestGradients:
     def test_zero_factors_zero_gradients(self):
         train_set = SparseRatings(2, 2, [0, 1], [0, 1], [3.0, 4.0])
-        model = FactorModel(np.zeros((2, 2)), np.zeros((2, 2)), k=2)
+        model = FactorModel(np.zeros((2, 2)), np.zeros((2, 2)))
         graph = TrustGraph.from_edges(2, [(0, 1)])
         sim = SimilarityTable(graph, np.ones(1))
         d_user, d_item = gradients_social(model, train_set, graph, sim, tiny_hp())
@@ -194,7 +210,7 @@ class TestGradients:
 
     def test_single_rating_hand_case(self):
         train_set = SparseRatings(1, 1, [0], [0], [2.0])
-        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), k=2)
+        model = FactorModel(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
         graph = TrustGraph.from_edges(1, [])
         sim = SimilarityTable(graph, np.empty(0))
         d_user, d_item = gradients_social(model, train_set, graph, sim, tiny_hp())
@@ -524,7 +540,7 @@ class TestModelFile:
         assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
 
     def test_header_format(self, tmp_path):
-        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2)
+        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)))
         path = tmp_path / "model.bin"
         save_model(model, path)
         head, _, rest = path.read_bytes().partition(b"\n")
@@ -540,7 +556,7 @@ class TestModelFile:
         (["a", "b"], ["x", "y\u3000", "z"], "non-empty and hold no whitespace"),
     ])
     def test_ids_the_file_cannot_hold_are_refused(self, tmp_path, users, items, fault):
-        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), k=2, ids=_id_map(users, items))
+        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), ids=_id_map(users, items))
         with pytest.raises(ValueError, match=re.escape(fault)):
             save_model(model, tmp_path / "model.bin")
         assert not (tmp_path / "model.bin").exists()

@@ -263,7 +263,7 @@ class TestFusedEpoch:
                 got = original(epoch, *args, **kwargs)
                 if not nested:  # objective_social runs an epoch object of its own
                     nested.append(name)
-                    compare(got, factorization.FactorModel(epoch.user_f, epoch.item_f, hp.k))
+                    compare(got, factorization.FactorModel(epoch.user_f, epoch.item_f))
                     nested.pop()
                     seen[name] += 1
                 return got

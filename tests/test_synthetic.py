@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from socrec import SparseRatings, TrustGraph, data, synthetic
+from socrec import SparseRatings, TrustGraph, data, run_similarity_study, synthetic
 from socrec.synthetic import _RawStream, clustered_dataset, shuffled_graph
 
 from oracles import loop_clustered_dataset, loop_shuffled_graph
@@ -54,10 +54,12 @@ def assert_shuffle_matches_loop_oracle(graph, seed):
     dict(num_users=40, num_clusters=4, ratings_per_user=0),
     dict(num_users=50, num_clusters=5, intra_fraction=0.0),
     dict(num_users=50, num_clusters=5, intra_fraction=1.0),
+    # every other user is a cluster mate
+    dict(num_users=30, num_clusters=1, intra_fraction=1.0),
     # choice shuffles the tail of arange(n) when n > 10000 and d > n // 50
     dict(num_users=20, num_items=10_001, ratings_per_user=201),
 ], ids=["40", "60", "20-guard", "20-pairs", "200", "3k", "rated-all", "rated-one",
-        "rated-none", "intra-0", "intra-1", "choice-tail"])
+        "rated-none", "intra-0", "intra-1", "one-cluster", "choice-tail"])
 def test_clustered_dataset_matches_the_loop_oracle(params, seed):
     assert_matches_loop_oracle(dict(params, seed=seed))
 
@@ -81,6 +83,10 @@ def test_outputs_are_built_in_canonical_order(monkeypatch):
     (dict(intra_fraction=float("nan")), "intra_fraction"),
     (dict(noise_sd=-0.5), "noise_sd"),
     (dict(noise_sd=float("nan")), "noise_sd"),
+    (dict(num_clusters=0), "num_clusters"),
+    (dict(num_clusters=-1), "num_clusters"),
+    # a single cluster leaves no other-cluster user to draw
+    (dict(num_clusters=1, intra_fraction=0.9), "intra_fraction"),
 ])
 def test_bad_argument_named_before_any_draw(monkeypatch, params, name):
     def no_generator(*args, **kwargs):
@@ -89,6 +95,28 @@ def test_bad_argument_named_before_any_draw(monkeypatch, params, name):
     monkeypatch.setattr(synthetic.np.random, "default_rng", no_generator)
     with pytest.raises(ValueError, match=name):
         clustered_dataset(**dict(DEFAULTS, **params))
+
+
+_RATINGS = SparseRatings(3, 3, [0, 0, 1, 2], [0, 1, 2, 0], [1.0, 4.0, 2.5, 5.0])
+_GRAPH = TrustGraph(3, [0, 1, 2], [1, 2, 0])
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: data.split_ratings(_RATINGS, 0.5, seed=-1), "seed"),
+    (lambda: data.cold_start_split(_RATINGS, 3, seed=-1), "seed"),
+    (lambda: clustered_dataset(**DEFAULTS, seed=-1), "seed"),
+    (lambda: shuffled_graph(_GRAPH, seed=-1), "seed"),
+    (lambda: synthetic.low_rank_ratings(3, 3, 2, seed=-1), "seed"),
+    (lambda: run_similarity_study(_RATINGS, _GRAPH, min_out_degree=1, seed=-1), "seed"),
+    (lambda: synthetic.low_rank_ratings(3, 3, rank=0), "rank"),
+], ids=["split", "cold-start", "clustered", "shuffled", "low-rank", "study", "rank-0"])
+def test_seed_and_rank_named_before_any_draw(monkeypatch, call, name):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generator made before the argument checks")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_raw_stream_replays_random_and_integers(monkeypatch):

@@ -131,6 +131,34 @@ def test_benchmark_finds_the_package_names_it_uses(perfbench_module):
     assert worker.environment()["kernel_backend"]
 
 
+def test_benchmark_describes_every_result_type(perfbench_module, tmp_path):
+    """The benchmark's output check reads fields of each result type it
+    handles (``model.k``, ``report.epochs_run``, ``split.num_test``, ...);
+    one package-built object of each type describes without a problem."""
+    import socrec
+    from socrec.synthetic import clustered_dataset
+
+    checks = perfbench_module("checks")
+    ratings, graph, _ = clustered_dataset(num_users=60, num_clusters=6, seed=1)
+    socrec.save_ratings(ratings, tmp_path / "r.tsv")
+    (tmp_path / "t.tsv").write_text("".join(
+        f"{s}\t{t}\n" for s, t in zip(graph.edge_src, graph.edge_dst)))
+    split = socrec.split_ratings(ratings, 0.8, seed=1)
+    sim = socrec.build_similarity_table(split.train, graph, socrec.SimilarityKind.pcc())
+    hp = socrec.Hyperparams(k=3, max_epochs=5)
+    model, report = socrec.train(split.train, hp, graph, sim)
+    results = [
+        socrec.load_dataset(tmp_path / "r.tsv", tmp_path / "t.tsv"), split, sim,
+        socrec.build_means(split.train), socrec.evaluate(model, split, split.train),
+        (model, report), model,
+        socrec.run_similarity_study(ratings, graph, min_out_degree=2, seed=1),
+        model.predict(split.test_users, split.test_items), graph,
+    ]
+    for result in results:
+        _, _, problems = checks.describe(result)
+        assert problems == [], type(result).__name__
+
+
 def test_readme_defaults_are_the_option_table_s():
     """The README's sentence of CLI defaults, and its ``train --out``
     default, read the values that cli._OPTIONS declares."""
