@@ -33,12 +33,21 @@ budget thus calls ``squared_error_sum`` ``n + 1`` times and
 ``rating_gradients`` ``n`` times and, with the social term,
 ``social_gradient`` ``n`` times and ``social_penalty`` once.
 
-Similarity. For a block of ``EDGE_BLOCK`` edges, the rated entries of both
-ends of each edge are gathered and keyed ``local_edge * span + item``; rows
-are stored in item order, so one stable sort merges the two ascending key
-arrays, and a key present on both sides is a co-rated item. ``np.bincount``
-over the co-rated pairs, adding in ascending item order, gives per edge the
-dot product, the two norms over the overlap and the overlap size.
+Similarity. Pairs are taken in ascending source order (pairs given
+otherwise are stably sorted once and their values scattered back) and cut
+into blocks at source boundaries: at most ``EDGE_BLOCK`` pairs, and few
+enough distinct sources that sources × span cells fit in a boolean marker
+table of ``MARK_CELLS`` cells, where span is one past the largest item
+index. A source with more than ``EDGE_BLOCK`` pairs spans several blocks.
+Per block, the cells ``local_source * span + item`` of the items the
+block's sources rated are set, the table is probed at ``local_source(pair)
+* span + item`` for every entry of the pairs' destination rows, and only the
+set cells are reset. Rows are stored in item order, so the hits, the
+co-rated items, come out in (pair, ascending item) order, the order of a
+merge of the two rows; a binary search among the block's ascending source
+keys finds each hit's source entry. ``np.bincount`` over the hits then adds
+per pair, in ascending item order whatever the blocking, the dot product,
+the two norms over the overlap and the overlap size.
 
 The public names below (``predict_pairs``, ``squared_error_sum``,
 ``rating_gradients``, ``social_penalty``, ``social_gradient``,
@@ -54,10 +63,18 @@ import numpy as np
 # served from the heap the previous block freed instead of fresh pages
 # faulted in per block; smaller blocks pay more per-block call overhead
 GATHER_FLOATS = 16000
-# trust edges whose two rating rows are gathered at once by the similarity
-# builders; a block holds about a dozen arrays with one element per gathered
-# rating, so this bounds their working memory
+# pairs the similarity builders score at once: a block's destination rows
+# are gathered into a few arrays with one element per rated entry, so this
+# bounds their working memory
 EDGE_BLOCK = 2048
+# cells of the similarity builders' marker table, one bool each (4 MiB): a
+# block holds at most MARK_CELLS // span distinct sources, span being one
+# past the largest item index, and at least one, so a wider span gets a
+# table of span cells. Fewer cells cut a wide-span call into more blocks,
+# each with a fixed cost: on a 40k-user, 139k-item store with 400k edges
+# (2 vCPUs), a PCC table took about 205 ms at 2**21 cells, 145 ms at 2**22
+# and 125 ms at 2**23
+MARK_CELLS = 1 << 22
 
 
 def _csr(*args, **kwargs):
@@ -125,14 +142,37 @@ def social_laplacian(num_users, edge_src, edge_dst, edge_sim):
     return _csr((vals, (rows, cols)), shape=(num_users, num_users))
 
 
-def _gather_rows(user_ptr, users):
-    """Entry positions of the rating rows of ``users``, concatenated, and
-    for each entry the position in ``users`` of the row it came from."""
-    starts = user_ptr[users]
-    lengths = user_ptr[users + 1] - starts
+def _row_entries(user_ptr, row_len, users):
+    """Entry positions of the rating rows of ``users``, concatenated, each
+    row's length and the end of each row's run in them."""
+    count = row_len[users]
+    ends = np.cumsum(count)
     # an entry's position is its row's start plus its offset in the row
-    take = np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
-    return take, np.repeat(np.arange(users.size), lengths)
+    return np.arange(ends[-1]) + np.repeat(user_ptr[users] + count - ends, count), count, ends
+
+
+def _blocks(src, span):
+    """Blocks of the pairs with ascending sources ``src``, as ``(lo, hi,
+    first, stop)``: pairs ``lo:hi`` and their sources' runs ``first:stop``.
+    A block holds at most ``EDGE_BLOCK`` pairs and ``MARK_CELLS // span``
+    runs (at least one), and is cut where a run starts unless one run alone
+    exceeds ``EDGE_BLOCK``. Also the run of each pair and the source of each
+    run."""
+    new_run = np.empty(src.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(src[1:], src[:-1], out=new_run[1:])
+    run = np.cumsum(new_run) - 1
+    run_start = np.append(np.flatnonzero(new_run), src.size)
+    max_runs = max(1, MARK_CELLS // span)
+    blocks, lo = [], 0
+    while lo < src.size:
+        first = run[lo]
+        hi = min(lo + EDGE_BLOCK, run_start[min(first + max_runs, run_start.size - 1)])
+        if hi < src.size and not new_run[hi] and run_start[run[hi]] > lo:
+            hi = run_start[run[hi]]
+        blocks.append((lo, hi, first, run[hi - 1] + 1))
+        lo = hi
+    return blocks, run, src[new_run]
 
 
 def _overlap_cosine(user_ptr, user_items, row_values, edge_src, edge_dst, min_overlap):
@@ -143,30 +183,43 @@ def _overlap_cosine(user_ptr, user_items, row_values, edge_src, edge_dst, min_ov
     ``min_overlap`` co-rated items, or a zero denominator, give 0.
     """
     out = np.zeros(edge_src.shape[0])
-    for lo in range(0, edge_src.shape[0], EDGE_BLOCK):
-        src, dst = edge_src[lo:lo + EDGE_BLOCK], edge_dst[lo:lo + EDGE_BLOCK]
-        (src_take, src_edge), (dst_take, dst_edge) = (_gather_rows(user_ptr, src),
-                                                      _gather_rows(user_ptr, dst))
-        if not (src_take.size and dst_take.size):
+    if not (out.size and user_items.size):
+        return out
+    order = None
+    if np.any(edge_src[1:] < edge_src[:-1]):
+        order = np.argsort(edge_src, kind="stable")
+        edge_src, edge_dst = edge_src[order], edge_dst[order]
+    span = int(user_items.max()) + 1
+    row_len = np.diff(user_ptr)
+    blocks, run, run_source = _blocks(edge_src, span)
+    mark = np.zeros(span * max(stop - first for _, _, first, stop in blocks), dtype=bool)
+    for lo, hi, first, stop in blocks:
+        src, dst = edge_src[lo:hi], edge_dst[lo:hi]
+        src_take, src_len, _ = _row_entries(user_ptr, row_len, run_source[first:stop])
+        dst_take, dst_len, dst_ends = _row_entries(user_ptr, row_len, dst)
+        # rows are stored in item order, so the source keys ascend and the
+        # hits come out in (pair, item) order
+        src_keys = np.repeat(np.arange(0, (stop - first) * span, span), src_len)
+        src_keys += user_items[src_take]
+        dst_keys = np.repeat((run[lo:hi] - first) * span, dst_len)
+        dst_keys += user_items[dst_take]
+        mark[src_keys] = True
+        hits = np.flatnonzero(mark[dst_keys])
+        mark[src_keys] = False
+        if not hits.size:
             continue
-        src_items, dst_items = user_items[src_take], user_items[dst_take]
-        span = 1 + max(src_items.max(), dst_items.max())
-        # rows are stored in item order, so both (edge, item) key arrays
-        # ascend, the stable sort of the two merges them, and a co-rated
-        # item shows up as two adjacent equal keys
-        src_keys, dst_keys = src_edge * span + src_items, dst_edge * span + dst_items
-        merged = np.sort(np.concatenate((src_keys, dst_keys)), kind="stable")
-        shared = merged[1:][merged[1:] == merged[:-1]]
-        at_src = np.searchsorted(src_keys, shared)
-        edge = src_edge[at_src]
+        at_src = np.searchsorted(src_keys, dst_keys[hits])
+        edge = np.searchsorted(dst_ends, hits, side="right")
         a = row_values(src_take[at_src], src[edge])
-        b = row_values(dst_take[np.searchsorted(dst_keys, shared)], dst[edge])
+        b = row_values(dst_take[hits], dst[edge])
         denom = (np.sqrt(np.bincount(edge, a * a, src.size))
                  * np.sqrt(np.bincount(edge, b * b, src.size)))
         ok = denom > 0.0
         if min_overlap > 1:
             ok &= np.bincount(edge, minlength=src.size) >= min_overlap
-        np.divide(np.bincount(edge, a * b, src.size), denom, out=out[lo:lo + src.size], where=ok)
+        np.divide(np.bincount(edge, a * b, src.size), denom, out=out[lo:hi], where=ok)
+    if order is not None:
+        out[order] = out.copy()
     return out
 
 

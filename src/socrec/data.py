@@ -15,9 +15,10 @@ mapped in C indexes the column (``_add_ids``). Ratings are converted with
 ``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
 num_users + dst``) collapses repeats (a rating's last line wins) and yields
 canonical order; the trust loader drops self-loops first. A store's
-constructor refuses input that breaks its invariants with ValueError, and
-sorts only input not yet in order (``_canonical``). Neither store has a
-per-item or in-link index.
+constructor refuses input that breaks its invariants with ValueError,
+including sizes and indices that the cast to int would change
+(``_size``, ``_index_array``), and sorts only input not yet in order
+(``_canonical``). Neither store has a per-item or in-link index.
 """
 
 from contextlib import contextmanager
@@ -133,16 +134,15 @@ class SparseRatings:
     """
 
     def __init__(self, num_users, num_items, users, items, values):
-        users = np.ascontiguousarray(users, dtype=np.int64)
-        items = np.ascontiguousarray(items, dtype=np.int64)
+        users, items = _index_array("users", users), _index_array("items", items)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape):
             raise ValueError("users, items and values must have equal length")
         bad = _first_outside_rating_range(values)
         if bad is not None:
             raise ValueError(f"rating {values[bad]:g} outside [{RATING_MIN:g}, {RATING_MAX:g}]")
-        self.num_users = int(num_users)
-        self.num_items = int(num_items)
+        self.num_users = _size("num_users", num_users)
+        self.num_items = _size("num_items", num_items)
         self.users, self.items, self.values = _canonical(
             ("user", "item"), (self.num_users, self.num_items), users, items, values)
 
@@ -209,13 +209,12 @@ class TrustGraph:
     """
 
     def __init__(self, num_users, edge_src, edge_dst):
-        edge_src = np.ascontiguousarray(edge_src, dtype=np.int64)
-        edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
+        edge_src, edge_dst = _index_array("edge_src", edge_src), _index_array("edge_dst", edge_dst)
         if edge_src.shape != edge_dst.shape:
             raise ValueError("edge_src and edge_dst must have equal length")
         if np.any(edge_src == edge_dst):
             raise ValueError("self-loop edge")
-        self.num_users = int(num_users)
+        self.num_users = _size("num_users", num_users)
         self.edge_src, self.edge_dst = _canonical(
             ("source", "destination"), (self.num_users, self.num_users), edge_src, edge_dst)
 
@@ -242,6 +241,32 @@ class TrustGraph:
 
     def out_degrees(self):
         return np.diff(self.out_ptr)
+
+
+def _index_array(name, indices):
+    """``indices`` as a contiguous int64 array, not copied when it is one.
+    Bools, and floats that are not whole numbers, which the cast would turn
+    into other indices without a word, raise ValueError naming ``name``."""
+    indices = np.asarray(indices)
+    if indices.dtype == bool:
+        raise ValueError(f"{name} must be integer indices, not bools")
+    if indices.dtype.kind == "f":
+        whole = np.isfinite(indices) & (np.trunc(indices) == indices)
+        if not whole.all():
+            raise ValueError(f"{name} must be whole-number indices, got {indices[~whole][0]:g}")
+    return np.ascontiguousarray(indices, dtype=np.int64)
+
+
+def _size(name, size):
+    """``size`` as an int; ValueError naming ``name`` unless it is a whole
+    number >= 0."""
+    try:
+        whole = int(size)
+    except (TypeError, ValueError, OverflowError):
+        whole = -1
+    if whole < 0 or whole != size:
+        raise ValueError(f"{name} must be a whole number >= 0, got {size!r}")
+    return whole
 
 
 def _canonical(names, spans, major, minor, *rest):

@@ -158,6 +158,45 @@ def test_no_store_skips_its_checks(build):
         build(validate=False)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: SparseRatings(2, 2, [0.7], [1], [3.0]), "users"),
+    (lambda: SparseRatings(2, 2, [0], [1.9], [3.0]), "items"),
+    (lambda: SparseRatings(2, 2, [0], [float("nan")], [3.0]), "items"),
+    (lambda: SparseRatings(2, 2, [True], [1], [3.0]), "users"),
+    (lambda: SparseRatings(2, 2, [1], np.array([False]), [3.0]), "items"),
+    (lambda: TrustGraph(3, [0.5], [1]), "edge_src"),
+    (lambda: TrustGraph(3, [0], [2.25]), "edge_dst"),
+    (lambda: TrustGraph(3, [True], [2]), "edge_src"),
+    (lambda: TrustGraph(3, [0], [True]), "edge_dst"),
+    (lambda: SparseRatings(-3, 2, [], [], []), "num_users"),
+    (lambda: SparseRatings(2.5, 2, [], [], []), "num_users"),
+    (lambda: SparseRatings(2, -3, [], [], []), "num_items"),
+    (lambda: SparseRatings(2, 2.5, [], [], []), "num_items"),
+    (lambda: TrustGraph(-1, [], []), "num_users"),
+    (lambda: TrustGraph(2.5, [], []), "num_users"),
+], ids=["fractional-user", "fractional-item", "nan-item", "bool-user", "bool-item",
+        "fractional-source", "fractional-destination", "bool-source", "bool-destination",
+        "negative-users", "fractional-users", "negative-items", "fractional-items",
+        "graph-negative-users", "graph-fractional-users"])
+def test_stores_refuse_indices_a_cast_would_change(build, name):
+    """An index or size that int64 would truncate, or a bool, raises
+    ValueError naming its parameter instead of becoming another index."""
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build()
+
+
+def test_stores_take_whole_floats_and_keep_integer_arrays():
+    ratings = SparseRatings(2.0, 3, [0.0, 1.0], [2.0, 0.0], [3.0, 4.0])
+    assert ratings.users.tolist() == [0, 1] and ratings.items.tolist() == [2, 0]
+    assert ratings.num_users == 2 and SparseRatings(1, 1, [], [], []).num_entries == 0
+    users, items = np.array([0, 1]), np.array([2, 0])
+    ratings = SparseRatings(2, 3, users, items, [3.0, 4.0])
+    assert ratings.users is users and ratings.items is items
+    src, dst = np.array([0, 1]), np.array([1, 2])
+    graph = TrustGraph(3, src, dst)
+    assert graph.edge_src is src and graph.edge_dst is dst
+
+
 class TestIdMap:
     def test_bijective_both_directions(self, tmp_path):
         path = write(tmp_path, "r.tsv", "a x 4\nb y 2\nc x 1\n")

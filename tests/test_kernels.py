@@ -3,13 +3,23 @@ oracles in ``tests/oracles.py``, and the kernel names the benchmark binds."""
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from socrec import SimilarityTable, TrustGraph, _kernels, factorization, objective_social, train
+from socrec import (
+    SimilarityTable,
+    SparseRatings,
+    TrustGraph,
+    _kernels,
+    factorization,
+    objective_social,
+    train,
+)
+from socrec.similarity import pair_similarities
 
 from helpers import (
     entry_triples,
@@ -34,12 +44,14 @@ _RATING = st.one_of(st.integers(1, 5).map(float), st.floats(1.0, 5.0))
 
 @st.composite
 def similarity_instances(draw):
-    """(number of items, rating rows, edges, edge block size) for the edge
-    similarity kernels. User 0 rates nothing, user 1 only the two lowest
-    items and user 2 only the two highest, so edge (1, 2) has a destination
-    row entirely above the source's last item. The first block of edges
-    starts at user 0 and the second ends at it, so one side of each gathers
-    no entries; the drawn users may rate nothing too."""
+    """(number of items, rating rows, edges, edge block size, marker cells)
+    for the edge similarity kernels. User 0 rates nothing, user 1 only the
+    two lowest items and user 2 only the two highest, so edge (1, 2) has a
+    destination row entirely above the source's last item. The first block
+    of edges starts at user 0 and the second ends at it, so one side of each
+    gathers no entries; the drawn users may rate nothing too. The marker
+    cells range from fewer than one row's span, one source per block, to
+    several rows."""
     num_items = draw(st.integers(4, 8))
     rows = [{}, {0: draw(_RATING), 1: draw(_RATING)},
             {num_items - 2: draw(_RATING), num_items - 1: draw(_RATING)}]
@@ -48,7 +60,24 @@ def similarity_instances(draw):
     user = st.integers(0, len(rows) - 1)
     edges = ([(0, draw(user)) for _ in range(block)] + [(draw(user), 0) for _ in range(block)]
              + [(1, 2), (2, 1)] + draw(st.lists(st.tuples(user, user), max_size=30)))
-    return num_items, rows, edges, block
+    return num_items, rows, edges, block, draw(st.integers(1, 4 * num_items))
+
+
+@st.composite
+def blocking_instances(draw):
+    """(number of items, rating rows, pairs, edge block size, marker cells):
+    user 0 rates nothing, the pairs come in any order with repeats and
+    ``(u, u)`` pairs, and one source holds more pairs than a block."""
+    num_items = draw(st.integers(1, 6))
+    rows = [{}] + draw(st.lists(st.dictionaries(st.integers(0, num_items - 1), _RATING),
+                                min_size=1, max_size=6))
+    user = st.integers(0, len(rows) - 1)
+    block = draw(st.integers(1, 4))
+    heavy, same = draw(user), draw(user)
+    pairs = ([(heavy, draw(user)) for _ in range(block + 1)] + [(same, same)] * 2
+             + draw(st.lists(st.tuples(user, user), max_size=20)))
+    pairs = draw(st.permutations(pairs))
+    return num_items, rows, pairs, block, draw(st.integers(1, 3 * num_items))
 
 
 @pytest.fixture(scope="module")
@@ -210,14 +239,61 @@ class TestEdgeSimilarities:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(similarity_instances())
     def test_random_instance_over_several_edge_blocks(self, monkeypatch, instance):
-        num_items, rows, edges, block = instance
+        num_items, rows, edges, block, cells = instance
         monkeypatch.setattr(_kernels, "EDGE_BLOCK", block)
+        monkeypatch.setattr(_kernels, "MARK_CELLS", cells)
         ratings = ratings_from_dicts(num_items, *rows)
         src, dst = zip(*edges)
         pcc, vss = self.edge_values(ratings, src, dst)
         for e, (u, f) in enumerate(edges):
             assert pcc[e] == pytest.approx(brute_pcc(rows[u], rows[f]), abs=1e-12)
             assert vss[e] == pytest.approx(brute_vss(rows[u], rows[f]), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blocking_instances())
+    def test_values_do_not_depend_on_the_blocking(self, monkeypatch, instance):
+        """Each pair's value, scored among all the pairs with blocks cut
+        small (one source per block when the cells hold less than two rows;
+        the heavy source's run split across blocks), equals its value scored
+        alone, bit for bit."""
+        num_items, rows, pairs, block, cells = instance
+        monkeypatch.setattr(_kernels, "EDGE_BLOCK", block)
+        monkeypatch.setattr(_kernels, "MARK_CELLS", cells)
+        ratings = ratings_from_dicts(num_items, *rows)
+        src, dst = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        for tag in ("pcc", "vss"):
+            alone = [pair_similarities(ratings, tag, src[e:e + 1], dst[e:e + 1])[0]
+                     for e in range(src.size)]
+            assert pair_similarities(ratings, tag, src, dst).tolist() == alone
+
+    def test_marker_table_memory_is_bounded(self):
+        """On a wide item span, where a table of every source's row would
+        take 60 MB, the peak allocation of a PCC build stays within the
+        marker table's cap plus 2 MiB of block temporaries. Each user rates
+        ten of the first 50 items, so pairs overlap, and ten of the rest."""
+        rng = np.random.default_rng(7)
+        num_users, num_items = 300, 200_000
+        users = np.repeat(np.arange(num_users), 20)
+        items = np.concatenate([np.sort(np.concatenate((
+            rng.choice(50, 10, replace=False),
+            rng.choice(np.arange(50, num_items), 10, replace=False))))
+            for _ in range(num_users)])
+        items[-1] = num_items - 1
+        ratings = SparseRatings(num_users, num_items, users, items,
+                                rng.integers(1, 6, users.size).astype(float))
+        src = np.repeat(np.arange(num_users), 8)
+        dst = (src + rng.integers(1, num_users, src.size)) % num_users
+        ratings.user_means()
+        assert num_users * num_items > 10 * _kernels.MARK_CELLS
+        tracemalloc.start()
+        try:
+            sims = pair_similarities(ratings, "pcc", src, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _kernels.MARK_CELLS + 2 * 2**20
+        assert np.count_nonzero(sims != 0.5) > src.size // 2
 
 
 class TestFusedEpoch:
