@@ -12,6 +12,7 @@ may hold keys for other runs. Exit codes: 0 success, 1 usage/config error,
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -45,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # no prefix matching: experiment's --seeds must not take a --seed
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # --alphas -0,0.5 passes a value, not a flag (Python 3.13's rule)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)
@@ -67,8 +70,9 @@ def _checked(parse, ok, rule):
 
 
 def _hyperparam(field, parse):
-    """A converter: ``parse`` the text, then Hyperparams' own check of ``field``."""
-    return lambda text: getattr(Hyperparams(**{field: parse(text)}), field)
+    """(converter, default) of Hyperparams' ``field``: ``parse``, then its own check."""
+    return (lambda text: getattr(Hyperparams(**{field: parse(text)}), field),
+            getattr(Hyperparams(), field))
 
 
 _EXPERIMENTS = ("compare", "alpha-sweep", "ablation", "cold-start", "sim-study")
@@ -85,19 +89,19 @@ _OPTIONS = {
     "trust": (str, None, ("social", *_EXPERIMENTS), "trust file (truster trustee per line)"),
     "out": (str, "socrec-model.bin", _RUNS["train"], "model output path"),
     "out_dir": (str, "socrec-results", _EXPERIMENTS, "directory for result CSVs"),
-    "k": (_hyperparam("k", int), 10, _TRAINING, "latent dimension"),
-    "lambda": (_hyperparam("lam", float), 3.0, _TRAINING, "L2 regularization weight"),
+    "k": (*_hyperparam("k", int), _TRAINING, "latent dimension"),
+    "lambda": (*_hyperparam("lam", float), _TRAINING, "L2 regularization weight"),
     # alpha-sweep reads --alphas in its place
-    "alpha": (_hyperparam("alpha", float), 0.01, ("social", "compare", "ablation", "cold-start"),
+    "alpha": (*_hyperparam("alpha", float), ("social", "compare", "ablation", "cold-start"),
               "social regularization weight"),
-    "learning_rate": (_hyperparam("learning_rate", float), 0.001, _TRAINING, "gradient step size"),
-    "max_epochs": (_hyperparam("max_epochs", int), 300, _TRAINING, "epoch budget of a training"),
-    "tolerance": (_hyperparam("tolerance", float), 1e-5, _TRAINING,
+    "learning_rate": (*_hyperparam("learning_rate", float), _TRAINING, "gradient step size"),
+    "max_epochs": (*_hyperparam("max_epochs", int), _TRAINING, "epoch budget of a training"),
+    "tolerance": (*_hyperparam("tolerance", float), _TRAINING,
                   "relative objective change that stops training"),
-    "init_scale": (_hyperparam("init_scale", float), 0.1, _TRAINING,
+    "init_scale": (*_hyperparam("init_scale", float), _TRAINING,
                    "initial factors are uniform on [0, init-scale]"),
-    # each experiment trains with its split's seed
-    "seed": (_hyperparam("seed", int), 1, _RUNS["train"], "factor initialization seed"),
+    # each experiment trains with its split's seed; train's default is not Hyperparams'
+    "seed": (_hyperparam("seed", int)[0], 1, _RUNS["train"], "factor initialization seed"),
     "fractions": (_checked(_list(float), lambda v: v and all(0.0 < f < 1.0 for f in v),
                            "must be one or more values in (0, 1)"), (0.9, 0.8),
                   ("compare", "alpha-sweep", "ablation"), "train fractions, e.g. 0.9,0.8"),

@@ -8,19 +8,20 @@ and lines whose first field starts with ``#`` are skipped. Ratings:
 
 The loaders read blocks of whole lines, about ``TEXT_BLOCK`` code points
 each (``_data_blocks``). numpy finds each line's field count and comment
-flag from the block's code points, so a fault names its line, and one
+flag from a byte per code point, so a fault names its line, and one
 ``str.split`` of the block gives its tokens. A column's unseen ids, in
 first-seen order from ``dict.fromkeys``, get the next indices, and a lookup
 mapped in C indexes the column (``_add_ids``). Ratings are converted with
-``float``. One ``np.unique`` over ``user * num_items + item`` (``src *
-num_users + dst``) collapses repeats (a rating's last line wins) and yields
-canonical order; the trust loader drops self-loops first. A store's
-constructor refuses input that breaks its invariants with ValueError,
-including sizes and indices that the cast to int would change
-(``_size``, ``_index_array``), and sorts only input not yet in order
-(``_canonical``). Neither store has a per-item or in-link index.
+``float``. ``_last_of_each_pair`` collapses repeats (a rating's last line
+wins); trust pairs go through ``TrustGraph.from_edges``, which drops
+self-loops first. A store's constructor refuses input that breaks its
+invariants with ValueError, including sizes and indices that the cast to
+int would change (``_size``, ``_index_array``), and alone orders pairs: by
+one argsort of the int64 key ``major * span_minor + minor``, when not yet
+in order (``_canonical``). Neither store has a per-item or in-link index.
 """
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse
@@ -34,9 +35,10 @@ import numpy as np
 TEXT_BLOCK = 1 << 16
 # rows save_ratings formats per write
 LINE_BLOCK = 8192
-# str.isspace of every code point up to the last whitespace one (U+3000)
-# and one past it, which stands for all higher code points
-_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+# str.isspace of each code point below 256, the codes of a block
+_SPACE = np.array([chr(c).isspace() for c in range(256)])
+# the whitespace code points above them
+_WIDE_SPACE = re.compile(r"[^\S\x00-\xff]")
 _NEWLINE, _HASH = ord("\n"), ord("#")
 _NO_INDICES = np.empty(0, dtype=np.int64)
 
@@ -143,11 +145,8 @@ class SparseRatings:
             raise ValueError(f"rating {values[bad]:g} outside [{RATING_MIN:g}, {RATING_MAX:g}]")
         self.num_users = _size("num_users", num_users)
         self.num_items = _size("num_items", num_items)
-        self.users, self.items, self.values = _canonical(
+        self.users, self.items, self.values, self.user_ptr = _canonical(
             ("user", "item"), (self.num_users, self.num_items), users, items, values)
-
-        self.user_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.user_ptr[1:])
 
         self._user_means = None
         self._item_counts = None
@@ -215,21 +214,24 @@ class TrustGraph:
         if np.any(edge_src == edge_dst):
             raise ValueError("self-loop edge")
         self.num_users = _size("num_users", num_users)
-        self.edge_src, self.edge_dst = _canonical(
+        self.edge_src, self.edge_dst, self.out_ptr = _canonical(
             ("source", "destination"), (self.num_users, self.num_users), edge_src, edge_dst)
-
-        self.out_ptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_src, minlength=self.num_users), out=self.out_ptr[1:])
 
     @classmethod
     def from_edges(cls, num_users, edges) -> "TrustGraph":
-        """Build from an iterable of (truster, trustee) index pairs.
-
-        Self-loops are dropped and duplicate edges collapsed.
-        """
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
-        return cls(num_users, pairs[:, 0], pairs[:, 1])
+        """Build from (truster, trustee) index pairs in any order, an
+        iterable of pairs or an ``(n, 2)`` array: self-loops are dropped,
+        repeats collapsed, and anything but index pairs in range raises
+        ValueError."""
+        num_users = _size("num_users", num_users)
+        pairs = _index_array("edges", edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError(f"edges must be (truster, trustee) pairs, got shape {pairs.shape}")
+        src, dst = pairs.reshape(-1, 2).T
+        _check_keys(("source", "destination"), (num_users, num_users), src, dst)
+        loop_free = src != dst
+        src, dst, _ = _last_of_each_pair(src[loop_free], dst[loop_free], num_users)
+        return cls(num_users, src, dst)
 
     @property
     def num_edges(self) -> int:
@@ -271,19 +273,29 @@ def _size(name, size):
 
 def _canonical(names, spans, major, minor, *rest):
     """The arrays in strictly increasing lexicographic (major, minor) order,
-    sorted only if not yet in order. Raises ValueError for a repeated pair
-    and for an index outside ``[0, span)``; ``names`` name the two indices."""
-    if not _strictly_increasing(major, minor):
-        order = np.lexsort((minor, major))
+    sorted only if not yet in order, and the row pointer of ``major``.
+    Raises ValueError as ``_check_keys`` does and for a repeated pair;
+    ``names`` name the two indices."""
+    in_order = _strictly_increasing(major, minor)
+    # in order, major's ends bound it
+    _check_keys(names, spans, major[[0, -1]] if in_order and major.size else major, minor)
+    if not in_order:
+        order = np.argsort(major * spans[1] + minor)
         major, minor, *rest = (a[order] for a in (major, minor, *rest))
         if not _strictly_increasing(major, minor):
             raise ValueError("duplicate ({}, {}) pair".format(*names))
-    # major is in order now, so its ends bound it
-    if major.size and (major[0] < 0 or major[-1] >= spans[0]):
-        raise ValueError(f"{names[0]} index out of range")
-    if minor.size and (minor.min() < 0 or minor.max() >= spans[1]):
-        raise ValueError(f"{names[1]} index out of range")
-    return (major, minor, *rest)
+    ptr = np.zeros(spans[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=spans[0]), out=ptr[1:])
+    return (major, minor, *rest, ptr)
+
+
+def _check_keys(names, spans, major, minor):
+    """ValueError unless every pair has its own int64 key ``major * spans[1] + minor``."""
+    if spans[0] * spans[1] > np.iinfo(np.int64).max:
+        raise ValueError(f"{spans[0]} {names[0]}s by {spans[1]} {names[1]}s overflow an int64 key")
+    for name, span, index in zip(names, spans, (major, minor)):
+        if index.size and (index.min() < 0 or index.max() >= span):
+            raise ValueError(f"{name} index out of range")
 
 
 def _strictly_increasing(major, minor):
@@ -332,26 +344,24 @@ def _data_blocks(path, width):
     text file, a block of whole lines at a time (``TEXT_BLOCK`` code points
     topped up to the next line end).
 
-    numpy does the line accounting over the block's code points (bytes when
-    the block is ASCII, else UTF-32): ``_SPACE`` marks whitespace, a field
-    starts at a non-space after a space or at the block's start, a line's
-    fields are the field starts from its first code point on (found with
-    ``searchsorted``), and a line is a comment when its first field starts
-    with ``#``. One ``str.split`` gives the block's tokens, and those of
-    blank, comment and faulty lines are dropped. A data line without
-    ``width`` fields raises DataFileError naming it, after the lines before
-    it were yielded, so that a fault the caller finds on an earlier line
-    wins."""
+    numpy does the line accounting over the block's Latin-1 bytes, each higher
+    code point a space if it is whitespace (``_WIDE_SPACE``), else a ``?``:
+    ``_SPACE`` marks whitespace, a field starts at a non-space after a space or
+    at the block's start, a line's fields are the field starts from its first
+    code point on (found with ``searchsorted``), and a line is a comment when
+    its first field starts with ``#``. One ``str.split`` gives the block's
+    tokens, and those of blank, comment and faulty lines are dropped. A data
+    line without ``width`` fields raises DataFileError naming it, after the
+    lines before it were yielded, so that a fault the caller finds on an
+    earlier line wins."""
     with reading(path), open(path, "r", encoding="utf-8-sig") as fh:
         start = 1
         while text := fh.read(TEXT_BLOCK):
             if text[-1] != "\n":
                 text += fh.readline()
-            if text.isascii():
-                codes = np.frombuffer(text.encode("ascii"), np.uint8)
-            else:  # higher code points clip to the table's last, non-space entry
-                codes = np.minimum(np.frombuffer(text.encode("utf-32-le"), "<u4"),
-                                   _SPACE.size - 1)
+            if not text.isascii():
+                text = _WIDE_SPACE.sub(" ", text)
+            codes = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
             space = _SPACE[codes]
             begins = ~space
             begins[1:] &= space[:-1]
@@ -450,10 +460,7 @@ def load_trust(path, ids: IdMap) -> TrustGraph:
     ends = [_NO_INDICES]
     for _, tokens in _data_blocks(path, 2):
         ends.append(ids.add_users(tokens))
-    pairs = np.concatenate(ends).reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    src, dst, _ = _last_of_each_pair(pairs[:, 0], pairs[:, 1], ids.num_users)
-    return TrustGraph(ids.num_users, src, dst)
+    return TrustGraph.from_edges(ids.num_users, np.concatenate(ends).reshape(-1, 2))
 
 
 def load_dataset(ratings_path, trust_path=None):

@@ -19,13 +19,8 @@ def low_rank_ratings(num_users, num_items, rank, seed=0, keep_fraction=1.0):
     low, high = np.sqrt(RATING_MIN / rank), np.sqrt(RATING_MAX / rank)
     user_f = rng.uniform(low, high, size=(num_users, rank))
     item_f = rng.uniform(low, high, size=(num_items, rank))
-    full = user_f @ item_f.T
-    users, items = np.meshgrid(
-        np.arange(num_users, dtype=np.int64),
-        np.arange(num_items, dtype=np.int64),
-        indexing="ij",
-    )
-    users, items, values = users.ravel(), items.ravel(), full.ravel()
+    users, items = np.divmod(np.arange(num_users * num_items), num_items)
+    values = (user_f @ item_f.T).ravel()
     if keep_fraction < 1.0:
         keep = rng.random(values.size) < keep_fraction
         users, items, values = users[keep], items[keep], values[keep]
@@ -85,14 +80,10 @@ def clustered_dataset(
         noise[u] = rng.normal(0.0, noise_sd, ratings_per_user)
     picks = picks_from_draws(draws.ravel(), np.full(num_users, ratings_per_user),
                              np.full(num_users, num_items)).reshape(num_users, ratings_per_user)
-    # each user's row in item order: the canonical order of SparseRatings
-    order = np.argsort(picks, axis=1)
-    items = np.take_along_axis(picks, order, axis=1)
-    values = prototypes[labels[:, None], items] + np.take_along_axis(noise, order, axis=1)
-    np.clip(values, RATING_MIN, RATING_MAX, out=values)
+    values = np.clip(prototypes[labels[:, None], picks] + noise, RATING_MIN, RATING_MAX)
     ratings = SparseRatings(num_users, num_items,
                             np.repeat(np.arange(num_users), ratings_per_user),
-                            items.ravel(), values.ravel())
+                            picks.ravel(), values.ravel())
     return ratings, _clustered_graph(rng, labels, num_clusters, out_degree, intra_fraction), labels
 
 
@@ -134,14 +125,7 @@ def _clustered_graph(rng, labels, num_clusters, out_degree, intra_fraction):
     block, offset = np.divmod(key - own, max(num_clusters - 1, 1))
     dst = np.where(key < own, c + member * num_clusters,
                    block * num_clusters + offset + (offset >= c))
-    return _sorted_graph(num_users, src, dst)
-
-
-def _sorted_graph(num_users, src, dst):
-    """The graph of these distinct, loop-free edges, put in (source,
-    destination) order by one sort of a combined key."""
-    edge = np.sort(src * num_users + dst)
-    return TrustGraph(num_users, edge // num_users, edge % num_users)
+    return TrustGraph(num_users, src, dst)
 
 
 _RAW_WORDS = 1 << 14  # words per bulk draw
@@ -206,4 +190,4 @@ def shuffled_graph(graph: TrustGraph, seed=0) -> TrustGraph:
     degrees = graph.out_degrees()
     src = np.repeat(np.arange(num_users), degrees)
     rank = choices(rng, degrees, np.full(num_users, num_users - 1))
-    return _sorted_graph(num_users, src, rank + (rank >= src))
+    return TrustGraph(num_users, src, rank + (rank >= src))

@@ -636,6 +636,9 @@ class TestConfigFile:
          "--alphas '0,-1': must be one or more finite values >= 0\n"),
         ("alpha-sweep", "--alphas", "0,nan",
          "--alphas '0,nan': must be one or more finite values >= 0\n"),
+        ("alpha-sweep", "--alphas", "-1,0", "--alphas '-1,0': must be one or more finite"),
+        ("alpha-sweep", "--fractions", "-0.5,0.5",
+         "--fractions '-0.5,0.5': must be one or more values in (0, 1)\n"),
         ("alpha-sweep", "--alphas", "inf", "--alphas 'inf': must be one or more finite"),
         ("alpha-sweep", "--alphas", "1e999", "--alphas '1e999': must be one or more finite"),
         ("alpha-sweep", "--seeds", ",", "--seeds ',': must be one or more values >= 0\n"),
@@ -727,6 +730,16 @@ class TestOptionTable:
                           name)
             for extra in ([_flag(name), text], ["--config", str(cfg)], []))
         assert by_flag == by_config != by_default
+
+    def test_training_defaults_are_the_hyperparams_defaults(self):
+        """--seed alone keeps its own default, 1."""
+        for name, field in _HYPERPARAMS.items():
+            default = 1 if name == "seed" else getattr(Hyperparams(), field)
+            assert _OPTIONS[name][1] == default, name
+
+    def test_a_value_may_open_with_a_negative_number(self):
+        args = build_parser().parse_args([*RUN_ARGV["alpha-sweep"], "--alphas", "-0,0.5"])
+        assert _option_value(resolve_config(args), "alphas") == (0.0, 0.5)
 
     @pytest.mark.parametrize("name,run", UNREAD)
     def test_a_flag_the_run_does_not_read_is_refused_before_any_file(

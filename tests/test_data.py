@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,62 @@ def test_stores_take_whole_floats_and_keep_integer_arrays():
     assert graph.edge_src is src and graph.edge_dst is dst
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SparseRatings(4, 2**62, [3], [2**62 - 1], [3.0]),
+     "4 users by 4611686018427387904 items"),
+    (lambda: SparseRatings(2**62, 2, [], [], []), "4611686018427387904 users by 2 items"),
+    (lambda: TrustGraph(2**32, [0], [1]), "4294967296 sources by 4294967296 destinations"),
+    (lambda: TrustGraph.from_edges(2**32, [(2**32 - 1, 0)]), "4294967296 sources"),
+], ids=["ratings", "empty-ratings", "graph", "from-edges"])
+def test_stores_refuse_more_pairs_than_an_int64_key_holds(build, message):
+    """A store sorts by the key ``major * span_minor + minor``, so index
+    spaces with more than 2**63 - 1 pairs raise ValueError naming both
+    sizes instead of overflowing the key."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_stores_take_the_largest_key_space():
+    ratings = SparseRatings(1, 2**63 - 1, [0, 0], [2**63 - 2, 5], [3.0, 4.0])
+    assert ratings.items.tolist() == [5, 2**63 - 2] and ratings.values.tolist() == [4.0, 3.0]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0.7, 1.9)], "edges must be whole-number indices, got 0.7"),
+    ([(1, 2.5)], "edges must be whole-number indices, got 2.5"),
+    ([(True, False)], "edges must be integer indices, not bools"),
+    (np.array([[False, True]]), "edges must be integer indices, not bools"),
+    ([(0, 1, 2, 3)], r"edges must be \(truster, trustee\) pairs, got shape \(1, 4\)"),
+    ([0, 1], r"edges must be \(truster, trustee\) pairs, got shape \(2,\)"),
+    (np.arange(6).reshape(2, 3), r"edges must be .* got shape \(2, 3\)"),
+], ids=["fractional", "fractional-trustee", "bools", "bool-array", "four-wide", "flat",
+        "three-columns"])
+def test_from_edges_refuses_what_is_not_index_pairs(edges, message):
+    """Input that a cast or a reshape would turn into other edges raises
+    ValueError naming the fault."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TrustGraph.from_edges(5, edges)
+
+
+@pytest.mark.parametrize("edges, name", [
+    ([(0, 5)], "destination"), ([(1, -1)], "destination"), ([(3, 0)], "source"),
+    ([(-1, 2)], "source"), (np.array([[0, 1], [2, 3]]), "destination"),
+])
+def test_from_edges_refuses_indices_out_of_range(edges, name):
+    """An index outside the users raises, and never becomes another pair of
+    the same combined key: (0, 5) is not (1, 2) among 3 users."""
+    with pytest.raises(ValueError, match=f"^{name} index out of range"):
+        TrustGraph.from_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges", [[], (), np.empty((0, 2), dtype=np.int64),
+                                   np.empty((0, 2)), iter([])])
+def test_from_edges_takes_no_edges(edges):
+    graph = TrustGraph.from_edges(1, edges)
+    assert graph.num_edges == 0 and graph.out_ptr.tolist() == [0, 0]
+    assert graph.edge_src.dtype == graph.edge_dst.dtype == np.int64
+
+
 class TestIdMap:
     def test_bijective_both_directions(self, tmp_path):
         path = write(tmp_path, "r.tsv", "a x 4\nb y 2\nc x 1\n")
@@ -256,12 +314,57 @@ class TestLoadTrust:
         with pytest.raises(DataFileError, match=":1"):
             load_trust(tpath, ids)
 
+    def test_equals_from_edges_on_the_same_pairs(self, tmp_path):
+        """The loader and ``from_edges`` share one path from raw edges:
+        self-loops dropped, repeats collapsed, then the store."""
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(0, 12, (200, 2))
+        tpath = write(tmp_path, "t.tsv", "".join(f"{a} {b}\n" for a, b in pairs))
+        ids = data_module.IdMap()
+        ids.add_users([str(u) for u in range(12)])
+        loaded = load_trust(tpath, ids)
+        for edges in (pairs, pairs.tolist()):
+            built = TrustGraph.from_edges(12, edges)
+            for got, want in ((built.edge_src, loaded.edge_src), (built.edge_dst, loaded.edge_dst),
+                              (built.out_ptr, loaded.out_ptr)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 0 < loaded.num_edges < len(pairs)
+
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(5)
         edges = {(int(a), int(b)) for a, b in rng.integers(0, 20, (60, 2)) if a != b}
         graph = TrustGraph.from_edges(20, edges)
         assert graph.out_degrees().sum() == graph.num_edges
         assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == sorted(edges)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_block_of_wide_ids_takes_a_byte_per_code_point(tmp_path):
+    """The line accounting of one block of CJK ids holds a byte per code
+    point in each of its block-long arrays. Beyond the peak of decoding and
+    splitting the text, the reader's peak stays under four bytes per code
+    point, which one UTF-32 copy of the block, or UTF-8 codes with their
+    masks, would exceed."""
+    rng = np.random.default_rng(3)
+    ids = ["".join(map(chr, 0x4E00 + rng.integers(0, 20_000, 16))) for _ in range(40)]
+    text = "".join(f"{ids[a]}\t{ids[b]}\n" for a, b in rng.integers(0, 40, (1880, 2)))
+    assert 60_000 < len(text) <= data_module.TEXT_BLOCK
+    path = write(tmp_path, "t.tsv", text)
+    split = _traced_peak(lambda: path.read_text(encoding="utf-8").split())
+
+    def read():
+        for _ in data_module._data_blocks(path, 2):
+            pass
+
+    assert _traced_peak(read) - split < 4 * len(text)
 
 
 class TestSplitRatings:

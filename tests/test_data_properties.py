@@ -188,6 +188,12 @@ def _columns(rows, width):
     return list(np.array(rows, dtype=np.float64).reshape(-1, width).T)
 
 
+def _assert_bitwise_equal(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestStoresHoldTheirInvariants:
     """Each constructor returns a store holding every invariant of its
     class, or raises ValueError when its input breaks one; input in any
@@ -222,6 +228,35 @@ class TestStoresHoldTheirInvariants:
         assert all(a < b for a, b in zip(edges, edges[1:]))
         assert all(s != t and 0 <= s < m and 0 <= t < m for s, t in edges)
         assert graph.out_ptr.tolist() == [sum(s < v for s, _ in edges) for v in range(m + 1)]
+
+    @given(data=st.data(), minor_span=st.sampled_from([1, 2, 5, 2**20, 2**40]))
+    def test_any_order_builds_the_sorted_store(self, data, minor_span):
+        """A permutation of valid input builds a store bitwise equal to the
+        one built from the same pairs in canonical order."""
+        m = data.draw(st.integers(1, 6))
+        pairs = sorted(data.draw(st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, minor_span - 1)),
+            unique=True, max_size=20)))
+        order = data.draw(st.permutations(range(len(pairs))))
+        values = data.draw(st.lists(st.floats(1.0, 5.0), min_size=len(pairs),
+                                    max_size=len(pairs)))
+
+        def ratings(rows):
+            rows = [[*pairs[r], values[r]] for r in rows]
+            return SparseRatings(m, minor_span, *_columns(rows, 3))
+
+        _assert_bitwise_equal(ratings(order), ratings(range(len(pairs))),
+                              ("users", "items", "values", "user_ptr"))
+        edges = sorted(data.draw(st.lists(
+            st.tuples(st.integers(0, m), st.integers(0, m)).filter(lambda e: e[0] != e[1]),
+            unique=True, max_size=20)))
+        order = data.draw(st.permutations(range(len(edges))))
+
+        def graph(rows):
+            return TrustGraph(m + 1, *np.array([edges[r] for r in rows]).reshape(-1, 2).T)
+
+        _assert_bitwise_equal(graph(order), graph(range(len(edges))),
+                              ("edge_src", "edge_dst", "out_ptr"))
 
     @given(user_shape=st.lists(st.integers(0, 3), min_size=1, max_size=3),
            item_shape=st.lists(st.integers(0, 3), min_size=1, max_size=3))

@@ -64,16 +64,6 @@ def test_clustered_dataset_matches_the_loop_oracle(params, seed):
     assert_matches_loop_oracle(dict(params, seed=seed))
 
 
-def test_outputs_are_built_in_canonical_order(monkeypatch):
-    """Neither output needs ``data._canonical``'s sort."""
-    def no_sort(*args, **kwargs):
-        raise AssertionError("lexsort called")
-
-    monkeypatch.setattr(data.np, "lexsort", no_sort)
-    _, graph, _ = clustered_dataset(num_users=300, num_items=40, ratings_per_user=12, seed=3)
-    shuffled_graph(graph, seed=4)
-
-
 @pytest.mark.parametrize("params,name", [
     (dict(num_items=8, ratings_per_user=9), "ratings_per_user"),
     (dict(ratings_per_user=-1), "ratings_per_user"),

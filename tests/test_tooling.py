@@ -88,15 +88,28 @@ if main(argv) != 0:
 
 
 def test_whitespace_table_covers_every_whitespace_code_point():
-    """The block reader marks whitespace with a table of ``str.isspace``
-    whose last entry stands for every higher code point, so it splits
-    fields where ``str.split`` does. A Python release that adds a
-    whitespace code point past the table fails here."""
-    from socrec.data import _SPACE
+    """The block reader marks whitespace in a byte per code point: the
+    code points below 256 keep their own byte, which ``_SPACE`` maps to
+    ``str.isspace``, after ``_WIDE_SPACE`` has made each higher whitespace
+    code point a space. So it splits fields where ``str.split`` does, and a
+    Python release that adds a whitespace code point still does."""
+    from socrec.data import _SPACE, _WIDE_SPACE
 
-    assert _SPACE.tolist() == [chr(c).isspace() for c in range(_SPACE.size)]
-    assert not _SPACE[-1]
-    assert not any(chr(c).isspace() for c in range(_SPACE.size, sys.maxunicode + 1))
+    assert _SPACE.tolist() == [chr(c).isspace() for c in range(256)]
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _WIDE_SPACE.findall(every) == [c for c in every[256:] if c.isspace()]
+
+
+def test_toy_data_script_reproduces_the_bundled_files(tmp_path, monkeypatch):
+    """``scripts/gen_toydata.py`` writes the toy files the package ships."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_toydata", SRC.parent / "scripts" / "gen_toydata.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT_DIR", tmp_path)
+    script.main()
+    for name in ("ratings.tsv", "trust.tsv"):
+        assert (tmp_path / name).read_bytes() == (SRC / "socrec" / "toydata" / name).read_bytes()
 
 
 @pytest.fixture
