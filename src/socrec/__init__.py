@@ -55,9 +55,6 @@ from .similarity import (
     SimilarityKind,
     SimilarityTable,
     build_similarity_table,
-    map_to_unit,
-    pcc,
-    vss,
 )
 
 __version__ = "0.1.0"
@@ -89,10 +86,8 @@ __all__ = [
     "load_ratings",
     "load_trust",
     "mae_rmse",
-    "map_to_unit",
     "objective_basic",
     "objective_social",
-    "pcc",
     "predict",
     "predict_item_mean",
     "predict_user_mean",
@@ -105,5 +100,4 @@ __all__ = [
     "save_ratings",
     "split_ratings",
     "train",
-    "vss",
 ]

@@ -121,12 +121,6 @@ def residual_matrix(user_ptr, items, num_items):
                 shape=(user_ptr.shape[0] - 1, num_items))
 
 
-def data_gradients(resid, user_f, item_f, resid_t=None):
-    """Data-term gradients (resid @ item_f, residᵀ @ user_f) of a sparse
-    residual matrix; ``resid_t`` is ``resid.T`` when the caller keeps it."""
-    return resid @ item_f, (resid.T if resid_t is None else resid_t) @ user_f
-
-
 def social_laplacian(num_users, edge_src, edge_dst, edge_sim):
     """D - (W + Wᵀ) as CSR, where W[src, dst] = sim per edge.
 
@@ -272,7 +266,7 @@ def rating_gradients(user_f, item_f, users, items, values, *, resid=None, resid_
     if resid is None:
         err = residuals(user_f, item_f, users, items, values, np.empty(users.shape[0]))
         resid = _csr((err, (users, items)), shape=(user_f.shape[0], item_f.shape[0]))
-    return data_gradients(resid, user_f, item_f, resid_t)
+    return resid @ item_f, (resid.T if resid_t is None else resid_t) @ user_f
 
 
 def social_penalty(user_f, edge_src, edge_dst, edge_sim, *, laplacian=None):

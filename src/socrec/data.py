@@ -15,10 +15,11 @@ mapped in C indexes the column (``_add_ids``). Ratings are converted with
 ``float``. ``_last_of_each_pair`` collapses repeats (a rating's last line
 wins); trust pairs go through ``TrustGraph.from_edges``, which drops
 self-loops first. A store's constructor refuses input that breaks its
-invariants with ValueError, including sizes and indices that the cast to
-int would change (``_size``, ``_index_array``), and alone orders pairs: by
-one argsort of the int64 key ``major * span_minor + minor``, when not yet
-in order (``_canonical``). Neither store has a per-item or in-link index.
+invariants with ValueError, including sizes, indices and ratings that the
+cast to a number would change (``_size``, ``_index_array``, ``_numbers``),
+and alone orders pairs: by one argsort of the int64 key ``major *
+span_minor + minor``, when not yet in order (``_canonical``). Neither store
+has a per-item or in-link index.
 """
 
 import re
@@ -137,7 +138,7 @@ class SparseRatings:
 
     def __init__(self, num_users, num_items, users, items, values):
         users, items = _index_array("users", users), _index_array("items", items)
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        values = np.ascontiguousarray(_numbers("values", values, "ratings"), dtype=np.float64)
         if not (users.shape == items.shape == values.shape):
             raise ValueError("users, items and values must have equal length")
         bad = _first_outside_rating_range(values)
@@ -186,12 +187,6 @@ class SparseRatings:
                 raise ValueError("empty ratings have no global mean")
             self._global_mean = float(self.values.mean())
         return self._global_mean
-
-    def with_num_users(self, num_users: int) -> "SparseRatings":
-        """Same entries over a wider user index space (extra users rate nothing)."""
-        if num_users < self.num_users:
-            raise ValueError("cannot shrink the user index space")
-        return SparseRatings(num_users, self.num_items, self.users, self.items, self.values)
 
     def triples(self):
         """Iterate entries as (user, item, rating) in canonical order."""
@@ -245,13 +240,28 @@ class TrustGraph:
         return np.diff(self.out_ptr)
 
 
+def _numbers(name, values, kind):
+    """``values`` as an array. Bools and strings, which a cast would turn
+    into numbers without a word, raise ValueError naming ``name`` and what
+    it must hold, ``kind``: found by the dtype and, for input that is not
+    an ndarray yet, by the type of each element, since ``np.asarray`` makes
+    ints of the bools in a list that also holds ints."""
+    array = np.asarray(values)
+    found = {array.dtype.type}
+    if not isinstance(values, np.ndarray):
+        found.update(map(type, np.asarray(values, dtype=object).flat))
+    for types, what in (((bool, np.bool_), "bools"), ((str, bytes), "strings")):
+        if any(issubclass(t, types) for t in found):
+            raise ValueError(f"{name} must be {kind}, not {what}")
+    return array
+
+
 def _index_array(name, indices):
     """``indices`` as a contiguous int64 array, not copied when it is one.
-    Bools, and floats that are not whole numbers, which the cast would turn
-    into other indices without a word, raise ValueError naming ``name``."""
-    indices = np.asarray(indices)
-    if indices.dtype == bool:
-        raise ValueError(f"{name} must be integer indices, not bools")
+    Bools, strings (``_numbers``), and floats that are not whole numbers,
+    which the cast would turn into other indices without a word, raise
+    ValueError naming ``name``."""
+    indices = _numbers(name, indices, "integer indices")
     if indices.dtype.kind == "f":
         whole = np.isfinite(indices) & (np.trunc(indices) == indices)
         if not whole.all():
@@ -454,8 +464,9 @@ def load_trust(path, ids: IdMap) -> TrustGraph:
     """Load a trust file as a directed graph over the shared user index space.
 
     Self-loops are dropped, duplicate edges collapsed. Users that appear only
-    in the trust file are appended to the IdMap; align any previously loaded
-    ratings with ``ratings.with_num_users(ids.num_users)`` afterwards.
+    in the trust file are appended to the IdMap; ratings loaded before then
+    cover fewer users, and ``load_dataset`` builds them again over all of
+    ``ids``.
     """
     ends = [_NO_INDICES]
     for _, tokens in _data_blocks(path, 2):
@@ -473,7 +484,8 @@ def load_dataset(ratings_path, trust_path=None):
     if trust_path is not None:
         graph = load_trust(trust_path, ids)
         if ids.num_users > ratings.num_users:
-            ratings = ratings.with_num_users(ids.num_users)
+            ratings = SparseRatings(ids.num_users, ratings.num_items,
+                                    ratings.users, ratings.items, ratings.values)
     return ratings, graph, ids
 
 

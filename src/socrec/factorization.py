@@ -9,10 +9,9 @@ are fully deterministic given (seed, hyperparameters, data).
 Factors are stored row-per-user / row-per-item (shape (M, K) and (N, K));
 each row is one latent column vector of the factor matrices. A training
 keeps both in one C-contiguous (M + N, K) block, users first, so each
-whole-model pass of an epoch (the L2 products, the gradient, the update
-and the finiteness check) is one numpy call; the model's two factor
-arrays are adjacent views of that block, as those of ``load_model`` are
-of the file body.
+whole-model pass of an epoch (the L2 products, the gradient and the
+update) is one numpy call; the model's two factor arrays are adjacent
+views of that block, as those of ``load_model`` are of the file body.
 """
 
 import codecs
@@ -28,9 +27,10 @@ from .similarity import SimilarityTable
 
 
 class DivergenceError(RuntimeError):
-    """Training left the finite range: the factors of an epoch (learning
-    rate too high), or, given the ``init_scale`` at fault, the objective of
-    the initial factors at epoch 0."""
+    """Training left the finite range: the objective of an epoch, whose
+    factors overflowed (learning rate too high), or, given the
+    ``init_scale`` at fault, the objective of the initial factors at
+    epoch 0."""
 
     def __init__(self, epoch: int, init_scale: float | None = None):
         super().__init__(f"non-finite factors at epoch {epoch}; lower the learning rate"
@@ -298,7 +298,8 @@ def train(
     Pass graph and sim together for the social variant, or neither for the
     basic one. Stops when the relative objective change drops below
     hp.tolerance or after hp.max_epochs epochs. Raises DivergenceError if
-    factors or the objective leave the finite range.
+    the objective leaves the finite range, as it does at the epoch whose
+    step overflows a factor.
 
     One ``_Epoch`` per call holds the operands every epoch reuses, over
     the one factor block of ``init_model``. Each epoch is its ``step`` (the
@@ -331,8 +332,6 @@ def train(
             raise DivergenceError(0, hp.init_scale)
         for n in range(1, hp.max_epochs + 1):
             epoch.step(eta)
-            if not np.isfinite(epoch.factors).all():
-                raise DivergenceError(n)
             # the last epoch's pull would feed no step
             data, l2, social = epoch.terms(keep_pull=n < hp.max_epochs)
             current = data + l2 + social

@@ -100,45 +100,15 @@ class SimilarityTable:
         return self._laplacian
 
 
-def map_to_unit(x):
-    """Affine map from [-1, 1] onto [0, 1], elementwise on arrays."""
-    return (x + 1.0) / 2.0
-
-
-def _single_edge(u, f):
-    return (np.array([u], dtype=np.int64), np.array([f], dtype=np.int64))
-
-
-def pcc(ratings: SparseRatings, u: int, f: int) -> float:
-    """Pearson correlation between two users over their co-rated items.
-
-    Deviations use each user's mean over all their rated items. Returns 0
-    when the overlap has fewer than two items or a denominator vanishes.
-    """
-    src, dst = _single_edge(u, f)
-    out = _kernels.pcc_edges(
-        ratings.user_ptr, ratings.items, ratings.values, ratings.user_means(),
-        src, dst,
-    )
-    return float(out[0])
-
-
-def vss(ratings: SparseRatings, u: int, f: int) -> float:
-    """Cosine similarity between two users over their co-rated items.
-
-    Returns 0 on empty overlap or a zero denominator.
-    """
-    return float(pair_similarities(ratings, "vss", *_single_edge(u, f))[0])
-
-
 def pair_similarities(ratings: SparseRatings, tag: str, src, dst) -> np.ndarray:
     """Similarity in [0, 1] of each user pair (src[e], dst[e]): VSS for
     ``tag == "vss"``, else PCC mapped onto [0, 1]."""
     if tag == "vss":
         return _kernels.vss_edges(ratings.user_ptr, ratings.items, ratings.values, src, dst)
-    return map_to_unit(_kernels.pcc_edges(
+    pearson = _kernels.pcc_edges(
         ratings.user_ptr, ratings.items, ratings.values, ratings.user_means(), src, dst,
-    ))
+    )
+    return (pearson + 1.0) / 2.0
 
 
 def build_similarity_table(

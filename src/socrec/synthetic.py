@@ -6,12 +6,12 @@ from ._choice import choices, draw_bounds, picks_from_draws
 from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph, seeded_generator
 
 
-def low_rank_ratings(num_users, num_items, rank, seed=0, keep_fraction=1.0):
-    """Noiseless ratings matrix with an exact low-rank structure.
+def low_rank_ratings(num_users, num_items, rank, seed=0):
+    """Noiseless ratings matrix with an exact low-rank structure, every
+    cell observed.
 
     Planted factors are drawn so every inner product lands inside the
-    rating range. Returns (ratings, user_factors, item_factors); set
-    ``keep_fraction`` below 1 to observe only a random subset of cells.
+    rating range. Returns (ratings, user_factors, item_factors).
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -21,9 +21,6 @@ def low_rank_ratings(num_users, num_items, rank, seed=0, keep_fraction=1.0):
     item_f = rng.uniform(low, high, size=(num_items, rank))
     users, items = np.divmod(np.arange(num_users * num_items), num_items)
     values = (user_f @ item_f.T).ravel()
-    if keep_fraction < 1.0:
-        keep = rng.random(values.size) < keep_fraction
-        users, items, values = users[keep], items[keep], values[keep]
     ratings = SparseRatings(num_users, num_items, users, items, values)
     return ratings, user_f, item_f
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from socrec import DatasetSplit, FactorModel, SimilarityTable, SparseRatings, TrustGraph
+from socrec import _kernels
 
 
 def random_ratings(rng, num_users, num_items, per_user=None):
@@ -67,3 +68,10 @@ def split_of(train, triples):
     test = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
     return DatasetSplit(train, test[:, 0].astype(np.int64), test[:, 1].astype(np.int64),
                         test[:, 2])
+
+
+def raw_pcc(ratings, u, f):
+    """Pearson correlation of users u and f on [-1, 1], before
+    ``pair_similarities`` maps it onto [0, 1]."""
+    return float(_kernels.pcc_edges(ratings.user_ptr, ratings.items, ratings.values,
+                                    ratings.user_means(), np.array([u]), np.array([f]))[0])

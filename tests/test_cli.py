@@ -120,6 +120,11 @@ class TestTrainCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_train_without_ratings_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("train", "--method", "mf", "--out", str(tmp_path / "m.bin"))
+        assert code == 1
+        assert capsys.readouterr().err == "socrec: error: --ratings is required\n"
+
     def test_missing_ratings_file_is_data_error(self, tmp_path, capsys):
         code = run_cli("train", "--method", "mf",
                        "--ratings", str(tmp_path / "nope.tsv"))

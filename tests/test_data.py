@@ -129,6 +129,10 @@ class TestSparseRatings:
         per_item = [sum(1 for _, i, _ in from_rows if i == item) for item in range(7)]
         assert ratings.item_counts().tolist() == per_item
 
+    def test_empty_store_has_no_global_mean(self):
+        with pytest.raises(ValueError, match="empty ratings have no global mean"):
+            SparseRatings(2, 2, [], [], []).global_mean()
+
     def test_user_means(self):
         ratings = SparseRatings(2, 2, [0, 0, 1], [0, 1, 0], [2.0, 4.0, 5.0])
         np.testing.assert_allclose(ratings.user_means(), [3.0, 5.0])
@@ -176,13 +180,25 @@ def test_no_store_skips_its_checks(build):
     (lambda: SparseRatings(2, 2.5, [], [], []), "num_items"),
     (lambda: TrustGraph(-1, [], []), "num_users"),
     (lambda: TrustGraph(2.5, [], []), "num_users"),
+    (lambda: SparseRatings(None, 2, [], [], []), "num_users"),
+    (lambda: SparseRatings(2, float("nan"), [], [], []), "num_items"),
+    (lambda: TrustGraph(float("inf"), [], []), "num_users"),
+    (lambda: SparseRatings(2, 2, [True, 1], [0, 1], [3.0, 4.0]), "users"),
+    (lambda: TrustGraph(3, ["0"], ["1"]), "edge_src"),
+    (lambda: TrustGraph(3, [0], np.array([b"1"])), "edge_dst"),
+    (lambda: SparseRatings(2, 2, [0, 1], [0, 1], ["3", "4"]), "values"),
+    (lambda: SparseRatings(2, 2, [0, 1], [0, 1], [True, 4.0]), "values"),
+    (lambda: SparseRatings(2, 2, [0, 1], [0, 1], np.array([True, True])), "values"),
 ], ids=["fractional-user", "fractional-item", "nan-item", "bool-user", "bool-item",
         "fractional-source", "fractional-destination", "bool-source", "bool-destination",
         "negative-users", "fractional-users", "negative-items", "fractional-items",
-        "graph-negative-users", "graph-fractional-users"])
+        "graph-negative-users", "graph-fractional-users", "none-users", "nan-items",
+        "graph-infinite-users", "bool-among-users", "string-source", "bytes-destination",
+        "string-ratings", "bool-among-ratings", "bool-ratings"])
 def test_stores_refuse_indices_a_cast_would_change(build, name):
-    """An index or size that int64 would truncate, or a bool, raises
-    ValueError naming its parameter instead of becoming another index."""
+    """An index or size that int64 would truncate, or a bool or string
+    among indices or ratings, raises ValueError naming its parameter
+    instead of becoming another number."""
     with pytest.raises(ValueError, match=f"^{name} must"):
         build()
 
@@ -214,6 +230,18 @@ def test_stores_refuse_more_pairs_than_an_int64_key_holds(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SparseRatings(2, 2, [0], [0, 1], [3.0]),
+     "users, items and values must have equal length"),
+    (lambda: SparseRatings(2, 2, [0, 1], [0, 1], [3.0]),
+     "users, items and values must have equal length"),
+    (lambda: TrustGraph(3, [0], [1, 2]), "edge_src and edge_dst must have equal length"),
+], ids=["items", "values", "edges"])
+def test_stores_refuse_arrays_of_unequal_length(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_stores_take_the_largest_key_space():
     ratings = SparseRatings(1, 2**63 - 1, [0, 0], [2**63 - 2, 5], [3.0, 4.0])
     assert ratings.items.tolist() == [5, 2**63 - 2] and ratings.values.tolist() == [4.0, 3.0]
@@ -223,12 +251,14 @@ def test_stores_take_the_largest_key_space():
     ([(0.7, 1.9)], "edges must be whole-number indices, got 0.7"),
     ([(1, 2.5)], "edges must be whole-number indices, got 2.5"),
     ([(True, False)], "edges must be integer indices, not bools"),
+    ([(True, 2)], "edges must be integer indices, not bools"),
+    ([("0", "1")], "edges must be integer indices, not strings"),
     (np.array([[False, True]]), "edges must be integer indices, not bools"),
     ([(0, 1, 2, 3)], r"edges must be \(truster, trustee\) pairs, got shape \(1, 4\)"),
     ([0, 1], r"edges must be \(truster, trustee\) pairs, got shape \(2,\)"),
     (np.arange(6).reshape(2, 3), r"edges must be .* got shape \(2, 3\)"),
-], ids=["fractional", "fractional-trustee", "bools", "bool-array", "four-wide", "flat",
-        "three-columns"])
+], ids=["fractional", "fractional-trustee", "bools", "bool-among-ints", "strings",
+        "bool-array", "four-wide", "flat", "three-columns"])
 def test_from_edges_refuses_what_is_not_index_pairs(edges, message):
     """Input that a cast or a reshape would turn into other edges raises
     ValueError naming the fault."""

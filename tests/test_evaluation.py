@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -177,6 +178,28 @@ class TestRunComparison:
         results = run_comparison(ratings, graph, fractions=(0.8,), seeds=(1, 2), hp=hp)
         by_method = {r.method: r.per_seed for r in results}
         assert by_method["social_mf"] == by_method["basic_mf"]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda r, g: run_comparison(r, None, (0.8,), (1,), planted_hp()),
+     "social_mf requires a trust graph"),
+    (lambda r, g: run_comparison(r, g, (), (1,), planted_hp()),
+     "need at least one fraction and one seed"),
+    (lambda r, g: run_comparison(r, g, (0.8,), (), planted_hp()),
+     "need at least one fraction and one seed"),
+    (lambda r, g: run_alpha_sweep(r, g, (), planted_hp()), "need at least one alpha"),
+    (lambda r, g: run_similarity_ablation(r, g, (), planted_hp()),
+     "need at least one similarity kind"),
+    (lambda r, g: run_similarity_study(r, g, min_out_degree=0),
+     "min_out_degree must be >= 1, got 0"),
+    (lambda r, g: run_similarity_study(r, g, kind="constant"),
+     "similarity study supports 'vss' or 'pcc'"),
+], ids=["no-graph", "no-fractions", "no-seeds", "no-alphas", "no-kinds", "min-out-degree-0",
+        "study-kind"])
+def test_runners_refuse_what_they_cannot_run(run, message):
+    ratings = SparseRatings(3, 2, [0, 1, 2], [0, 1, 0], [3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(ratings, TrustGraph.from_edges(3, [(0, 1), (1, 2)]))
 
 
 class TestRunAlphaSweep:

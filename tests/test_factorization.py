@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +96,11 @@ class TestInitModel:
         model = init_model(50, 40, tiny_hp(init_scale=0.25, seed=3))
         for arr in (model.user_factors, model.item_factors):
             assert arr.min() >= 0.0 and arr.max() <= 0.25
+
+    @pytest.mark.parametrize("users,items", [(0, 3), (3, 0), (-1, 3), (3, -2)])
+    def test_no_users_or_no_items_rejected(self, users, items):
+        with pytest.raises(ValueError, match="need at least one user and one item"):
+            init_model(users, items, tiny_hp())
 
 
 class TestDerivedFields:
@@ -258,6 +266,18 @@ class TestTrain:
         twin = TrustGraph.from_edges(4, [(0, 1), (1, 2)])
         train(train_set, tiny_hp(alpha=0.5), graph, SimilarityTable(twin, np.ones(2)))
 
+    def test_graph_over_other_users_rejected(self):
+        train_set = random_ratings(np.random.default_rng(5), 4, 4)
+        graph = TrustGraph.from_edges(5, [(0, 1), (3, 4)])
+        with pytest.raises(ValueError, match="graph and ratings must share the user index space"):
+            train(train_set, tiny_hp(alpha=0.5), graph, SimilarityTable(graph, np.ones(2)))
+
+    def test_empty_ratings_rejected_before_the_factors_are_drawn(self):
+        """An empty store over 10**12 items would have init_model draw
+        terabytes of factors; the check comes first."""
+        with pytest.raises(ValueError, match="cannot train on an empty ratings set"):
+            train(SparseRatings(3, 10 ** 12, [], [], []), tiny_hp())
+
     def test_rank_one_recovery(self):
         """Reconstructs a noiseless rank-1 matrix to train RMSE below 0.01."""
         ratings, _, _ = low_rank_ratings(10, 10, rank=1, seed=3)
@@ -339,6 +359,14 @@ class TestTrain:
                          max_epochs=200, tolerance=1e-12, init_scale=0.1, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train(ratings, hp)
+
+    def test_divergence_of_the_initial_factors_names_the_initial_scale(self):
+        ratings, _, _ = low_rank_ratings(4, 3, rank=1, seed=1)
+        with pytest.raises(DivergenceError, match=re.escape(
+                "non-finite objective at epoch 0, from initial factors on [0, 1e+300]; "
+                "lower the initial scale")) as info:
+            train(ratings, tiny_hp(init_scale=1e300))
+        assert info.value.epoch == 0
 
     def test_factors_finite_after_training(self):
         rng = np.random.default_rng(9)
@@ -491,6 +519,54 @@ class TestFactorBlock:
         struct_save_model(tmp_path / "packed.bin", model.user_factors.tolist(),
                           model.item_factors.tolist(), model.global_mean)
         assert (tmp_path / "block.bin").read_bytes() == (tmp_path / "packed.bin").read_bytes()
+
+
+def untouched_instance():
+    """A 9 x 7 store whose last user and last item no rating touches, and a
+    trust graph with edges (8, 0) and (2, 8), every third similarity 0."""
+    rng = np.random.default_rng(12)
+    rated = random_ratings(rng, 8, 6)
+    ratings = SparseRatings(9, 7, rated.users, rated.items, rated.values)
+    edges = [(u, v) for u in range(9) for v in range(9) if u != v and rng.random() < 0.3]
+    graph = TrustGraph.from_edges(9, edges + [(8, 0), (2, 8)])
+    values = rng.uniform(0.0, 1.0, graph.num_edges)
+    values[::3] = 0.0
+    return ratings, graph, SimilarityTable(graph, values)
+
+
+class TestDivergenceEpochs:
+    """When a run diverges, and how long a run that does not takes, as
+    recorded from the trainer that also checked the factors after each
+    step: the objective check alone finds every divergence at that epoch."""
+
+    @pytest.mark.parametrize("social,lam,learning_rate,outcome,epochs", [
+        (False, 0.0, 0.02, "converges", 2209), (False, 0.0, 0.1, "diverges", 259),
+        (False, 0.0, 0.2, "diverges", 9), (False, 0.1, 0.02, "converges", 1050),
+        (False, 0.1, 0.1, "diverges", 179), (False, 0.1, 0.2, "diverges", 10),
+        (False, 5.0, 0.02, "converges", 35), (False, 5.0, 0.1, "diverges", 25),
+        (False, 5.0, 0.2, "diverges", 9),
+        (True, 0.0, 0.02, "converges", 2718), (True, 0.0, 0.1, "diverges", 28),
+        (True, 0.0, 0.2, "diverges", 10), (True, 0.1, 0.02, "converges", 1133),
+        (True, 0.1, 0.1, "diverges", 24), (True, 0.1, 0.2, "diverges", 10),
+        (True, 5.0, 0.02, "converges", 33), (True, 5.0, 0.1, "diverges", 18),
+        (True, 5.0, 0.2, "diverges", 9),
+    ])
+    def test_epoch_of_divergence_or_convergence(self, social, lam, learning_rate, outcome,
+                                                epochs):
+        ratings, graph, sim = untouched_instance()
+        operands = (graph, sim) if social else ()
+        hp = Hyperparams(k=3, lam=lam, alpha=2.0, learning_rate=learning_rate,
+                         max_epochs=3000, tolerance=1e-5, seed=4)
+        if outcome == "converges":
+            _, report = train(ratings, hp, *operands)
+            assert (report.epochs_run, report.converged) == (epochs, True)
+            return
+        message = f"non-finite factors at epoch {epochs}; lower the learning rate"
+        # the second budget ends on the diverging epoch, whose terms keep no pull
+        for budget in (hp.max_epochs, epochs):
+            with pytest.raises(DivergenceError, match=re.escape(message)) as info:
+                train(ratings, replace(hp, max_epochs=budget), *operands)
+            assert info.value.epoch == epochs
 
 
 def _id_map(users, items):
@@ -688,6 +764,17 @@ class TestModelFileV3:
         data[offset:offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
         with pytest.raises(DataFileError, match=re.escape(f"{path}: non-finite value in {where}")):
+            load_model(path)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        """The size check reads the size once; a body that then comes up
+        short is a data error, not a model of stale memory."""
+        path = _v3_file(tmp_path / "model.bin")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}: model file shrank while being read")):
             load_model(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):

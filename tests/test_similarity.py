@@ -6,26 +6,33 @@ from socrec import (
     SimilarityTable,
     TrustGraph,
     build_similarity_table,
-    map_to_unit,
-    pcc,
-    vss,
 )
+from socrec.similarity import pair_similarities
 
-from helpers import random_graph, random_ratings, ratings_from_dicts
+from helpers import random_graph, random_ratings, ratings_from_dicts, raw_pcc
 from oracles import brute_pcc, brute_vss
 
 
-class TestMapToUnit:
-    def test_endpoints_and_midpoint(self):
-        assert map_to_unit(-1.0) == 0.0
-        assert map_to_unit(1.0) == 1.0
-        assert map_to_unit(0.0) == 0.5
+def pair_similarity(ratings, tag, u, f):
+    """``pair_similarities`` of the one pair (u, f)."""
+    return float(pair_similarities(ratings, tag, np.array([u]), np.array([f]))[0])
+
+
+class TestPairSimilarities:
+    @pytest.mark.parametrize("other,expected", [
+        ({0: 4, 1: 5, 2: 3}, 1.0),  # perfectly correlated
+        ({0: 2, 1: 1, 2: 3}, 0.0),  # anti-correlated
+        ({0: 3, 1: 3, 2: 3}, 0.5),  # degenerate: no deviation from the mean
+    ], ids=["correlated", "anti-correlated", "degenerate"])
+    def test_pcc_is_mapped_onto_the_unit_interval(self, other, expected):
+        ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, other)
+        assert pair_similarity(ratings, "pcc", 0, 1) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPcc:
     def test_identical_raters_give_one(self):
         ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, {0: 4, 1: 5, 2: 3})
-        assert pcc(ratings, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert raw_pcc(ratings, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_anticorrelated_overlap(self):
         # overlap ratings (4,5,3) vs (2,1,3); users rate nothing else, so
@@ -33,27 +40,27 @@ class TestPcc:
         ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, {0: 2, 1: 1, 2: 3})
         expected = brute_pcc({0: 4, 1: 5, 2: 3}, {0: 2, 1: 1, 2: 3})
         assert expected == pytest.approx(-1.0, abs=1e-12)
-        assert pcc(ratings, 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert raw_pcc(ratings, 0, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_overlap_gives_zero(self):
         ratings = ratings_from_dicts(4, {0: 4, 1: 5}, {2: 2, 3: 3})
-        assert pcc(ratings, 0, 1) == 0.0
+        assert raw_pcc(ratings, 0, 1) == 0.0
 
     def test_single_item_overlap_gives_zero(self):
         ratings = ratings_from_dicts(3, {0: 4, 1: 5}, {0: 2, 2: 3})
-        assert pcc(ratings, 0, 1) == 0.0
+        assert raw_pcc(ratings, 0, 1) == 0.0
 
     def test_zero_denominator_gives_zero(self):
         # user 1 rates the overlap at their global mean -> zero deviations
         ratings = ratings_from_dicts(4, {0: 4, 1: 5, 2: 3}, {0: 3, 1: 3, 2: 3})
-        assert pcc(ratings, 0, 1) == 0.0
+        assert raw_pcc(ratings, 0, 1) == 0.0
 
     def test_mean_uses_all_rated_items(self):
         """The deviation mean covers a user's full history, not the overlap."""
         u = {0: 4.0, 1: 5.0, 2: 3.0, 3: 1.0}
         f = {0: 2.0, 1: 1.0, 2: 3.0}
         ratings = ratings_from_dicts(4, u, f)
-        assert pcc(ratings, 0, 1) == pytest.approx(brute_pcc(u, f), abs=1e-12)
+        assert raw_pcc(ratings, 0, 1) == pytest.approx(brute_pcc(u, f), abs=1e-12)
 
     def test_shift_invariance_when_overlap_is_whole_history(self):
         # adding a constant to user 0's ratings shifts their global mean by
@@ -63,34 +70,35 @@ class TestPcc:
         shifted = {i: r + 1.0 for i, r in base.items()}
         r1 = ratings_from_dicts(4, base, other)
         r2 = ratings_from_dicts(4, shifted, other)
-        assert pcc(r1, 0, 1) == pytest.approx(pcc(r2, 0, 1), abs=1e-12)
+        assert raw_pcc(r1, 0, 1) == pytest.approx(raw_pcc(r2, 0, 1), abs=1e-12)
 
 
 class TestVss:
     def test_identical_vectors_give_one(self):
         ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, {0: 4, 1: 5, 2: 3})
-        assert vss(ratings, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_shared_item(self):
         ratings = ratings_from_dicts(3, {0: 4.0, 1: 2.0}, {0: 4.0, 2: 5.0})
-        assert vss(ratings, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_four_cross(self):
         # overlap vectors (3,4) vs (4,3): cosine 24/25
         ratings = ratings_from_dicts(2, {0: 3.0, 1: 4.0}, {0: 4.0, 1: 3.0})
         expected = brute_vss({0: 3.0, 1: 4.0}, {0: 4.0, 1: 3.0})
         assert expected == pytest.approx(0.96, abs=1e-12)
-        assert vss(ratings, 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_overlap_gives_zero(self):
         ratings = ratings_from_dicts(4, {0: 4}, {1: 2})
-        assert vss(ratings, 0, 1) == 0.0
+        assert pair_similarity(ratings, "vss", 0, 1) == 0.0
 
     def test_scale_invariance_on_overlap(self):
         # doubling both users' overlap vectors leaves the cosine unchanged
         r1 = ratings_from_dicts(2, {0: 1.0, 1: 2.0}, {0: 1.5, 1: 2.5})
         r2 = ratings_from_dicts(2, {0: 2.0, 1: 4.0}, {0: 3.0, 1: 5.0})
-        assert vss(r1, 0, 1) == pytest.approx(vss(r2, 0, 1), abs=1e-12)
+        assert pair_similarity(r1, "vss", 0, 1) == pytest.approx(
+            pair_similarity(r2, "vss", 0, 1), abs=1e-12)
 
 
 class TestSymmetryAndBounds:
@@ -99,11 +107,11 @@ class TestSymmetryAndBounds:
         ratings = random_ratings(rng, 12, 10)
         for _ in range(100):
             u, f = rng.integers(0, 12, 2)
-            assert pcc(ratings, int(u), int(f)) == pytest.approx(
-                pcc(ratings, int(f), int(u)), abs=1e-12
+            assert raw_pcc(ratings, int(u), int(f)) == pytest.approx(
+                raw_pcc(ratings, int(f), int(u)), abs=1e-12
             )
-            assert vss(ratings, int(u), int(f)) == pytest.approx(
-                vss(ratings, int(f), int(u)), abs=1e-12
+            assert pair_similarity(ratings, "vss", int(u), int(f)) == pytest.approx(
+                pair_similarity(ratings, "vss", int(f), int(u)), abs=1e-12
             )
 
     def test_bounds_on_1000_random_pairs(self):
@@ -111,8 +119,8 @@ class TestSymmetryAndBounds:
         ratings = random_ratings(rng, 40, 15)
         for _ in range(1000):
             u, f = rng.integers(0, 40, 2)
-            v = vss(ratings, int(u), int(f))
-            p = map_to_unit(pcc(ratings, int(u), int(f)))
+            v = pair_similarity(ratings, "vss", int(u), int(f))
+            p = pair_similarity(ratings, "pcc", int(u), int(f))
             assert 0.0 <= v <= 1.0
             assert 0.0 <= p <= 1.0
 
@@ -128,10 +136,10 @@ class TestSymmetryAndBounds:
                 for f in range(5):
                     if u == f:
                         continue
-                    assert pcc(ratings, u, f) == pytest.approx(
+                    assert raw_pcc(ratings, u, f) == pytest.approx(
                         brute_pcc(dicts[u], dicts[f]), abs=1e-12
                     )
-                    assert vss(ratings, u, f) == pytest.approx(
+                    assert pair_similarity(ratings, "vss", u, f) == pytest.approx(
                         brute_vss(dicts[u], dicts[f]), abs=1e-12
                     )
 
@@ -187,7 +195,7 @@ class TestBuildSimilarityTable:
         ratings = random_ratings(rng, 12, 8)
         graph = random_graph(rng, 12)
         table = build_similarity_table(ratings, graph, SimilarityKind.pcc())
-        expected = [map_to_unit(pcc(ratings, int(s), int(t)))
+        expected = [pair_similarity(ratings, "pcc", int(s), int(t))
                     for s, t in zip(graph.edge_src, graph.edge_dst)]
         np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
 
@@ -201,7 +209,7 @@ class TestBuildSimilarityTable:
         ratings = random_ratings(rng, 12, 8)
         graph = random_graph(rng, 12)
         table = build_similarity_table(ratings, graph, SimilarityKind.vss())
-        expected = [vss(ratings, int(s), int(t))
+        expected = [pair_similarity(ratings, "vss", int(s), int(t))
                     for s, t in zip(graph.edge_src, graph.edge_dst)]
         np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
 

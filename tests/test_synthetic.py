@@ -74,6 +74,7 @@ def test_clustered_dataset_matches_the_loop_oracle(params, seed):
     (dict(noise_sd=-0.5), "noise_sd"),
     (dict(noise_sd=float("nan")), "noise_sd"),
     (dict(num_clusters=0), "num_clusters"),
+    (dict(num_users=19), "two users per cluster"),
     (dict(num_clusters=-1), "num_clusters"),
     # a single cluster leaves no other-cluster user to draw
     (dict(num_clusters=1, intra_fraction=0.9), "intra_fraction"),

@@ -112,6 +112,40 @@ def test_toy_data_script_reproduces_the_bundled_files(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (SRC / "socrec" / "toydata" / name).read_bytes()
 
 
+def test_line_recorder_follows_child_processes():
+    """``scripts/linecheck.py`` records the package lines run in its own
+    process and in a Python child it starts, and lists the statements that
+    neither ran."""
+    import inspect
+
+    from socrec import data
+
+    spec = importlib.util.spec_from_file_location(
+        "linecheck", SRC.parent / "scripts" / "linecheck.py")
+    linecheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecheck)
+
+    def line_of(func, text):
+        lines, first = inspect.getsourcelines(func)
+        return first + next(n for n, line in enumerate(lines) if text in line)
+
+    def run():
+        data._size("n", 3)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-c", "from socrec import data; data.seeded_generator(0)"],
+                       env=env, check=True, timeout=60)
+
+    _, lines = linecheck.record(run)
+    path = os.path.realpath(data.__file__)
+    in_process = line_of(data._size, "whole = int(size)")
+    in_child = line_of(data.seeded_generator, "return np.random.default_rng(seed)")
+    assert {(path, in_process), (path, in_child)} <= lines
+    missed = linecheck.unreached(lines)
+    assert f"src/socrec/data.py:{line_of(data.seeded_generator, 'raise ValueError')}" in missed
+    assert not {f"src/socrec/data.py:{line}" for line in (in_process, in_child)} & set(missed)
+
+
 @pytest.fixture
 def perfbench_module(monkeypatch):
     """A loader of perfbench modules by path. Their sibling imports
