@@ -15,9 +15,6 @@ import numpy as np
 # n > _TAIL_MIN_POP and d > n // _TAIL_RATIO, else it runs Floyd's algorithm
 _TAIL_MIN_POP = 10000
 _TAIL_RATIO = 50
-# a shuffle level run as one numpy round costs about as much as tens of
-# Python swaps, so levels with fewer active users than this run in lists
-_DEEP_USERS = 32
 
 
 def _layout(deg, n):
@@ -71,26 +68,15 @@ def picks_from_draws(draws, deg, n) -> np.ndarray:
             taken.add(v)
         ranks[start[u]:start[u] + du] = picks
 
-    # Fisher–Yates, one level i at a time over the pairs with d > i, by
-    # degree descending; the draw for level i sits at seg + 2d - 1 - i.
-    # Levels from top up have fewer than _DEEP_USERS pairs (a heavy-tailed
-    # degree list has hundreds of them), so those pairs swap them in a list
-    # first; each pair's swaps still run in descending i
+    # Fisher–Yates, one numpy round per level i, from the largest degree
+    # down, over the pairs with d > i, by degree descending; the draw for
+    # level i sits at seg + 2d - 1 - i
     fy = np.nonzero(~tail)[0]
     fy = fy[np.argsort(-deg[fy], kind="stable")]
     fdeg = deg[fy]
-    top = max(int(fdeg[_DEEP_USERS - 1]), 1) if fy.size >= _DEEP_USERS else 1
-    for u in fy[:_DEEP_USERS].tolist():
-        du, s, r = int(deg[u]), int(seg[u]), int(start[u])
-        if du <= top:
-            break
-        part = ranks[r:r + du].tolist()
-        for i, j in zip(range(du - 1, top - 1, -1), draws[s + du:s + 2 * du - top].tolist()):
-            part[i], part[j] = part[j], part[i]
-        ranks[r:r + du] = part
     active = fy.size - np.cumsum(np.bincount(fdeg))
     base, last = start[fy], seg[fy] + 2 * fdeg - 1
-    for i in range(top - 1, 0, -1):
+    for i in range(int(fdeg.max(initial=0)) - 1, 0, -1):
         a = base[:active[i]]
         hi, lo = a + i, a + draws[last[:active[i]] - i]
         ranks[hi], ranks[lo] = ranks[lo], ranks[hi]

@@ -309,6 +309,10 @@ _RUNNERS = {
 
 def cmd_experiment(cfg) -> int:
     which = cfg.run
+    out_dir = Path(cfg.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
     ratings, graph, _ = _load(cfg)
     if which == "cold-start" and ratings.user_counts().max(initial=0) <= 1:
         # each cold-start user holds out one rating, so one rating per user
@@ -319,7 +323,6 @@ def cmd_experiment(cfg) -> int:
         # no train fraction splits one rating into two non-empty sides
         raise DataFileError(f"{cfg.ratings}: holds 1 rating; a train/test split "
                             "needs at least 2 ratings")
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / f"{which}.csv"
     summary_path = out_dir / f"{which}-summary.csv"

@@ -16,13 +16,16 @@ mapped in C indexes the column (``_add_ids``). Ratings are converted with
 wins); trust pairs go through ``TrustGraph.from_edges``, which drops
 self-loops first. A store's constructor refuses input that breaks its
 invariants with ValueError, including sizes, indices and ratings that the
-cast to a number would change (``_size``, ``_index_array``, ``_numbers``),
-and alone orders pairs: by one argsort of the int64 key ``major *
-span_minor + minor``, when not yet in order (``_canonical``). Neither store
-has a per-item or in-link index.
+cast to a number would change (``whole_number``, ``_index_array``,
+``_numbers``), and alone orders pairs: by one argsort of the int64 key
+``major * span_minor + minor``, when not yet in order (``_canonical``).
+Neither store has a per-item or in-link index.
 """
 
+import math
+import numbers
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse
@@ -144,8 +147,8 @@ class SparseRatings:
         bad = _first_outside_rating_range(values)
         if bad is not None:
             raise ValueError(f"rating {values[bad]:g} outside [{RATING_MIN:g}, {RATING_MAX:g}]")
-        self.num_users = _size("num_users", num_users)
-        self.num_items = _size("num_items", num_items)
+        self.num_users = whole_number("num_users", num_users)
+        self.num_items = whole_number("num_items", num_items)
         self.users, self.items, self.values, self.user_ptr = _canonical(
             ("user", "item"), (self.num_users, self.num_items), users, items, values)
 
@@ -208,7 +211,7 @@ class TrustGraph:
             raise ValueError("edge_src and edge_dst must have equal length")
         if np.any(edge_src == edge_dst):
             raise ValueError("self-loop edge")
-        self.num_users = _size("num_users", num_users)
+        self.num_users = whole_number("num_users", num_users)
         self.edge_src, self.edge_dst, self.out_ptr = _canonical(
             ("source", "destination"), (self.num_users, self.num_users), edge_src, edge_dst)
 
@@ -218,7 +221,7 @@ class TrustGraph:
         iterable of pairs or an ``(n, 2)`` array: self-loops are dropped,
         repeats collapsed, and anything but index pairs in range raises
         ValueError."""
-        num_users = _size("num_users", num_users)
+        num_users = whole_number("num_users", num_users)
         pairs = _index_array("edges", edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValueError(f"edges must be (truster, trustee) pairs, got shape {pairs.shape}")
@@ -269,16 +272,36 @@ def _index_array(name, indices):
     return np.ascontiguousarray(indices, dtype=np.int64)
 
 
-def _size(name, size):
-    """``size`` as an int; ValueError naming ``name`` unless it is a whole
-    number >= 0."""
-    try:
-        whole = int(size)
-    except (TypeError, ValueError, OverflowError):
-        whole = -1
-    if whole < 0 or whole != size:
-        raise ValueError(f"{name} must be a whole number >= 0, got {size!r}")
-    return whole
+def whole_number(name, value, low=0, high=math.inf) -> int:
+    """``value`` as an int: the library's rule for counts, sizes, thresholds
+    and seeds. An int (numpy's too) or a whole float in [``low``, ``high``];
+    anything else, a bool or a string too, raises ValueError naming ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(_within(name, value, low, high, closed=True))
+
+
+def real_number(name, value, low, high=math.inf, closed=True) -> float:
+    """``value`` as a float: the library's rule for real-valued settings. A
+    finite number in [``low``, ``high``] (open if not ``closed``); anything
+    else, a bool or a string too, raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # an int past the largest float is no float; math.isfinite would overflow on it
+    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(_within(name, value, low, high, closed))
+
+
+def _within(name, value, low, high, closed):
+    """``value`` if it lies in its interval, else ValueError naming ``name``."""
+    if low <= value <= high if closed else low < value < high:
+        return value
+    left, right = "[]" if closed else "()"
+    where = (f"{'>=' if closed else '>'} {low:g}" if high == math.inf else
+             f"in {left}{low:g}, {high:g}{right}")
+    raise ValueError(f"{name} must be {where}, got {value}")
 
 
 def _canonical(names, spans, major, minor, *rest):
@@ -489,19 +512,11 @@ def load_dataset(ratings_path, trust_path=None):
     return ratings, graph, ids
 
 
-def seeded_generator(seed: int) -> np.random.Generator:
-    """numpy's default generator for ``seed``, which must be >= 0."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
 def split_ratings(ratings: SparseRatings, train_fraction: float, seed: int) -> DatasetSplit:
     """Uniform entry-level train/test partition, driven solely by the seed."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    train_fraction = real_number("train_fraction", train_fraction, 0, 1, closed=False)
     n = ratings.num_entries
-    perm = seeded_generator(seed).permutation(n)
+    perm = np.random.default_rng(whole_number("seed", seed)).permutation(n)
     n_train = int(round(train_fraction * n))
     if n >= 2:
         n_train = min(max(n_train, 1), n - 1)
@@ -525,9 +540,8 @@ def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> D
     rating to the test side and the rest to train; all ratings of other
     users go to train. Users with a single rating contribute it to test.
     """
-    if threshold < 2:
-        raise ValueError(f"threshold must be >= 2, got {threshold}")
-    rng = seeded_generator(seed)
+    threshold = whole_number("threshold", threshold, 2)
+    rng = np.random.default_rng(whole_number("seed", seed))
     counts = ratings.user_counts()
     cold = np.flatnonzero((counts >= 1) & (counts < threshold))
     # one draw per cold user, in user order: the stream of a scalar

@@ -25,8 +25,8 @@ from .data import (
     SparseRatings,
     TrustGraph,
     cold_start_split,
-    seeded_generator,
     split_ratings,
+    whole_number,
 )
 from .factorization import Hyperparams, train
 from .similarity import SimilarityKind, build_similarity_table, pair_similarities
@@ -238,8 +238,7 @@ def run_cold_start(
     other ratings stay in train. Returns an empty list (with a logged
     notice) when the data has no cold-start users.
     """
-    if threshold < 2:
-        raise ValueError(f"threshold must be >= 2, got {threshold}")
+    threshold = whole_number("threshold", threshold, 2)
     counts = ratings.user_counts()
     if not np.any((counts >= 1) & (counts < threshold)):
         logger.warning("no cold-start users below threshold %d; nothing to do", threshold)
@@ -268,11 +267,10 @@ def run_similarity_study(
     replace=False)``, exactly, which ``tests/test_evaluation.py`` pins
     against the installed numpy.
     """
-    if min_out_degree < 1:
-        raise ValueError(f"min_out_degree must be >= 1, got {min_out_degree}")
+    min_out_degree = whole_number("min_out_degree", min_out_degree, 1)
     if kind not in STUDY_KINDS:
         raise ValueError("similarity study supports 'vss' or 'pcc'")
-    rng = seeded_generator(seed)
+    rng = np.random.default_rng(seed := whole_number("seed", seed))
     num_users = graph.num_users
     degrees = graph.out_degrees()
     users = np.nonzero(degrees > min_out_degree)[0]

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .data import DataFileError, IdMap, SparseRatings, TrustGraph, reading
+from .data import (DataFileError, IdMap, SparseRatings, TrustGraph, _index_array, reading,
+                   real_number, whole_number)
 from .similarity import SimilarityTable
 
 
@@ -42,7 +43,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training settings; defaults follow the reproduction configuration."""
+    """Training settings; defaults follow the reproduction configuration.
+
+    ``k``, ``max_epochs`` (>= 1) and ``seed`` (>= 0) are whole numbers, kept
+    as ints (``k=2.0`` is ``k=2``); the others are finite floats, ``lam``
+    (``lambda`` in messages), ``alpha``, ``init_scale`` >= 0 and the rest > 0.
+    Any other value, a bool or a string too, raises ValueError naming it."""
 
     k: int = 10
     lam: float = 3.0
@@ -54,27 +60,17 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for label, value in (("lambda", self.lam), ("alpha", self.alpha),
-                             ("learning_rate", self.learning_rate),
-                             ("tolerance", self.tolerance), ("init_scale", self.init_scale)):
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, value in (
+            ("k", whole_number("k", self.k, 1)),
+            ("lam", real_number("lambda", self.lam, 0)),
+            ("alpha", real_number("alpha", self.alpha, 0)),
+            ("learning_rate", real_number("learning_rate", self.learning_rate, 0, closed=False)),
+            ("max_epochs", whole_number("max_epochs", self.max_epochs, 1)),
+            ("tolerance", real_number("tolerance", self.tolerance, 0, closed=False)),
+            ("init_scale", real_number("init_scale", self.init_scale, 0)),
+            ("seed", whole_number("seed", self.seed)),
+        ):
+            object.__setattr__(self, name, value)
 
     def with_seed(self, seed: int) -> "Hyperparams":
         return replace(self, seed=seed)
@@ -133,8 +129,11 @@ def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
     row ranges. The stream is the one two draws in turn would take, so the
     values are those of a user draw followed by an item draw.
     """
+    num_users = whole_number("num_users", num_users, -math.inf)
+    num_items = whole_number("num_items", num_items, -math.inf)
     if num_users < 1 or num_items < 1:
-        raise ValueError("need at least one user and one item")
+        raise ValueError(f"need at least one user and one item, got num_users {num_users} "
+                         f"and num_items {num_items}")
     rng = np.random.default_rng(hp.seed)
     try:
         # abs: numpy refuses a high of -0.0 (high - low < 0), which is a scale of 0
@@ -148,14 +147,15 @@ def init_model(num_users: int, num_items: int, hp: Hyperparams) -> FactorModel:
 
 def predict(model: FactorModel, u, i):
     """Raw inner-product prediction, unclamped (clamping happens at
-    evaluation time). Accepts scalars or index arrays."""
-    if np.ndim(u) == 0 and np.ndim(i) == 0:
-        return float(model.user_factors[u] @ model.item_factors[i])
-    users = np.asarray(u, dtype=np.int64)
-    items = np.asarray(i, dtype=np.int64)
-    return _kernels.predict_pairs(
-        model.user_factors, model.item_factors, users, items
-    )
+    evaluation time): a float for scalar indices, an array for 1-d index
+    arrays of one shape, both from ``_kernels.predict_pairs``, so bit for bit
+    what ``evaluate`` scores. A bool, string or fractional index raises ValueError."""
+    # a scalar index becomes a 1-element array (np.ascontiguousarray)
+    users, items = _index_array("users", u), _index_array("items", i)
+    if np.shape(u) != np.shape(i):
+        raise ValueError(f"users and items must have one shape, got {np.shape(u)}, {np.shape(i)}")
+    preds = _kernels.predict_pairs(model.user_factors, model.item_factors, users, items)
+    return float(preds[0]) if np.ndim(u) == 0 else preds
 
 
 def _has_social_term(graph: TrustGraph | None, hp: Hyperparams) -> bool:

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .data import SparseRatings, TrustGraph
+from .data import SparseRatings, TrustGraph, whole_number
 
 KINDS = ("pcc", "vss", "constant", "random")
 
 
 @dataclass(frozen=True)
 class SimilarityKind:
-    """Similarity selector; ``seed`` only matters for the random kind."""
+    """Similarity selector; ``seed``, a whole number >= 0 kept as an int, only
+    matters for the random kind. A bool, string or fractional seed raises."""
 
     tag: str
     seed: int = 0
@@ -26,8 +27,7 @@ class SimilarityKind:
     def __post_init__(self):
         if self.tag not in KINDS:
             raise ValueError(f"unknown similarity kind {self.tag!r}; choose from {KINDS}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", whole_number("seed", self.seed))
 
     @classmethod
     def pcc(cls) -> "SimilarityKind":

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ._choice import choices, draw_bounds, picks_from_draws
-from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph, seeded_generator
+from .data import RATING_MAX, RATING_MIN, SparseRatings, TrustGraph, real_number, whole_number
 
 
 def low_rank_ratings(num_users, num_items, rank, seed=0):
@@ -13,9 +13,10 @@ def low_rank_ratings(num_users, num_items, rank, seed=0):
     Planted factors are drawn so every inner product lands inside the
     rating range. Returns (ratings, user_factors, item_factors).
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    rng = seeded_generator(seed)
+    num_users = whole_number("num_users", num_users)
+    num_items = whole_number("num_items", num_items)
+    rank = whole_number("rank", rank, 1)
+    rng = np.random.default_rng(whole_number("seed", seed))
     low, high = np.sqrt(RATING_MIN / rank), np.sqrt(RATING_MAX / rank)
     user_f = rng.uniform(low, high, size=(num_users, rank))
     item_f = rng.uniform(low, high, size=(num_items, rank))
@@ -50,20 +51,17 @@ def clustered_dataset(
     ``out_degree`` distinct targets or has made ``50 * out_degree``
     attempts.
     """
-    if num_clusters < 1 or (num_clusters == 1 and intra_fraction < 1.0):
-        raise ValueError(f"num_clusters must be >= 1, and 1 only with intra_fraction 1 "
-                         f"(no other cluster to trust), got {num_clusters}, {intra_fraction}")
-    if num_users < num_clusters * 2:
-        raise ValueError("need at least two users per cluster")
-    if not 0 <= ratings_per_user <= num_items:
-        raise ValueError(f"ratings_per_user must be in [0, num_items], got {ratings_per_user}")
-    if out_degree < 0:
-        raise ValueError(f"out_degree must be >= 0, got {out_degree}")
-    if not 0.0 <= intra_fraction <= 1.0:
-        raise ValueError(f"intra_fraction must be in [0, 1], got {intra_fraction}")
-    if not noise_sd >= 0.0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    rng = seeded_generator(seed)
+    num_clusters = whole_number("num_clusters", num_clusters, 1)
+    # a single cluster leaves no other cluster to trust, so only intra_fraction 1
+    intra_fraction = real_number("intra_fraction", intra_fraction, float(num_clusters == 1), 1)
+    num_users = whole_number("num_users", num_users)
+    if num_users < 2 * num_clusters:
+        raise ValueError(f"num_users must be >= {2 * num_clusters}, two users per cluster")
+    num_items = whole_number("num_items", num_items)
+    ratings_per_user = whole_number("ratings_per_user", ratings_per_user, 0, num_items)
+    out_degree = whole_number("out_degree", out_degree)
+    noise_sd = real_number("noise_sd", noise_sd, 0)
+    rng = np.random.default_rng(whole_number("seed", seed))
     labels = np.arange(num_users) % num_clusters
     prototypes = rng.uniform(RATING_MIN, RATING_MAX, size=(num_clusters, num_items))
 
@@ -182,7 +180,7 @@ def shuffled_graph(graph: TrustGraph, seed=0) -> TrustGraph:
     targets are ``rng.choice(eligible, d, replace=False)`` in user order,
     where ``eligible`` is every user but u, so rank r is user r + (r >= u).
     """
-    rng = seeded_generator(seed)
+    rng = np.random.default_rng(whole_number("seed", seed))
     num_users = graph.num_users
     degrees = graph.out_degrees()
     src = np.repeat(np.arange(num_users), degrees)

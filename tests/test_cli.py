@@ -360,6 +360,22 @@ class TestUnreadableInputs:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_out_dir_outside_a_directory_is_usage_error(self, tmp_path, capsys, where):
+        """--out-dir is checked as --out is, before any input is read: the
+        ratings file here is missing, which would be a data error (exit 2)."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out_dir = blocker if where == "file" else blocker / "sub"
+        missing = str(tmp_path / "missing.tsv")
+        code = run_cli("experiment", "--which", "compare", "--ratings", missing,
+                       "--trust", missing, "--out-dir", str(out_dir))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"socrec: error: --out-dir {out_dir}: {blocker} is not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
     def test_compare_writes_expected_rows(self, tmp_path):
         out_dir = tmp_path / "res"
         code = run_cli("experiment", "--which", "compare",

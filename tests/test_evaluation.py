@@ -20,7 +20,7 @@ from socrec import (
     run_similarity_study,
     split_ratings,
 )
-from socrec._choice import _DEEP_USERS, choices
+from socrec._choice import choices
 from socrec.evaluation import comparison_summary, paired_t_pvalue
 from socrec.similarity import pair_similarities
 from socrec.synthetic import clustered_dataset, shuffled_graph
@@ -354,12 +354,13 @@ class TestPeerRanks:
         self.assert_matches_loop(deg, num_eligible, seed=7)
 
     def test_heavy_tailed_degrees(self):
-        """Zipf degrees: the deepest shuffle levels have fewer than
-        _DEEP_USERS users and run in Python lists."""
+        """Zipf degrees: most pairs have one draw, and the deepest shuffle
+        levels each swap a handful of pairs."""
         deg = np.minimum(np.random.default_rng(5).zipf(1.8, 1500), 600)
         deg = deg[deg < 1400]
         num_eligible = 1500 - deg - 1
-        assert np.sort(deg)[-1] > np.sort(deg)[-_DEEP_USERS]
+        assert np.median(deg) == 1 and deg.max() == 600
+        assert np.count_nonzero(deg > deg.max() // 3) < 0.02 * deg.size
         self.assert_matches_loop(deg, num_eligible, seed=3)
 
     def test_random_small_cases(self):

@@ -24,9 +24,10 @@ from socrec import (
     objective_social,
     predict,
     save_model,
+    split_ratings,
     train,
 )
-from socrec.synthetic import low_rank_ratings
+from socrec.synthetic import clustered_dataset, low_rank_ratings
 
 from helpers import (
     entry_triples,
@@ -139,6 +140,34 @@ class TestPredict:
         batch = predict(model, users, items)
         for e, (u, i) in enumerate(zip(users, items)):
             assert batch[e] == pytest.approx(predict(model, int(u), int(i)), rel=1e-15)
+
+    def test_scalar_is_bitwise_the_array_prediction(self):
+        """``socrec predict`` prints the value ``evaluate`` scores: on a model
+        trained on the planted-200 split, every (user, item) pair predicts
+        the same bits as a scalar pair and inside the array of all pairs."""
+        ratings, _, _ = clustered_dataset(num_users=200, num_items=8, num_clusters=10,
+                                          ratings_per_user=5, out_degree=8, seed=100)
+        split = split_ratings(ratings, 0.8, 1)
+        model, _ = train(split.train, Hyperparams(k=8, lam=0.1, alpha=0.0,
+                                                  learning_rate=0.01, max_epochs=200))
+        users, items = np.divmod(np.arange(200 * 8), 8)
+        batch = predict(model, users, items)
+        scalars = [predict(model, u, i) for u, i in zip(users.tolist(), items.tolist())]
+        assert all(type(p) is float for p in scalars)
+        np.testing.assert_array_equal(np.array(scalars).view(np.int64), batch.view(np.int64))
+
+    @pytest.mark.parametrize("u,i,name", [(True, 0, "users"), (0, 1.5, "items"),
+                                          ("1", 0, "users"), ([0, 1], [0.5, 1], "items")])
+    def test_index_a_cast_would_change_rejected(self, u, i, name):
+        model = FactorModel(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            predict(model, u, i)
+
+    @pytest.mark.parametrize("u,i", [([0, 1], 1), (0, [1, 0]), ([0, 1], [1]), (0, [1])])
+    def test_indices_of_two_shapes_rejected(self, u, i):
+        model = FactorModel(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^users and items must have one shape"):
+            predict(model, u, i)
 
 
 class TestObjectiveBasic:

@@ -130,19 +130,20 @@ def test_line_recorder_follows_child_processes():
         return first + next(n for n, line in enumerate(lines) if text in line)
 
     def run():
-        data._size("n", 3)
+        data.whole_number("n", 3)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        subprocess.run([sys.executable, "-c", "from socrec import data; data.seeded_generator(0)"],
+        subprocess.run([sys.executable, "-c",
+                        "from socrec import data; data.real_number('x', 1, 0)"],
                        env=env, check=True, timeout=60)
 
     _, lines = linecheck.record(run)
     path = os.path.realpath(data.__file__)
-    in_process = line_of(data._size, "whole = int(size)")
-    in_child = line_of(data.seeded_generator, "return np.random.default_rng(seed)")
+    in_process = line_of(data.whole_number, "return int(")
+    in_child = line_of(data.real_number, "return float(")
     assert {(path, in_process), (path, in_child)} <= lines
     missed = linecheck.unreached(lines)
-    assert f"src/socrec/data.py:{line_of(data.seeded_generator, 'raise ValueError')}" in missed
+    assert f"src/socrec/data.py:{line_of(data.whole_number, 'raise ValueError')}" in missed
     assert not {f"src/socrec/data.py:{line}" for line in (in_process, in_child)} & set(missed)
 
 
