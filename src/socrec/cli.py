@@ -6,25 +6,27 @@ options and refuses a flag that it does not read. Values are resolved with
 the precedence flags > config file > defaults; the config file is plain
 ``key = value`` text with ``#`` comments and kebab- or snake-case keys, and
 may hold keys for other runs. Exit codes: 0 success, 1 usage/config error,
-2 data error, 3 numerical divergence.
+2 data error, 3 numerical divergence, 4 a result file that cannot be written.
 """
 
 import argparse
 import json
-import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .data import RATING_MAX, RATING_MIN, DataFileError, load_dataset
+from .data import (RATING_MAX, RATING_MIN, DataFileError, IdTable, check_threshold,
+                   check_train_fraction, load_dataset, whole_number)
 from .evaluation import (
     DEFAULT_ALPHAS,
     DEFAULT_SEEDS,
-    STUDY_KINDS,
+    check_min_out_degree,
+    check_study_kind,
     comparison_summary,
     run_alpha_sweep,
     run_cold_start,
@@ -42,6 +44,20 @@ class ConfigError(ValueError):
     """Invalid usage, flag value or config-file entry."""
 
 
+class OutputError(Exception):
+    """A result file that cannot be written."""
+
+
+@contextmanager
+def _writing(path):
+    """Context for writing the result file ``path``: an OSError raised in it
+    is an OutputError naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # no prefix matching: experiment's --seeds must not take a --seed
@@ -53,20 +69,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _list(parse):
-    """A converter of comma- or space-separated values."""
-    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
-
-
-def _checked(parse, ok, rule):
-    """A converter: ``parse`` the text, then refuse a value that ``ok``
-    rejects, giving ``rule`` as the reason."""
-    def convert(text):
-        value = parse(text)
-        if not ok(value):
-            raise ValueError(rule)
-        return value
-    return convert
+def _list(convert):
+    """A converter of comma- or space-separated values, each through ``convert``,
+    which refuses the one empty value that text without values gives."""
+    return lambda text: tuple(map(convert, text.replace(",", " ").split() or [""]))
 
 
 def _hyperparam(field, parse):
@@ -83,7 +89,7 @@ _TRAINING = tuple(run for run in _ALL if run != "sim-study")
 # the one declaration of each option: name -> (converter, default, runs that
 # read it, help); the flag is --<name in kebab case>, the config key is the
 # name in either case, and flag and config text go through one converter,
-# which also checks the value's range
+# which parses the text and passes the value to the library's own rule for it
 _OPTIONS = {
     "ratings": (str, None, _ALL, "ratings file (user item rating per line)"),
     "trust": (str, None, ("social", *_EXPERIMENTS), "trust file (truster trustee per line)"),
@@ -102,29 +108,26 @@ _OPTIONS = {
                    "initial factors are uniform on [0, init-scale]"),
     # each experiment trains with its split's seed; train's default is not Hyperparams'
     "seed": (_hyperparam("seed", int)[0], 1, _RUNS["train"], "factor initialization seed"),
-    "fractions": (_checked(_list(float), lambda v: v and all(0.0 < f < 1.0 for f in v),
-                           "must be one or more values in (0, 1)"), (0.9, 0.8),
+    "fractions": (_list(lambda text: check_train_fraction(float(text))), (0.9, 0.8),
                   ("compare", "alpha-sweep", "ablation"), "train fractions, e.g. 0.9,0.8"),
-    "seeds": (_checked(_list(int), lambda v: v and min(v) >= 0, "must be one or more values >= 0"),
-              DEFAULT_SEEDS, _EXPERIMENTS, "split seeds, e.g. 1,2,3,4,5"),
-    "alphas": (_checked(_list(float), lambda v: v and all(0.0 <= a < math.inf for a in v),
-                        "must be one or more finite values >= 0"),
-               DEFAULT_ALPHAS, ("alpha-sweep",), "alpha-sweep grid, e.g. 0,0.01,0.1"),
-    "kinds": (_checked(_list(SimilarityKind.parse), bool, "must be one or more kinds"),
+    "seeds": (_list(lambda text: whole_number("seed", int(text))), DEFAULT_SEEDS, _EXPERIMENTS,
+              "split seeds, e.g. 1,2,3,4,5"),
+    "alphas": (_list(_hyperparam("alpha", float)[0]), DEFAULT_ALPHAS, ("alpha-sweep",),
+               "alpha-sweep grid, e.g. 0,0.01,0.1"),
+    "kinds": (_list(SimilarityKind.parse),
               tuple(map(SimilarityKind, ("constant", "random", "vss", "pcc"))), ("ablation",),
               "ablation kinds, e.g. constant,random:7,vss,pcc"),
-    "cold_start_threshold": (_checked(int, lambda v: v >= 2, "must be >= 2"), 5, ("cold-start",),
+    "cold_start_threshold": (lambda text: check_threshold(int(text)), 5, ("cold-start",),
                              "users with fewer ratings are cold"),
-    "min_out_degree": (_checked(int, lambda v: v >= 1, "must be >= 1"), 5, ("sim-study",),
+    "min_out_degree": (lambda text: check_min_out_degree(int(text)), 5, ("sim-study",),
                        "users need more friends than this"),
     # the study's own rule and default are _STUDY_SIMILARITY
     "similarity": (SimilarityKind.parse, SimilarityKind.pcc(),
                    ("social", "compare", "alpha-sweep", "cold-start", "sim-study"),
                    "pcc | vss | constant | random[:seed]"),
 }
-# the similarity study compares vss with pcc
-_STUDY_SIMILARITY = (_checked(SimilarityKind.parse, lambda kind: kind.tag in STUDY_KINDS,
-                              f"the similarity study supports {' or '.join(STUDY_KINDS)}"),
+# the similarity study compares vss, its default, or pcc
+_STUDY_SIMILARITY = (lambda text: SimilarityKind(check_study_kind(SimilarityKind.parse(text).tag)),
                      SimilarityKind.vss())
 # option name -> Hyperparams field
 _HYPERPARAMS = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(Hyperparams)}
@@ -235,10 +238,20 @@ def _load(cfg):
     return load_dataset(cfg.ratings, cfg.trust)
 
 
+def _refuse_directories(*paths):
+    """ConfigError naming the first result path that is a directory, checked
+    before any data is read."""
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"result path {path} is a directory")
+
+
 def cmd_train(cfg) -> int:
     out = Path(cfg.out)
+    report_path = Path(f"{out}.report.json")
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"--out {out}: not a file in an existing directory")
+    _refuse_directories(report_path)
     method = cfg.run
     ratings, graph, ids = _load(cfg)
     hp = cfg.hyperparams
@@ -248,16 +261,23 @@ def cmd_train(cfg) -> int:
     else:
         model, report = train(ratings, hp)
 
-    model.ids = ids
-    save_model(model, out)
-    report_path = Path(str(out) + ".report.json")
-    report_path.write_text(json.dumps({
-        "method": method,
-        "hyperparams": asdict(hp),
-        "epochs_run": report.epochs_run,
-        "converged": report.converged,
-        "objective_per_epoch": report.objective_per_epoch,
-    }, indent=2) + "\n", encoding="utf-8")
+    # users named only by the trust file, whom load_dataset adds last, have no
+    # ratings to train their factors: the model leaves their rows out, so
+    # predict gives them the global mean, as evaluate does
+    rated = ids.users[:np.count_nonzero(ratings.user_counts())]
+    ids.users = IdTable()
+    ids.users.add(rated)
+    model.user_factors, model.ids = model.user_factors[:len(rated)], ids
+    with _writing(out):
+        save_model(model, out)
+    with _writing(report_path):
+        report_path.write_text(json.dumps({
+            "method": method,
+            "hyperparams": asdict(hp),
+            "epochs_run": report.epochs_run,
+            "converged": report.converged,
+            "objective_per_epoch": report.objective_per_epoch,
+        }, indent=2) + "\n", encoding="utf-8")
     print(f"model written to {out} ({report.epochs_run} epochs, "
           f"converged={report.converged})")
     print(f"training report: {report_path}")
@@ -266,7 +286,7 @@ def cmd_train(cfg) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    u, i = model.ids.user_index(args.user), model.ids.item_index(args.item)
+    u, i = model.ids.users.index(args.user), model.ids.items.index(args.item)
     if u is None or i is None:
         missing = "user" if u is None else "item"
         print(f"warning: unknown {missing} id; falling back to the global mean",
@@ -313,6 +333,11 @@ def cmd_experiment(cfg) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
+    columns = ("mae", "rmse") if which == "alpha-sweep" else ()
+    rows_path, summary_path, *column_paths = (
+        out_dir / f"{name}.csv"
+        for name in (which, f"{which}-summary", *(f"{which}-{c}" for c in columns)))
+    _refuse_directories(rows_path, summary_path, *column_paths)
     ratings, graph, _ = _load(cfg)
     if which == "cold-start" and ratings.user_counts().max(initial=0) <= 1:
         # each cold-start user holds out one rating, so one rating per user
@@ -323,34 +348,37 @@ def cmd_experiment(cfg) -> int:
         # no train fraction splits one rating into two non-empty sides
         raise DataFileError(f"{cfg.ratings}: holds 1 rating; a train/test split "
                             "needs at least 2 ratings")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows_path = out_dir / f"{which}.csv"
-    summary_path = out_dir / f"{which}-summary.csv"
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if which == "sim-study":
         study = run_similarity_study(ratings, graph, min_out_degree=cfg.min_out_degree,
                                      seed=cfg.seeds[0], kind=cfg.similarity.tag)
-        write_csv(rows_path, ("user", "friend_sim_mean", "random_sim_mean"),
-                  zip(study.user_indices.tolist(), study.friend_sim_means.tolist(),
-                      study.random_sim_means.tolist()))
-        write_csv(summary_path, ("fraction_positive", "users_evaluated", "users_skipped",
-                                 "min_out_degree", "seed"),
-                  [(study.fraction_positive, study.user_indices.size,
-                    len(study.skipped_users), study.min_out_degree, study.seed)])
+        with _writing(rows_path):
+            write_csv(rows_path, ("user", "friend_sim_mean", "random_sim_mean"),
+                      zip(study.user_indices.tolist(), study.friend_sim_means.tolist(),
+                          study.random_sim_means.tolist()))
+        with _writing(summary_path):
+            write_csv(summary_path, ("fraction_positive", "users_evaluated", "users_skipped",
+                                     "min_out_degree", "seed"),
+                      [(study.fraction_positive, study.user_indices.size,
+                        len(study.skipped_users), study.min_out_degree, study.seed)])
         print(f"fraction_positive = {study.fraction_positive:.4f} "
               f"({study.user_indices.size} users evaluated, "
               f"{len(study.skipped_users)} skipped)")
     else:
         results = _RUNNERS[which](ratings, graph, cfg)
-        write_rows_csv(rows_path, which, [
-            (r.method, seed, r.train_fraction, pair)
-            for r in results for seed, pair in zip(r.seeds, r.per_seed)
-        ])
+        with _writing(rows_path):
+            write_rows_csv(rows_path, which, [
+                (r.method, seed, r.train_fraction, pair)
+                for r in results for seed, pair in zip(r.seeds, r.per_seed)
+            ])
         summary = comparison_summary(results)
-        write_summary_csv(summary_path, which, summary)
-        if which == "alpha-sweep":
-            for column in ("mae", "rmse"):
-                write_csv(out_dir / f"alpha-sweep-{column}.csv", ("alpha", column),
+        with _writing(summary_path):
+            write_summary_csv(summary_path, which, summary)
+        for column, path in zip(columns, column_paths):
+            with _writing(path):
+                write_csv(path, ("alpha", column),
                           [(a, getattr(r.mean, column)) for a, r in zip(cfg.alphas, results)])
         _print_summary(summary)
 
@@ -375,6 +403,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"socrec: divergence: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"socrec: output error: {exc}", file=sys.stderr)
+        return 4
     except MemoryError as exc:
         # the factor matrices are sized by --k, a configuration value
         print(f"socrec: error: not enough memory: {exc}; lower --k", file=sys.stderr)

@@ -11,7 +11,7 @@ each (``_data_blocks``). numpy finds each line's field count and comment
 flag from a byte per code point, so a fault names its line, and one
 ``str.split`` of the block gives its tokens. A column's unseen ids, in
 first-seen order from ``dict.fromkeys``, get the next indices, and a lookup
-mapped in C indexes the column (``_add_ids``). Ratings are converted with
+mapped in C indexes the column (``IdTable.add``). Ratings are converted with
 ``float``. ``_last_of_each_pair`` collapses repeats (a rating's last line
 wins); trust pairs go through ``TrustGraph.from_edges``, which drops
 self-loops first. A store's constructor refuses input that breaks its
@@ -28,6 +28,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count, filterfalse
 
 import numpy as np
@@ -63,62 +64,44 @@ def reading(path):
         raise DataFileError(f"cannot read {path}: {reason}") from None
 
 
-class IdMap:
-    """Bijective mapping between external user/item ids and dense indices.
-
-    Indices are assigned in first-seen order. Users may be appended after
-    construction (trust files can mention users that never rated anything).
-    """
+class IdTable:
+    """External ids and their dense indices, in first-seen order: ``add`` ids,
+    ``index`` finds one's index, and ``[i]``, slices and iteration read ids."""
 
     def __init__(self):
-        self._user_index: dict[str, int] = {}
-        self._item_index: dict[str, int] = {}
-        self._user_ids: list[str] = []
-        self._item_ids: list[str] = []
+        self._index: dict[str, int] = {}
+        self._ids: list[str] = []
 
-    @property
-    def num_users(self) -> int:
-        return len(self._user_ids)
+    def __len__(self) -> int:
+        return len(self._ids)
 
-    @property
-    def num_items(self) -> int:
-        return len(self._item_ids)
+    def __getitem__(self, index) -> str:
+        return self._ids[index]
 
-    def add_users(self, user_ids) -> np.ndarray:
-        """Indices of a sequence of user ids, adding the unseen ones."""
-        return _add_ids(self._user_index, self._user_ids, user_ids)
+    def index(self, external_id: str) -> int | None:
+        """The id's index, or None for an unknown id."""
+        return self._index.get(external_id)
 
-    def add_items(self, item_ids) -> np.ndarray:
-        """Indices of a sequence of item ids, adding the unseen ones."""
-        return _add_ids(self._item_index, self._item_ids, item_ids)
-
-    def user_index(self, user_id: str) -> int | None:
-        """The user's index, or None for an unknown id."""
-        return self._user_index.get(user_id)
-
-    def item_index(self, item_id: str) -> int | None:
-        """The item's index, or None for an unknown id."""
-        return self._item_index.get(item_id)
-
-    def user_id(self, index: int) -> str:
-        return self._user_ids[index]
-
-    def item_id(self, index: int) -> str:
-        return self._item_ids[index]
+    def add(self, ids) -> np.ndarray:
+        """Indices of a sequence of ids, adding the unseen ones."""
+        try:
+            # a column of known ids, the common case once a file's first blocks
+            # are read, is one C-level map
+            return np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
+        except KeyError:
+            pass
+        # the unseen ids, in first-seen order, get the next indices
+        added = list(filterfalse(self._index.__contains__, dict.fromkeys(ids)))
+        self._index.update(zip(added, count(len(self._ids))))
+        self._ids.extend(added)
+        return np.fromiter(map(self._index.__getitem__, ids), np.int64, len(ids))
 
 
-def _add_ids(index, names, ids):
-    try:
-        # a column of known ids, the common case once a file's first blocks
-        # are read, is one C-level map
-        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-    except KeyError:
-        pass
-    # the unseen ids, in first-seen order, get the next indices
-    added = list(filterfalse(index.__contains__, dict.fromkeys(ids)))
-    index.update(zip(added, count(len(index))))
-    names.extend(added)
-    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+class IdMap:
+    """The ``users`` and ``items`` id tables; a trust file may add users without ratings."""
+
+    def __init__(self):
+        self.users, self.items = IdTable(), IdTable()
 
 
 def _read_only(array):
@@ -304,6 +287,11 @@ def _within(name, value, low, high, closed):
     raise ValueError(f"{name} must be {where}, got {value}")
 
 
+# the rules of a train fraction and of a cold-start threshold
+check_train_fraction = partial(real_number, "train_fraction", low=0, high=1, closed=False)
+check_threshold = partial(whole_number, "threshold", low=2)
+
+
 def _canonical(names, spans, major, minor, *rest):
     """The arrays in strictly increasing lexicographic (major, minor) order,
     sorted only if not yet in order, and the row pointer of ``major``.
@@ -454,14 +442,14 @@ def load_ratings(path) -> tuple[SparseRatings, IdMap]:
     users, items, values = [_NO_INDICES], [_NO_INDICES], [np.empty(0)]
     for linenos, tokens in _data_blocks(path, 3):
         values.append(_parse_ratings(path, linenos, tokens[2::3]))
-        users.append(ids.add_users(tokens[0::3]))
-        items.append(ids.add_items(tokens[1::3]))
+        users.append(ids.users.add(tokens[0::3]))
+        items.append(ids.items.add(tokens[1::3]))
     values = np.concatenate(values)
     if values.size == 0:
         raise DataFileError(f"{path}: no ratings")
     users, items, last = _last_of_each_pair(
-        np.concatenate(users), np.concatenate(items), ids.num_items)
-    matrix = SparseRatings(ids.num_users, ids.num_items, users, items, values[last])
+        np.concatenate(users), np.concatenate(items), len(ids.items))
+    matrix = SparseRatings(len(ids.users), len(ids.items), users, items, values[last])
     return matrix, ids
 
 
@@ -477,8 +465,8 @@ def save_ratings(ratings: SparseRatings, path, ids: IdMap | None = None):
             users = ratings.users[block].tolist()
             items = ratings.items[block].tolist()
             if ids is not None:
-                users = [ids.user_id(u) for u in users]
-                items = [ids.item_id(i) for i in items]
+                users = [ids.users[u] for u in users]
+                items = [ids.items[i] for i in items]
             rows = zip(users, items, ratings.values[block].tolist())
             fh.write(("%s\t%s\t%.17g\n" * len(users)) % tuple(chain.from_iterable(rows)))
 
@@ -493,8 +481,8 @@ def load_trust(path, ids: IdMap) -> TrustGraph:
     """
     ends = [_NO_INDICES]
     for _, tokens in _data_blocks(path, 2):
-        ends.append(ids.add_users(tokens))
-    return TrustGraph.from_edges(ids.num_users, np.concatenate(ends).reshape(-1, 2))
+        ends.append(ids.users.add(tokens))
+    return TrustGraph.from_edges(len(ids.users), np.concatenate(ends).reshape(-1, 2))
 
 
 def load_dataset(ratings_path, trust_path=None):
@@ -506,15 +494,15 @@ def load_dataset(ratings_path, trust_path=None):
     graph = None
     if trust_path is not None:
         graph = load_trust(trust_path, ids)
-        if ids.num_users > ratings.num_users:
-            ratings = SparseRatings(ids.num_users, ratings.num_items,
+        if len(ids.users) > ratings.num_users:
+            ratings = SparseRatings(len(ids.users), ratings.num_items,
                                     ratings.users, ratings.items, ratings.values)
     return ratings, graph, ids
 
 
 def split_ratings(ratings: SparseRatings, train_fraction: float, seed: int) -> DatasetSplit:
     """Uniform entry-level train/test partition, driven solely by the seed."""
-    train_fraction = real_number("train_fraction", train_fraction, 0, 1, closed=False)
+    train_fraction = check_train_fraction(train_fraction)
     n = ratings.num_entries
     perm = np.random.default_rng(whole_number("seed", seed)).permutation(n)
     n_train = int(round(train_fraction * n))
@@ -540,7 +528,7 @@ def cold_start_split(ratings: SparseRatings, threshold: int, seed: int = 0) -> D
     rating to the test side and the rest to train; all ratings of other
     users go to train. Users with a single rating contribute it to test.
     """
-    threshold = whole_number("threshold", threshold, 2)
+    threshold = check_threshold(threshold)
     rng = np.random.default_rng(whole_number("seed", seed))
     counts = ratings.user_counts()
     cold = np.flatnonzero((counts >= 1) & (counts < threshold))

@@ -24,6 +24,7 @@ from .data import (
     DatasetSplit,
     SparseRatings,
     TrustGraph,
+    check_train_fraction,
     cold_start_split,
     split_ratings,
     whole_number,
@@ -36,7 +37,14 @@ logger = logging.getLogger(__name__)
 METHODS = ("user_mean", "item_mean", "basic_mf", "social_mf")
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 DEFAULT_ALPHAS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-STUDY_KINDS = ("vss", "pcc")  # the similarities the friend/peer study compares
+check_min_out_degree = partial(whole_number, "min_out_degree", low=1)  # the study's rule
+
+
+def check_study_kind(kind: str) -> str:
+    """``kind`` if the friend/peer similarity study compares it, else ValueError."""
+    if kind not in ("vss", "pcc"):
+        raise ValueError("similarity study supports 'vss' or 'pcc'")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,11 @@ def _score(make_split, seeds, graph, hp, train_fraction, variants) -> list:
     basic MF, or ``(similarity kind, alpha)`` for social MF. Each split
     builds its means once and one table per run of variants of a kind (so
     an ablation holds one table at a time), from its own train side, and
-    every model trains with the split's seed.
+    every model trains with the split's seed. Every seed is checked before
+    the first split.
     """
+    for seed in seeds:
+        whole_number("seed", seed)
     if graph is None and any(isinstance(model, tuple) for _, model in variants):
         raise ValueError("social_mf requires a trust graph")
     per_seed = [[] for _ in variants]
@@ -181,6 +192,8 @@ def run_comparison(
     """
     if not fractions or not seeds:
         raise ValueError("need at least one fraction and one seed")
+    for fraction in fractions:
+        check_train_fraction(fraction)
     return [result for fraction in fractions
             for result in _score(partial(split_ratings, ratings, fraction), seeds, graph, hp,
                                  fraction, _methods(sim_kind, hp.alpha))]
@@ -204,6 +217,8 @@ def run_alpha_sweep(
     """
     if not alphas:
         raise ValueError("need at least one alpha")
+    for alpha in alphas:
+        replace(hp, alpha=alpha)  # Hyperparams' rule, before any training
     return _score(partial(split_ratings, ratings, train_fraction), (seed,), graph, hp,
                   train_fraction, [(f"alpha={a:g}", (sim_kind, float(a))) for a in alphas])
 
@@ -238,9 +253,7 @@ def run_cold_start(
     other ratings stay in train. Returns an empty list (with a logged
     notice) when the data has no cold-start users.
     """
-    threshold = whole_number("threshold", threshold, 2)
-    counts = ratings.user_counts()
-    if not np.any((counts >= 1) & (counts < threshold)):
+    if cold_start_split(ratings, threshold).num_test == 0:
         logger.warning("no cold-start users below threshold %d; nothing to do", threshold)
         return []
     return _score(partial(cold_start_split, ratings, threshold), seeds, graph, hp,
@@ -267,9 +280,8 @@ def run_similarity_study(
     replace=False)``, exactly, which ``tests/test_evaluation.py`` pins
     against the installed numpy.
     """
-    min_out_degree = whole_number("min_out_degree", min_out_degree, 1)
-    if kind not in STUDY_KINDS:
-        raise ValueError("similarity study supports 'vss' or 'pcc'")
+    min_out_degree = check_min_out_degree(min_out_degree)
+    check_study_kind(kind)
     rng = np.random.default_rng(seed := whole_number("seed", seed))
     num_users = graph.num_users
     degrees = graph.out_degrees()

@@ -357,12 +357,11 @@ def save_model(model: FactorModel, path):
     bytes, so the values round-trip bit for bit. The ids are
     ``model.ids``, or the dense indices when that is None."""
     m, n, ids = model.num_users, model.num_items, model.ids
-    if ids is not None and (ids.num_users, ids.num_items) != (m, n):
-        raise ValueError(f"model.ids holds {ids.num_users} user and {ids.num_items} "
+    if ids is not None and (len(ids.users), len(ids.items)) != (m, n):
+        raise ValueError(f"model.ids holds {len(ids.users)} user and {len(ids.items)} "
                          f"item ids for {m} user and {n} item rows")
-    users = map(str, range(m)) if ids is None else map(ids.user_id, range(m))
-    items = map(str, range(n)) if ids is None else map(ids.item_id, range(n))
-    names = [*users, *items]
+    names = ([*map(str, range(m)), *map(str, range(n))] if ids is None else
+             [*ids.users, *ids.items])
     text = "\n".join(names) + "\n"
     if text.split() != names:
         # load_model splits the block on whitespace
@@ -409,9 +408,8 @@ def load_model(path) -> FactorModel:
         if fh.readinto(body) != need:
             raise DataFileError(f"{path}: model file shrank while being read")
     ids = IdMap()
-    for kind, add, part in (("user", ids.add_users, names[:m]),
-                            ("item", ids.add_items, names[m:])):
-        repeated = np.flatnonzero(add(part) != np.arange(len(part)))
+    for kind, table, part in (("user", ids.users, names[:m]), ("item", ids.items, names[m:])):
+        repeated = np.flatnonzero(table.add(part) != np.arange(len(part)))
         if repeated.size:
             raise DataFileError(f"{path}: {kind} id {part[repeated[0]]!r} listed twice")
     body = body.astype(np.float64, copy=False)

@@ -80,9 +80,7 @@ class TestTrainCommand:
         model = load_model(out)
         assert model.k == 4 and model.num_users == 20
         _, _, ids = load_dataset(TOY_RATINGS)
-        for count, model_id, data_id in ((ids.num_users, model.ids.user_id, ids.user_id),
-                                         (ids.num_items, model.ids.item_id, ids.item_id)):
-            assert [model_id(x) for x in range(count)] == [data_id(x) for x in range(count)]
+        assert [*model.ids.users] == [*ids.users] and [*model.ids.items] == [*ids.items]
 
     def test_mf_reads_no_trust_file(self, tmp_path, capsys):
         """A config file's trust key is left unread by mf: a user known only
@@ -243,6 +241,24 @@ class TestPredictCommand:
         expected = float(np.clip(model.global_mean, 1.0, 5.0))
         assert float(captured.out.strip()) == pytest.approx(expected, abs=5e-5)
 
+    def test_user_known_only_to_the_trust_file_gets_the_global_mean(self, tmp_path, capsys):
+        """The model holds rows only for users with ratings, so predict gives
+        a trust-only user the global train mean, as evaluate does."""
+        ratings = tmp_path / "r.tsv"
+        ratings.write_text("a x 4\na y 2\nb x 5\nb y 1\n", encoding="utf-8")
+        trust = tmp_path / "t.tsv"
+        trust.write_text("c a\na b\n", encoding="utf-8")
+        out = tmp_path / "m.bin"
+        assert run_cli("train", "--method", "social", "--ratings", str(ratings),
+                       "--trust", str(trust), "--max-epochs", "50", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(out), "--user", "c", "--item", "x") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "3.0000\n"
+        assert "unknown user" in captured.err
+        model = load_model(out)
+        assert [*model.ids.users] == ["a", "b"] and model.num_users == 2
+
     def test_model_with_byte_order_mark(self, model_path, capsys):
         argv = ("predict", "--model", str(model_path), "--user", "u01", "--item", "m01")
         assert run_cli(*argv) == 0
@@ -311,8 +327,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("kind", ["user", "item"])
     def test_repeated_id_is_data_error(self, model_path, capsys, kind):
         model = load_model(model_path)
-        users = [model.ids.user_id(u) for u in range(model.num_users)]
-        items = [model.ids.item_id(i) for i in range(model.num_items)]
+        users, items = [*model.ids.users], [*model.ids.items]
         ids = users if kind == "user" else items
         ids[-1] = ids[0]
         struct_save_model(model_path, model.user_factors.tolist(),
@@ -545,7 +560,7 @@ class TestExperimentCommand:
                        "--seeds", "1,-1", "--out-dir", str(out_dir))
         assert code == 1
         assert capsys.readouterr().err == (
-            "socrec: error: --seeds '1,-1': must be one or more values >= 0\n")
+            "socrec: error: --seeds '1,-1': seed must be >= 0, got -1\n")
         assert not out_dir.exists()
 
     def test_cold_start_on_one_rating_per_user_is_data_error_naming_the_file(
@@ -590,6 +605,31 @@ class TestExperimentCommand:
         code = run_cli("experiment", "--which", "nonsense",
                        "--ratings", TOY_RATINGS, "--trust", TOY_TRUST)
         assert code == 1
+
+
+class TestResultFiles:
+    """A result file that cannot be written is an output error (exit 4) in
+    one line naming it; a dangling link stands for any write fault that no
+    check before the run can see."""
+
+    @pytest.mark.parametrize("run,name", [
+        ("compare", "compare-summary.csv"), ("sim-study", "sim-study.csv"),
+        ("alpha-sweep", "alpha-sweep-rmse.csv"), ("mf", "m.bin.report.json"),
+        ("social", "m.bin"),
+    ])
+    def test_write_fault_is_output_error_naming_the_file(self, tmp_path, capsys, run, name):
+        out_dir = tmp_path / "res"
+        out_dir.mkdir()
+        path = out_dir / name
+        path.symlink_to(tmp_path / "missing" / "target")
+        small = [] if run == "sim-study" else ["--k", "2", "--max-epochs", "3"]
+        where = (["--out", str(out_dir / "m.bin")] if run in _RUNS["train"] else
+                 ["--out-dir", str(out_dir), "--seeds", "1"])
+        trust = [] if run == "mf" else ["--trust", TOY_TRUST]
+        code = run_cli(*RUN_ARGV[run], "--ratings", TOY_RATINGS, *trust, *small, *where)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"socrec: output error: cannot write {path}: No such file or directory\n")
 
 
 class TestConfigFile:
@@ -652,20 +692,20 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("which,flag,value,named", [
         ("alpha-sweep", "--fractions", "1.5",
-         "--fractions '1.5': must be one or more values in (0, 1)\n"),
-        ("alpha-sweep", "--alphas", "0,-1",
-         "--alphas '0,-1': must be one or more finite values >= 0\n"),
-        ("alpha-sweep", "--alphas", "0,nan",
-         "--alphas '0,nan': must be one or more finite values >= 0\n"),
-        ("alpha-sweep", "--alphas", "-1,0", "--alphas '-1,0': must be one or more finite"),
+         "--fractions '1.5': train_fraction must be in (0, 1), got 1.5\n"),
+        ("alpha-sweep", "--alphas", "0,-1", "--alphas '0,-1': alpha must be >= 0, got -1.0\n"),
+        ("alpha-sweep", "--alphas", "0,nan", "--alphas '0,nan': alpha must be finite, got nan\n"),
+        ("alpha-sweep", "--alphas", "-1,0", "--alphas '-1,0': alpha must be >= 0, got -1.0\n"),
         ("alpha-sweep", "--fractions", "-0.5,0.5",
-         "--fractions '-0.5,0.5': must be one or more values in (0, 1)\n"),
-        ("alpha-sweep", "--alphas", "inf", "--alphas 'inf': must be one or more finite"),
-        ("alpha-sweep", "--alphas", "1e999", "--alphas '1e999': must be one or more finite"),
-        ("alpha-sweep", "--seeds", ",", "--seeds ',': must be one or more values >= 0\n"),
+         "--fractions '-0.5,0.5': train_fraction must be in (0, 1), got -0.5\n"),
+        ("alpha-sweep", "--alphas", "inf", "--alphas 'inf': alpha must be finite, got inf\n"),
+        ("alpha-sweep", "--alphas", "1e999", "--alphas '1e999': alpha must be finite, got inf\n"),
+        ("alpha-sweep", "--seeds", ",",
+         "--seeds ',': invalid literal for int() with base 10: ''\n"),
         ("cold-start", "--cold-start-threshold", "1",
-         "--cold-start-threshold '1': must be >= 2\n"),
-        ("sim-study", "--min-out-degree", "0", "--min-out-degree '0': must be >= 1\n"),
+         "--cold-start-threshold '1': threshold must be >= 2, got 1\n"),
+        ("sim-study", "--min-out-degree", "0",
+         "--min-out-degree '0': min_out_degree must be >= 1, got 0\n"),
         ("compare", "--alpha", "-0.5", "--alpha '-0.5': alpha must be >= 0, got -0.5\n"),
         ("alpha-sweep", "--lambda", "nan", "--lambda 'nan': lambda must be finite, got nan\n"),
         ("ablation", "--kinds", "random:-1", "--kinds 'random:-1': seed must be >= 0, got -1\n"),
@@ -693,9 +733,9 @@ class TestConfigFile:
         ("kinds", "pcc,random:-1", "seed must be >= 0, got -1"),
         ("similarity", "pcc:5", "only the random kind takes a seed, got 'pcc:5'"),
         ("k", "0", "k must be >= 1, got 0"),
-        ("fractions", "1.5", "must be one or more values in (0, 1)"),
-        ("cold-start-threshold", "1", "must be >= 2"),
-        ("min-out-degree", "0", "must be >= 1"),
+        ("fractions", "1.5", "train_fraction must be in (0, 1), got 1.5"),
+        ("cold-start-threshold", "1", "threshold must be >= 2, got 1"),
+        ("min-out-degree", "0", "min_out_degree must be >= 1, got 0"),
     ])
     def test_bad_config_value_gives_the_reason(self, tmp_path, capsys, key, value, reason):
         """A config value is checked as a flag is, and its fault names the

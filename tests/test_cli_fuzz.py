@@ -88,7 +88,7 @@ def test_damaged_models_give_a_prediction_or_a_data_error(model_file, data, user
         assert code in (0, 2)
         if code == 0:
             model = load_model(path)
-            assert (model.ids.num_users, model.ids.num_items) == (
+            assert (len(model.ids.users), len(model.ids.items)) == (
                 model.num_users, model.num_items)
 
 
@@ -199,3 +199,37 @@ def test_edge_option_values_give_a_result_or_a_config_error(data, pair):
         assert (_flag(name) if as_flag else f"{config}:1: ") in err.getvalue()
     else:
         assert code in (0, 3), err.getvalue()
+
+
+# the files each run writes, by name in --out-dir, or beside --out m.bin
+_RESULTS = {"mf": ["m.bin.report.json"], "social": ["m.bin.report.json"],
+            **{run: [f"{run}.csv", f"{run}-summary.csv"] for run in _RUNS["experiment"]}}
+_RESULTS["alpha-sweep"] += ["alpha-sweep-mae.csv", "alpha-sweep-rmse.csv"]
+
+
+@pytest.mark.parametrize("run,name", [(run, name) for run, names in _RESULTS.items()
+                                      for name in names])
+def test_a_directory_at_a_result_path_is_refused_before_any_data(tmp_path, run, name):
+    """A result path that is a directory is a usage error naming it (exit 1),
+    given before the ratings file, here a missing one, is read."""
+    (tmp_path / name).mkdir()
+    where = (["--out", str(tmp_path / "m.bin")] if run in _RUNS["train"] else
+             ["--out-dir", str(tmp_path)])
+    trust = ["--trust", str(tmp_path / "t.tsv")] if run in _OPTIONS["trust"][2] else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*_RUN_ARGV[run], "--ratings", str(tmp_path / "r.tsv"), *trust, *where])
+    assert code == 1
+    assert err.getvalue() == f"socrec: error: result path {tmp_path / name} is a directory\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_a_full_device_is_an_output_error():
+    """Every write to /dev/full fails with ENOSPC: exit 4, one line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--method", "mf", "--ratings", str(toydata.ratings_path()),
+                     "--k", "2", "--max-epochs", "3", "--out", "/dev/full"])
+    assert code == 4
+    assert err.getvalue() == ("socrec: output error: cannot write /dev/full: "
+                              "No space left on device\n")

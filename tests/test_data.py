@@ -36,7 +36,7 @@ class TestLoadRatings:
         assert ratings.num_users == 2
         assert ratings.num_items == 2
         assert ratings.num_entries == 3
-        assert ids.user_index("a") == 0 and ids.user_index("b") == 1
+        assert ids.users.index("a") == 0 and ids.users.index("b") == 1
 
     def test_duplicate_keeps_last(self, tmp_path):
         path = write(tmp_path, "r.tsv", "a x 4\na x 2\n")
@@ -78,7 +78,7 @@ class TestLoadRatings:
         save_ratings(ratings, path)
         loaded, ids = load_ratings(path)
         reloaded = {
-            (ids.user_id(u), ids.item_id(i), r) for u, i, r in loaded.triples()
+            (ids.users[u], ids.items[i], r) for u, i, r in loaded.triples()
         }
         original = {(str(u), str(i), r) for u, i, r in ratings.triples()}
         assert reloaded == original
@@ -92,14 +92,14 @@ class TestByteOrderMark:
         rpath = write(tmp_path, "r.tsv", "\ufeffu1 i1 4\nu2 i1 3\n")
         tpath = write(tmp_path, "t.tsv", "\ufeffu1 u2\n")
         ratings, graph, ids = load_dataset(rpath, tpath)
-        assert [ids.user_id(u) for u in range(ids.num_users)] == ["u1", "u2"]
+        assert [*ids.users] == ["u1", "u2"]
         assert list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist())) == [(0, 1)]
         assert ratings.num_users == 2 and ratings.user_counts().tolist() == [1, 1]
 
     def test_only_a_leading_mark_is_dropped(self, tmp_path):
         path = write(tmp_path, "r.tsv", "\ufeffa x 4\n\ufeffb x 3\n")
         _, ids = load_ratings(path)
-        assert [ids.user_id(u) for u in range(ids.num_users)] == ["a", "\ufeffb"]
+        assert [*ids.users] == ["a", "\ufeffb"]
 
 
 class TestSparseRatings:
@@ -289,10 +289,9 @@ class TestIdMap:
     def test_bijective_both_directions(self, tmp_path):
         path = write(tmp_path, "r.tsv", "a x 4\nb y 2\nc x 1\n")
         _, ids = load_ratings(path)
-        for idx in range(ids.num_users):
-            assert ids.user_index(ids.user_id(idx)) == idx
-        for idx in range(ids.num_items):
-            assert ids.item_index(ids.item_id(idx)) == idx
+        for table in (ids.users, ids.items):
+            for idx in range(len(table)):
+                assert table.index(table[idx]) == idx
 
 
 class TestLoadTrust:
@@ -324,7 +323,7 @@ class TestLoadTrust:
         rpath = write(tmp_path, "r.tsv", "a x 4\n")
         tpath = write(tmp_path, "t.tsv", "a c\n")
         ratings, graph, ids = load_dataset(rpath, tpath)
-        assert ids.num_users == 2
+        assert len(ids.users) == 2
         assert ratings.num_users == 2
         assert ratings.items_of(1)[0].size == 0
         assert graph.num_edges == 1
@@ -335,7 +334,7 @@ class TestLoadTrust:
         tpath = write(tmp_path, "t.tsv", text)
         ratings, graph, ids = load_dataset(rpath, tpath)
         assert graph.num_edges == 0
-        assert graph.num_users == ratings.num_users == ids.num_users == 2
+        assert graph.num_users == ratings.num_users == len(ids.users) == 2
 
     def test_malformed_line(self, tmp_path):
         rpath = write(tmp_path, "r.tsv", "a x 4\n")
@@ -351,7 +350,7 @@ class TestLoadTrust:
         pairs = rng.integers(0, 12, (200, 2))
         tpath = write(tmp_path, "t.tsv", "".join(f"{a} {b}\n" for a, b in pairs))
         ids = data_module.IdMap()
-        ids.add_users([str(u) for u in range(12)])
+        ids.users.add([str(u) for u in range(12)])
         loaded = load_trust(tpath, ids)
         for edges in (pairs, pairs.tolist()):
             built = TrustGraph.from_edges(12, edges)
@@ -516,6 +515,5 @@ class TestSaveRatingsMatchesLineWriter:
         ratings, ids = load_ratings(path)
         save_ratings(ratings, tmp_path / "fast.tsv", ids)
         line_save_ratings(tmp_path / "lines.tsv", ratings.triples(),
-                          [ids.user_id(u) for u in range(ids.num_users)],
-                          [ids.item_id(i) for i in range(ids.num_items)])
+                          [*ids.users], [*ids.items])
         assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "lines.tsv").read_bytes()

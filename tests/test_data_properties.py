@@ -101,9 +101,7 @@ class TestBlockLoadersMatchLineLoaders:
 
         def blocks():
             ratings, ids = load_ratings(path)
-            return ([ids.user_id(u) for u in range(ids.num_users)],
-                    [ids.item_id(i) for i in range(ids.num_items)],
-                    list(ratings.triples()))
+            return [*ids.users], [*ids.items], list(ratings.triples())
 
         assert _outcome(blocks) == _outcome(lambda: line_load_ratings(path))
 
@@ -120,11 +118,11 @@ class TestBlockLoadersMatchLineLoaders:
 
         def blocks():
             graph = load_trust(tpath, ids)
-            assert graph.num_users == ids.num_users
+            assert graph.num_users == len(ids.users)
             return list(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
 
         assert _outcome(blocks) == _outcome(lambda: line_load_trust(tpath, users))
-        assert [ids.user_id(u) for u in range(ids.num_users)] == list(users)
+        assert [*ids.users] == list(users)
 
     @given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30))
     def test_from_edges(self, edges):
@@ -302,8 +300,8 @@ def _models(draw):
     ids = None
     if draw(st.booleans()):
         ids = IdMap()
-        ids.add_users(draw(_unique_ids(m)))
-        ids.add_items(draw(_unique_ids(n)))
+        ids.users.add(draw(_unique_ids(m)))
+        ids.items.add(draw(_unique_ids(n)))
     return FactorModel(draw(arrays(np.float64, (m, k), elements=_FINITE)),
                        draw(arrays(np.float64, (n, k), elements=_FINITE)),
                        draw(_FINITE), ids)
@@ -312,8 +310,7 @@ def _models(draw):
 def _id_lists(model):
     if model.ids is None:
         return [str(u) for u in range(model.num_users)], [str(i) for i in range(model.num_items)]
-    return ([model.ids.user_id(u) for u in range(model.num_users)],
-            [model.ids.item_id(i) for i in range(model.num_items)])
+    return [*model.ids.users], [*model.ids.items]
 
 
 class TestRoundTrips:

@@ -32,7 +32,7 @@ def epinions():
 
 def test_corpus_counts(epinions):
     ratings, _, ids = epinions
-    assert ids.num_items == 139738
+    assert len(ids.items) == 139738
     assert ratings.num_entries == 664824
     # the ratings file alone covers 49289 users; the trust file may add more
     rated_users = int(np.count_nonzero(ratings.user_counts()))

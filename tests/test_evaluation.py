@@ -202,6 +202,29 @@ def test_runners_refuse_what_they_cannot_run(run, message):
         run(ratings, TrustGraph.from_edges(3, [(0, 1), (1, 2)]))
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda r, g, hp: run_comparison(r, g, (0.8,), (1, -1), hp), "seed must be >= 0, got -1"),
+    (lambda r, g, hp: run_comparison(r, g, (0.8, 1.5), (1,), hp),
+     "train_fraction must be in (0, 1), got 1.5"),
+    (lambda r, g, hp: run_alpha_sweep(r, g, (0.1, math.nan), hp), "alpha must be finite, got nan"),
+    (lambda r, g, hp: run_cold_start(r, g, 100, hp, seeds=(1, -1)), "seed must be >= 0, got -1"),
+], ids=["seeds", "fractions", "alphas", "cold-start-seeds"])
+def test_runners_check_every_value_before_any_training(monkeypatch, run, message):
+    """A bad value late in a list is refused before the first model trains."""
+    trainings = []
+
+    def counting_train(*args):
+        trainings.append(args)
+        return train_model(*args)
+
+    from socrec import evaluation, train as train_model
+    monkeypatch.setattr(evaluation, "train", counting_train)
+    ratings, graph, _ = clustered_dataset(num_users=40, num_clusters=4, seed=5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(ratings, graph, planted_hp(max_epochs=5))
+    assert trainings == []
+
+
 class TestRunAlphaSweep:
     def test_zero_point_equals_basic(self):
         ratings, graph, _ = clustered_dataset(num_users=60, num_clusters=6, seed=51)

@@ -600,14 +600,13 @@ class TestDivergenceEpochs:
 
 def _id_map(users, items):
     ids = IdMap()
-    ids.add_users(users)
-    ids.add_items(items)
+    ids.users.add(users)
+    ids.items.add(items)
     return ids
 
 
 def _ids_of(ids):
-    return ([ids.user_id(u) for u in range(ids.num_users)],
-            [ids.item_id(i) for i in range(ids.num_items)])
+    return [*ids.users], [*ids.items]
 
 
 class TestModelFile:
