@@ -127,7 +127,7 @@ _OPTIONS = {
                    "pcc | vss | constant | random[:seed]"),
 }
 # the similarity study compares vss, its default, or pcc
-_STUDY_SIMILARITY = (lambda text: SimilarityKind(check_study_kind(SimilarityKind.parse(text).tag)),
+_STUDY_SIMILARITY = (lambda text: check_study_kind(SimilarityKind.parse(text)),
                      SimilarityKind.vss())
 # option name -> Hyperparams field
 _HYPERPARAMS = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(Hyperparams)}
@@ -293,7 +293,7 @@ def cmd_predict(args) -> int:
               file=sys.stderr)
         value = model.global_mean
     else:
-        value = model.predict(u, i)
+        value = model(u, i)
     print(f"{float(np.clip(value, RATING_MIN, RATING_MAX)):.4f}")
     return 0
 
@@ -353,7 +353,7 @@ def cmd_experiment(cfg) -> int:
 
     if which == "sim-study":
         study = run_similarity_study(ratings, graph, min_out_degree=cfg.min_out_degree,
-                                     seed=cfg.seeds[0], kind=cfg.similarity.tag)
+                                     seed=cfg.seeds[0], kind=cfg.similarity)
         with _writing(rows_path):
             write_csv(rows_path, ("user", "friend_sim_mean", "random_sim_mean"),
                       zip(study.user_indices.tolist(), study.friend_sim_means.tolist(),

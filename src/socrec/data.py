@@ -16,9 +16,9 @@ mapped in C indexes the column (``IdTable.add``). Ratings are converted with
 wins); trust pairs go through ``TrustGraph.from_edges``, which drops
 self-loops first. A store's constructor refuses input that breaks its
 invariants with ValueError, including sizes, indices and ratings that the
-cast to a number would change (``whole_number``, ``_index_array``,
-``_numbers``), and alone orders pairs: by one argsort of the int64 key
-``major * span_minor + minor``, when not yet in order (``_canonical``).
+cast to a number would change (``whole_number``, ``_numbers``), and alone
+orders pairs: by one argsort of the int64 key ``major * span_minor +
+minor``, when not yet in order (``_canonical``).
 Neither store has a per-item or in-link index.
 """
 
@@ -124,7 +124,7 @@ class SparseRatings:
 
     def __init__(self, num_users, num_items, users, items, values):
         users, items = _index_array("users", users), _index_array("items", items)
-        values = np.ascontiguousarray(_numbers("values", values, "ratings"), dtype=np.float64)
+        values = _numbers("values", values, "ratings", np.float64)
         if not (users.shape == items.shape == values.shape):
             raise ValueError("users, items and values must have equal length")
         bad = _first_outside_rating_range(values)
@@ -226,12 +226,14 @@ class TrustGraph:
         return np.diff(self.out_ptr)
 
 
-def _numbers(name, values, kind):
-    """``values`` as an array. Bools and strings, which a cast would turn
-    into numbers without a word, raise ValueError naming ``name`` and what
-    it must hold, ``kind``: found by the dtype and, for input that is not
-    an ndarray yet, by the type of each element, since ``np.asarray`` makes
-    ints of the bools in a list that also holds ints."""
+def _numbers(name, values, kind, dtype):
+    """``values`` as a contiguous ``dtype`` array, not copied when it is one.
+    Values that the cast would turn into other numbers without a word raise
+    ValueError naming ``name`` and what it must hold, ``kind``: bools and
+    strings, found by the dtype and, for input that is not an ndarray yet,
+    by the type of each element, since ``np.asarray`` makes ints of the
+    bools in a list that also holds ints; floats that are not whole numbers,
+    for an integer ``dtype``; and numbers that ``dtype`` cannot hold."""
     array = np.asarray(values)
     found = {array.dtype.type}
     if not isinstance(values, np.ndarray):
@@ -239,20 +241,19 @@ def _numbers(name, values, kind):
     for types, what in (((bool, np.bool_), "bools"), ((str, bytes), "strings")):
         if any(issubclass(t, types) for t in found):
             raise ValueError(f"{name} must be {kind}, not {what}")
-    return array
-
-
-def _index_array(name, indices):
-    """``indices`` as a contiguous int64 array, not copied when it is one.
-    Bools, strings (``_numbers``), and floats that are not whole numbers,
-    which the cast would turn into other indices without a word, raise
-    ValueError naming ``name``."""
-    indices = _numbers(name, indices, "integer indices")
-    if indices.dtype.kind == "f":
-        whole = np.isfinite(indices) & (np.trunc(indices) == indices)
+    if array.dtype.kind == "f" and np.dtype(dtype).kind == "i":
+        whole = np.isfinite(array) & (np.trunc(array) == array)
         if not whole.all():
-            raise ValueError(f"{name} must be whole-number indices, got {indices[~whole][0]:g}")
-    return np.ascontiguousarray(indices, dtype=np.int64)
+            raise ValueError(f"{name} must be whole-number indices, got {array[~whole][0]:g}")
+    try:
+        return np.ascontiguousarray(array, dtype=dtype)
+    except OverflowError:
+        # a Python int past the dtype's range, held in an object array
+        raise ValueError(f"{name} must be {kind} that fit in {np.dtype(dtype)}") from None
+
+
+# ``name``'s indices as an int64 array, by the rule of ``_numbers``
+_index_array = partial(_numbers, kind="integer indices", dtype=np.int64)
 
 
 def whole_number(name, value, low=0, high=math.inf) -> int:

@@ -40,10 +40,10 @@ DEFAULT_ALPHAS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 check_min_out_degree = partial(whole_number, "min_out_degree", low=1)  # the study's rule
 
 
-def check_study_kind(kind: str) -> str:
-    """``kind`` if the friend/peer similarity study compares it, else ValueError."""
-    if kind not in ("vss", "pcc"):
-        raise ValueError("similarity study supports 'vss' or 'pcc'")
+def check_study_kind(kind: SimilarityKind) -> SimilarityKind:
+    """``kind`` if the similarity study compares it (vss or pcc), else ValueError naming it."""
+    if not (isinstance(kind, SimilarityKind) and kind.tag in ("vss", "pcc")):
+        raise ValueError(f"similarity study supports the vss and pcc kinds, got {kind!r}")
     return kind
 
 
@@ -101,19 +101,22 @@ def _metrics(truths, preds) -> MetricPair:
 
 
 def mae_rmse(pairs) -> MetricPair:
-    """Metrics from raw (truth, prediction) pairs, no clamping applied."""
+    """Metrics from raw (truth, prediction) pairs, no clamping applied; input
+    that is not an ``(n, 2)`` array of them, n >= 1, raises ValueError."""
     arr = np.asarray(list(pairs), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot compute metrics on an empty list")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"need (truth, prediction) pairs, got an array of shape {arr.shape}")
     return _metrics(arr[:, 0], arr[:, 1])
 
 
 def evaluate(predictor, split: DatasetSplit, train: SparseRatings) -> MetricPair:
     """Clamped metrics over the test side of a DatasetSplit.
 
-    The predictor is a vectorized callable ``f(users, items)``, or an
-    object with such a ``predict`` method; it is called once with the test
-    index arrays and must return one prediction per test entry, else
+    The predictor is one vectorized callable ``f(users, items)``, a trained
+    model or ``partial(predict_user_mean, means)`` alike, called once with
+    the test index arrays; it must return one prediction per test entry, else
     ValueError. Predictions on users or items with no train ratings fall
     back to the global train mean (the same rule for every method), and all
     predictions are clamped to the rating range before residuals are taken.
@@ -121,8 +124,7 @@ def evaluate(predictor, split: DatasetSplit, train: SparseRatings) -> MetricPair
     users, items = split.test_users, split.test_items
     if users.size == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    preds = np.asarray(getattr(predictor, "predict", predictor)(users, items),
-                       dtype=np.float64)
+    preds = np.asarray(predictor(users, items), dtype=np.float64)
     if preds.shape != users.shape:
         raise ValueError(f"predictor returned shape {preds.shape}, expected {users.shape}")
     seen_user = train.user_counts() > 0
@@ -137,13 +139,15 @@ def _score(make_split, seeds, graph, hp, train_fraction, variants) -> list:
     ``make_split(seed)``.
 
     A variant is ``(name, model)``: ``model`` is a baseline predictor of the
-    split's means (``predict_user_mean`` or ``predict_item_mean``), None for
-    basic MF, or ``(similarity kind, alpha)`` for social MF. Each split
-    builds its means once and one table per run of variants of a kind (so
-    an ablation holds one table at a time), from its own train side, and
-    every model trains with the split's seed. Every seed is checked before
-    the first split.
+    split's means (``predict_user_mean`` or ``predict_item_mean``), or
+    ``(similarity kind, alpha)`` for the social model, basic MF at alpha 0.
+    Each split builds its means once and one table per run of variants of a
+    kind (so an ablation holds one table at a time), from its own train
+    side, and every model trains with the split's seed. Every seed is
+    checked, and an empty list refused, before the first split.
     """
+    if not seeds:
+        raise ValueError("need at least one seed")
     for seed in seeds:
         whole_number("seed", seed)
     if graph is None and any(isinstance(model, tuple) for _, model in variants):
@@ -151,16 +155,14 @@ def _score(make_split, seeds, graph, hp, train_fraction, variants) -> list:
     per_seed = [[] for _ in variants]
     for seed in seeds:
         split = make_split(seed)
-        train_set, hp_seed = split.train, hp.with_seed(seed)
+        train_set = split.train
         means = table_kind = table = None
         for scores, (name, model) in zip(per_seed, variants):
-            if model is None:
-                predictor, _ = train(train_set, hp_seed)
-            elif isinstance(model, tuple):
+            if isinstance(model, tuple):
                 kind, alpha = model
                 if kind != table_kind:
                     table_kind, table = kind, build_similarity_table(train_set, graph, kind)
-                predictor, _ = train(train_set, replace(hp_seed, alpha=alpha), graph, table)
+                predictor, _ = train(train_set, replace(hp, seed=seed, alpha=alpha), graph, table)
             else:
                 if means is None:
                     means = build_means(train_set)
@@ -173,7 +175,8 @@ def _score(make_split, seeds, graph, hp, train_fraction, variants) -> list:
 
 def _methods(sim_kind, alpha) -> list:
     """The variants of METHODS, in order."""
-    return list(zip(METHODS, (predict_user_mean, predict_item_mean, None, (sim_kind, alpha))))
+    return list(zip(METHODS, (predict_user_mean, predict_item_mean, (sim_kind, 0.0),
+                              (sim_kind, alpha))))
 
 
 def run_comparison(
@@ -190,8 +193,8 @@ def run_comparison(
     table from the train side and retrains; results are aggregated per
     method and fraction.
     """
-    if not fractions or not seeds:
-        raise ValueError("need at least one fraction and one seed")
+    if not fractions:
+        raise ValueError("need at least one fraction")
     for fraction in fractions:
         check_train_fraction(fraction)
     return [result for fraction in fractions
@@ -265,7 +268,7 @@ def run_similarity_study(
     graph: TrustGraph,
     min_out_degree: int = 5,
     seed: int = 0,
-    kind: str = "vss",
+    kind: SimilarityKind = SimilarityKind.vss(),
 ) -> SimilarityStudyResult:
     """Compare mean similarity to trusted friends against random peers.
 

@@ -17,7 +17,7 @@ views of that block, as those of ``load_model`` are of the file body.
 import codecs
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Hyperparams:
         ):
             object.__setattr__(self, name, value)
 
-    def with_seed(self, seed: int) -> "Hyperparams":
-        return replace(self, seed=seed)
-
 
 @dataclass
 class FactorModel:
@@ -105,7 +102,8 @@ class FactorModel:
     def num_items(self) -> int:
         return self.item_factors.shape[0]
 
-    def predict(self, u, i):
+    def __call__(self, u, i):
+        """``predict(self, u, i)``: a model is a predictor."""
         return predict(self, u, i)
 
 
@@ -149,7 +147,8 @@ def predict(model: FactorModel, u, i):
     """Raw inner-product prediction, unclamped (clamping happens at
     evaluation time): a float for scalar indices, an array for 1-d index
     arrays of one shape, both from ``_kernels.predict_pairs``, so bit for bit
-    what ``evaluate`` scores. A bool, string or fractional index raises ValueError."""
+    what ``evaluate`` scores. A bool, string or fractional index, or one that
+    int64 cannot hold, raises ValueError."""
     # a scalar index becomes a 1-element array (np.ascontiguousarray)
     users, items = _index_array("users", u), _index_array("items", i)
     if np.shape(u) != np.shape(i):

@@ -100,10 +100,15 @@ class SimilarityTable:
         return self._laplacian
 
 
-def pair_similarities(ratings: SparseRatings, tag: str, src, dst) -> np.ndarray:
-    """Similarity in [0, 1] of each user pair (src[e], dst[e]): VSS for
-    ``tag == "vss"``, else PCC mapped onto [0, 1]."""
-    if tag == "vss":
+def pair_similarities(ratings: SparseRatings, kind: SimilarityKind, src, dst) -> np.ndarray:
+    """Similarity in [0, 1] of each user pair (src[e], dst[e]) under ``kind``:
+    1 for constant, one draw of ``default_rng(kind.seed).uniform(0, 1, n)``
+    for random, VSS, or PCC mapped onto [0, 1]."""
+    if kind.tag == "constant":
+        return np.ones(len(src))
+    if kind.tag == "random":
+        return np.random.default_rng(kind.seed).uniform(0.0, 1.0, len(src))
+    if kind.tag == "vss":
         return _kernels.vss_edges(ratings.user_ptr, ratings.items, ratings.values, src, dst)
     pearson = _kernels.pcc_edges(
         ratings.user_ptr, ratings.items, ratings.values, ratings.user_means(), src, dst,
@@ -123,11 +128,4 @@ def build_similarity_table(
         raise ValueError(
             f"ratings cover {ratings.num_users} users, graph {graph.num_users}"
         )
-    if kind.tag == "constant":
-        values = np.ones(graph.num_edges)
-    elif kind.tag == "random":
-        rng = np.random.default_rng(kind.seed)
-        values = rng.uniform(0.0, 1.0, graph.num_edges)
-    else:
-        values = pair_similarities(ratings, kind.tag, graph.edge_src, graph.edge_dst)
-    return SimilarityTable(graph, values)
+    return SimilarityTable(graph, pair_similarities(ratings, kind, graph.edge_src, graph.edge_dst))

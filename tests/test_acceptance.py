@@ -191,7 +191,7 @@ def _planted_best_of_grid(split_fn):
         split = split_fn(ratings, seed)
         train_set = split.train
         sim = build_similarity_table(train_set, graph, SimilarityKind.pcc())
-        model, _ = train(train_set, PLANTED_HP.with_seed(seed))
+        model, _ = train(train_set, replace(PLANTED_HP, seed=seed))
         basic_maes.append(evaluate(model, split, train_set).mae)
         for alpha in ALPHA_GRID:
             hp = replace(PLANTED_HP, alpha=alpha, seed=seed)
@@ -240,7 +240,7 @@ def test_criterion_6_similarity_ablation_ordering():
         split = split_ratings(ratings, 0.8, seed)
         for name, kind in kinds.items():
             sim = build_similarity_table(split.train, graph, kind)
-            model, _ = train(split.train, hp.with_seed(seed), graph, sim)
+            model, _ = train(split.train, replace(hp, seed=seed), graph, sim)
             maes[name].append(evaluate(model, split, split.train).mae)
     mean = {name: float(np.mean(v)) for name, v in maes.items()}
     passed = mean["pcc"] < mean["random"] and mean["vss"] < mean["random"]

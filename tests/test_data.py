@@ -6,12 +6,14 @@ import pytest
 import socrec.data as data_module
 from socrec import (
     DataFileError,
+    FactorModel,
     SparseRatings,
     TrustGraph,
     cold_start_split,
     load_dataset,
     load_ratings,
     load_trust,
+    predict,
     save_ratings,
     split_ratings,
 )
@@ -189,16 +191,24 @@ def test_no_store_skips_its_checks(build):
     (lambda: SparseRatings(2, 2, [0, 1], [0, 1], ["3", "4"]), "values"),
     (lambda: SparseRatings(2, 2, [0, 1], [0, 1], [True, 4.0]), "values"),
     (lambda: SparseRatings(2, 2, [0, 1], [0, 1], np.array([True, True])), "values"),
+    (lambda: SparseRatings(2, 2, [2**70], [0], [3.0]), "users"),
+    (lambda: SparseRatings(2, 2, [-2**70], [0], [3.0]), "users"),
+    (lambda: TrustGraph.from_edges(3, [(0, 2**64)]), "edges"),
+    (lambda: SparseRatings(2, 2, [0], [0], [10**400]), "values"),
+    (lambda: predict(FactorModel(np.ones((2, 1)), np.ones((2, 1))), 2**70, 0), "users"),
 ], ids=["fractional-user", "fractional-item", "nan-item", "bool-user", "bool-item",
         "fractional-source", "fractional-destination", "bool-source", "bool-destination",
         "negative-users", "fractional-users", "negative-items", "fractional-items",
         "graph-negative-users", "graph-fractional-users", "none-users", "nan-items",
         "graph-infinite-users", "bool-among-users", "string-source", "bytes-destination",
-        "string-ratings", "bool-among-ratings", "bool-ratings"])
+        "string-ratings", "bool-among-ratings", "bool-ratings", "int64-overflow-user",
+        "int64-underflow-user", "int64-overflow-edge", "float64-overflow-rating",
+        "int64-overflow-predict"])
 def test_stores_refuse_indices_a_cast_would_change(build, name):
-    """An index or size that int64 would truncate, or a bool or string
-    among indices or ratings, raises ValueError naming its parameter
-    instead of becoming another number."""
+    """An index or size that int64 would truncate, a number past int64 or
+    float64, or a bool or string among indices or ratings, raises ValueError
+    naming its parameter instead of becoming another number or an
+    OverflowError; ``predict`` takes its indices by the same rule."""
     with pytest.raises(ValueError, match=f"^{name} must"):
         build()
 

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -53,6 +54,12 @@ class TestMaeRmse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mae_rmse([])
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 2.0, 9.0)], [1.0, 2.0], [[(1.0, 2.0)]]],
+                             ids=["triple", "flat", "nested"])
+    def test_anything_but_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError, match=r"^need \(truth, prediction\) pairs"):
+            mae_rmse(pairs)
 
     def test_rmse_dominates_mae_on_random_vectors(self):
         rng = np.random.default_rng(40)
@@ -183,19 +190,23 @@ class TestRunComparison:
 @pytest.mark.parametrize("run, message", [
     (lambda r, g: run_comparison(r, None, (0.8,), (1,), planted_hp()),
      "social_mf requires a trust graph"),
-    (lambda r, g: run_comparison(r, g, (), (1,), planted_hp()),
-     "need at least one fraction and one seed"),
-    (lambda r, g: run_comparison(r, g, (0.8,), (), planted_hp()),
-     "need at least one fraction and one seed"),
+    (lambda r, g: run_comparison(r, g, (), (1,), planted_hp()), "need at least one fraction"),
+    (lambda r, g: run_comparison(r, g, (0.8,), (), planted_hp()), "need at least one seed"),
     (lambda r, g: run_alpha_sweep(r, g, (), planted_hp()), "need at least one alpha"),
     (lambda r, g: run_similarity_ablation(r, g, (), planted_hp()),
      "need at least one similarity kind"),
     (lambda r, g: run_similarity_study(r, g, min_out_degree=0),
      "min_out_degree must be >= 1, got 0"),
-    (lambda r, g: run_similarity_study(r, g, kind="constant"),
-     "similarity study supports 'vss' or 'pcc'"),
+    (lambda r, g: run_similarity_study(r, g, kind=SimilarityKind.constant()),
+     "similarity study supports the vss and pcc kinds, got "
+     "SimilarityKind(tag='constant', seed=0)"),
+    (lambda r, g: run_similarity_study(r, g, kind=SimilarityKind.random(3)),
+     "similarity study supports the vss and pcc kinds, got "
+     "SimilarityKind(tag='random', seed=3)"),
+    (lambda r, g: run_similarity_study(r, g, kind="vss"),
+     "similarity study supports the vss and pcc kinds, got 'vss'"),
 ], ids=["no-graph", "no-fractions", "no-seeds", "no-alphas", "no-kinds", "min-out-degree-0",
-        "study-kind"])
+        "study-kind", "study-kind-random", "study-kind-string"])
 def test_runners_refuse_what_they_cannot_run(run, message):
     ratings = SparseRatings(3, 2, [0, 1, 2], [0, 1, 0], [3.0, 4.0, 5.0])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -208,7 +219,8 @@ def test_runners_refuse_what_they_cannot_run(run, message):
      "train_fraction must be in (0, 1), got 1.5"),
     (lambda r, g, hp: run_alpha_sweep(r, g, (0.1, math.nan), hp), "alpha must be finite, got nan"),
     (lambda r, g, hp: run_cold_start(r, g, 100, hp, seeds=(1, -1)), "seed must be >= 0, got -1"),
-], ids=["seeds", "fractions", "alphas", "cold-start-seeds"])
+    (lambda r, g, hp: run_cold_start(r, g, 100, hp, seeds=()), "need at least one seed"),
+], ids=["seeds", "fractions", "alphas", "cold-start-seeds", "cold-start-no-seeds"])
 def test_runners_check_every_value_before_any_training(monkeypatch, run, message):
     """A bad value late in a list is refused before the first model trains."""
     trainings = []
@@ -233,7 +245,7 @@ class TestRunAlphaSweep:
                                 train_fraction=0.8, seed=3)
         split = split_ratings(ratings, 0.8, 3)
         from socrec import train as train_model
-        model, _ = train_model(split.train, hp.with_seed(3))
+        model, _ = train_model(split.train, replace(hp, seed=3))
         basic = evaluate(model, split, split.train)
         assert [(r.method, r.train_fraction, r.seeds) for r in sweep] == [
             ("alpha=0", 0.8, (3,)), ("alpha=0.1", 0.8, (3,))]
@@ -291,7 +303,7 @@ class TestRunColdStart:
             hp = Hyperparams(k=3, lam=0.05, alpha=alpha, learning_rate=0.005,
                              max_epochs=800, tolerance=1e-12, init_scale=0.1, seed=7)
             model, _ = train_model(train_set, hp, graph, sim)
-            pred = float(np.clip(model.predict(0, 1), 1.0, 5.0))
+            pred = float(np.clip(model(0, 1), 1.0, 5.0))
             errors[alpha] = abs(truth - pred)
         assert errors[1.0] < errors[0.0]
 
@@ -402,7 +414,8 @@ class TestRunSimilarityStudy:
         np.testing.assert_array_equal(a.friend_sim_means, b.friend_sim_means)
         np.testing.assert_array_equal(a.random_sim_means, b.random_sim_means)
 
-    @pytest.mark.parametrize("kind", ["vss", "pcc"])
+    @pytest.mark.parametrize("kind", [SimilarityKind.vss(), SimilarityKind.pcc()],
+                             ids=["vss", "pcc"])
     def test_friend_means_match_a_per_user_loop(self, kind):
         ratings, graph, _ = clustered_dataset(num_users=80, num_clusters=8, seed=53)
         study = run_similarity_study(ratings, graph, min_out_degree=5, seed=9, kind=kind)
@@ -412,7 +425,8 @@ class TestRunSimilarityStudy:
             sims = pair_similarities(ratings, kind, np.full(friends.size, u), friends)
             assert got == pytest.approx(np.mean(sims), abs=1e-15)
 
-    @pytest.mark.parametrize("kind", ["vss", "pcc"])
+    @pytest.mark.parametrize("kind", [SimilarityKind.vss(), SimilarityKind.pcc()],
+                             ids=["vss", "pcc"])
     @pytest.mark.parametrize("seed", [0, 9, 31])
     @pytest.mark.parametrize("min_out_degree", [1, 3, 5])
     def test_matches_the_per_user_loop(self, kind, seed, min_out_degree):

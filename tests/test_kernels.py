@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from socrec import (
+    SimilarityKind,
     SimilarityTable,
     SparseRatings,
     TrustGraph,
@@ -262,10 +263,10 @@ class TestEdgeSimilarities:
         monkeypatch.setattr(_kernels, "MARK_CELLS", cells)
         ratings = ratings_from_dicts(num_items, *rows)
         src, dst = (np.array(side, dtype=np.int64) for side in zip(*pairs))
-        for tag in ("pcc", "vss"):
-            alone = [pair_similarities(ratings, tag, src[e:e + 1], dst[e:e + 1])[0]
+        for kind in (SimilarityKind.pcc(), SimilarityKind.vss()):
+            alone = [pair_similarities(ratings, kind, src[e:e + 1], dst[e:e + 1])[0]
                      for e in range(src.size)]
-            assert pair_similarities(ratings, tag, src, dst).tolist() == alone
+            assert pair_similarities(ratings, kind, src, dst).tolist() == alone
 
     def test_marker_table_memory_is_bounded(self):
         """On a wide item span, where a table of every source's row would
@@ -288,7 +289,7 @@ class TestEdgeSimilarities:
         assert num_users * num_items > 10 * _kernels.MARK_CELLS
         tracemalloc.start()
         try:
-            sims = pair_similarities(ratings, "pcc", src, dst)
+            sims = pair_similarities(ratings, SimilarityKind.pcc(), src, dst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -424,7 +425,7 @@ class TestCachedLaplacian:
         monkeypatch.setattr(_kernels, "social_laplacian",
                             lambda *args: builds.append(1) or build(*args))
         for seed in (3, 4):
-            hp = self.HP.with_seed(seed)
+            hp = dataclasses.replace(self.HP, seed=seed)
             got, got_report = train(ratings, hp, graph, shared)
             expected, expected_report = train(ratings, hp, graph, self.fresh(sim))
             assert got_report.objective_per_epoch == expected_report.objective_per_epoch

@@ -13,9 +13,12 @@ from helpers import random_graph, random_ratings, ratings_from_dicts, raw_pcc
 from oracles import brute_pcc, brute_vss
 
 
-def pair_similarity(ratings, tag, u, f):
+PCC, VSS = SimilarityKind.pcc(), SimilarityKind.vss()
+
+
+def pair_similarity(ratings, kind, u, f):
     """``pair_similarities`` of the one pair (u, f)."""
-    return float(pair_similarities(ratings, tag, np.array([u]), np.array([f]))[0])
+    return float(pair_similarities(ratings, kind, np.array([u]), np.array([f]))[0])
 
 
 class TestPairSimilarities:
@@ -26,7 +29,20 @@ class TestPairSimilarities:
     ], ids=["correlated", "anti-correlated", "degenerate"])
     def test_pcc_is_mapped_onto_the_unit_interval(self, other, expected):
         ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, other)
-        assert pair_similarity(ratings, "pcc", 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert pair_similarity(ratings, PCC, 0, 1) == pytest.approx(expected, abs=1e-12)
+
+    def test_every_kind_gives_the_table_values(self):
+        """``pair_similarities`` computes every kind: over a graph's edges it
+        gives the values of the kind's table bit for bit."""
+        rng = np.random.default_rng(28)
+        ratings = random_ratings(rng, 12, 8)
+        graph = random_graph(rng, 12)
+        assert graph.num_edges > 0
+        for text in ("constant", "random:5", "vss", "pcc"):
+            kind = SimilarityKind.parse(text)
+            np.testing.assert_array_equal(
+                pair_similarities(ratings, kind, graph.edge_src, graph.edge_dst),
+                build_similarity_table(ratings, graph, kind).values, err_msg=text)
 
 
 class TestPcc:
@@ -76,29 +92,29 @@ class TestPcc:
 class TestVss:
     def test_identical_vectors_give_one(self):
         ratings = ratings_from_dicts(3, {0: 4, 1: 5, 2: 3}, {0: 4, 1: 5, 2: 3})
-        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pair_similarity(ratings, VSS, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_shared_item(self):
         ratings = ratings_from_dicts(3, {0: 4.0, 1: 2.0}, {0: 4.0, 2: 5.0})
-        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pair_similarity(ratings, VSS, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_four_cross(self):
         # overlap vectors (3,4) vs (4,3): cosine 24/25
         ratings = ratings_from_dicts(2, {0: 3.0, 1: 4.0}, {0: 4.0, 1: 3.0})
         expected = brute_vss({0: 3.0, 1: 4.0}, {0: 4.0, 1: 3.0})
         assert expected == pytest.approx(0.96, abs=1e-12)
-        assert pair_similarity(ratings, "vss", 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert pair_similarity(ratings, VSS, 0, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_overlap_gives_zero(self):
         ratings = ratings_from_dicts(4, {0: 4}, {1: 2})
-        assert pair_similarity(ratings, "vss", 0, 1) == 0.0
+        assert pair_similarity(ratings, VSS, 0, 1) == 0.0
 
     def test_scale_invariance_on_overlap(self):
         # doubling both users' overlap vectors leaves the cosine unchanged
         r1 = ratings_from_dicts(2, {0: 1.0, 1: 2.0}, {0: 1.5, 1: 2.5})
         r2 = ratings_from_dicts(2, {0: 2.0, 1: 4.0}, {0: 3.0, 1: 5.0})
-        assert pair_similarity(r1, "vss", 0, 1) == pytest.approx(
-            pair_similarity(r2, "vss", 0, 1), abs=1e-12)
+        assert pair_similarity(r1, VSS, 0, 1) == pytest.approx(
+            pair_similarity(r2, VSS, 0, 1), abs=1e-12)
 
 
 class TestSymmetryAndBounds:
@@ -110,8 +126,8 @@ class TestSymmetryAndBounds:
             assert raw_pcc(ratings, int(u), int(f)) == pytest.approx(
                 raw_pcc(ratings, int(f), int(u)), abs=1e-12
             )
-            assert pair_similarity(ratings, "vss", int(u), int(f)) == pytest.approx(
-                pair_similarity(ratings, "vss", int(f), int(u)), abs=1e-12
+            assert pair_similarity(ratings, VSS, int(u), int(f)) == pytest.approx(
+                pair_similarity(ratings, VSS, int(f), int(u)), abs=1e-12
             )
 
     def test_bounds_on_1000_random_pairs(self):
@@ -119,8 +135,8 @@ class TestSymmetryAndBounds:
         ratings = random_ratings(rng, 40, 15)
         for _ in range(1000):
             u, f = rng.integers(0, 40, 2)
-            v = pair_similarity(ratings, "vss", int(u), int(f))
-            p = pair_similarity(ratings, "pcc", int(u), int(f))
+            v = pair_similarity(ratings, VSS, int(u), int(f))
+            p = pair_similarity(ratings, PCC, int(u), int(f))
             assert 0.0 <= v <= 1.0
             assert 0.0 <= p <= 1.0
 
@@ -139,7 +155,7 @@ class TestSymmetryAndBounds:
                     assert raw_pcc(ratings, u, f) == pytest.approx(
                         brute_pcc(dicts[u], dicts[f]), abs=1e-12
                     )
-                    assert pair_similarity(ratings, "vss", u, f) == pytest.approx(
+                    assert pair_similarity(ratings, VSS, u, f) == pytest.approx(
                         brute_vss(dicts[u], dicts[f]), abs=1e-12
                     )
 
@@ -195,7 +211,7 @@ class TestBuildSimilarityTable:
         ratings = random_ratings(rng, 12, 8)
         graph = random_graph(rng, 12)
         table = build_similarity_table(ratings, graph, SimilarityKind.pcc())
-        expected = [pair_similarity(ratings, "pcc", int(s), int(t))
+        expected = [pair_similarity(ratings, PCC, int(s), int(t))
                     for s, t in zip(graph.edge_src, graph.edge_dst)]
         np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
 
@@ -209,7 +225,7 @@ class TestBuildSimilarityTable:
         ratings = random_ratings(rng, 12, 8)
         graph = random_graph(rng, 12)
         table = build_similarity_table(ratings, graph, SimilarityKind.vss())
-        expected = [pair_similarity(ratings, "vss", int(s), int(t))
+        expected = [pair_similarity(ratings, VSS, int(s), int(t))
                     for s, t in zip(graph.edge_src, graph.edge_dst)]
         np.testing.assert_allclose(table.values, expected, rtol=0, atol=1e-12)
 

@@ -200,7 +200,7 @@ def test_benchmark_describes_every_result_type(perfbench_module, tmp_path):
         socrec.build_means(split.train), socrec.evaluate(model, split, split.train),
         (model, report), model,
         socrec.run_similarity_study(ratings, graph, min_out_degree=2, seed=1),
-        model.predict(split.test_users, split.test_items), graph,
+        model(split.test_users, split.test_items), graph,
     ]
     for result in results:
         _, _, problems = checks.describe(result)
